@@ -11,7 +11,7 @@
 use crate::profile::*;
 use rand::Rng;
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{Message, Name, RecordType};
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
@@ -156,8 +156,10 @@ pub struct IotDevice {
     asked: HashMap<(Name, RecordType, bool), (u8, u32)>,
     next_txid: u16,
 
-    // Transport.
-    conns: HashMap<u16, Conn>,
+    // Transport. Keyed by local port and walked in port order, so the
+    // frames a sweep or a telemetry round emits never depend on hash
+    // iteration order (captures stay byte-identical per seed).
+    conns: BTreeMap<u16, Conn>,
     next_port: u16,
     ntp_done: bool,
     stateful_probe_done: bool,
@@ -219,7 +221,7 @@ impl IotDevice {
             pending: HashMap::new(),
             asked: HashMap::new(),
             next_txid: (seed as u16) | 1,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             next_port: 40_000 + (seed % 1000) as u16,
             ntp_done: false,
             stateful_probe_done: false,
@@ -874,11 +876,9 @@ impl IotDevice {
         // and the destination is retried over IPv4.
         let now = self.tick;
         let latency = u32::from(self.profile.app.fallback_latency_ticks.max(1));
-        // Both sweeps walk a HashMap, so sort by port (ports are handed
-        // out sequentially) — the fallback entry and switch-event order
-        // must not depend on hash-iteration order or byte-identical
-        // reruns break.
-        let mut stale: Vec<(u16, bool)> = self
+        // Both sweeps walk `conns` in port order, so the fallback entry
+        // and switch-event order are the same on every rerun.
+        let stale: Vec<(u16, bool)> = self
             .conns
             .iter()
             .filter(|(_, c)| {
@@ -886,7 +886,6 @@ impl IotDevice {
             })
             .map(|(port, c)| (*port, c.remote.is_ipv6()))
             .collect();
-        stale.sort_unstable();
         for (port, was_v6) in stale {
             if let Some(c) = self.conns.remove(&port) {
                 if was_v6 && self.v4_addr.is_some() {
@@ -903,7 +902,7 @@ impl IotDevice {
         // tunnel outage, not a dead server) is torn down the same way —
         // the destination reconnects over IPv4 below and the v6 recovery
         // race starts probing.
-        let mut stalled: Vec<u16> = self
+        let stalled: Vec<u16> = self
             .conns
             .iter()
             .filter(|(_, c)| {
@@ -914,7 +913,6 @@ impl IotDevice {
             })
             .map(|(port, _)| *port)
             .collect();
-        stalled.sort_unstable();
         for port in stalled {
             if let Some(c) = self.conns.remove(&port) {
                 self.connected.remove(&c.domain);
