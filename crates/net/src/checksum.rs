@@ -9,7 +9,8 @@ use std::net::{Ipv4Addr, Ipv6Addr};
 /// each piece must be an even number of bytes except the last.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
-    sum: u32,
+    /// Sum of big-endian 16-bit words, carries not yet folded.
+    sum: u64,
 }
 
 impl Checksum {
@@ -20,19 +21,33 @@ impl Checksum {
 
     /// Fold a byte slice into the sum. Odd-length slices are zero-padded,
     /// so only the final piece may be odd.
+    ///
+    /// The ones-complement sum is byte-order independent (RFC 1071
+    /// §2(B)): the slice is summed as native-endian 64-bit words, each
+    /// added as two 32-bit halves into a `u64` that cannot overflow below
+    /// 16 GiB, with the sub-word tail taken 16 bits at a time. The
+    /// partial sum is then folded to 16 bits and byte-swapped once into
+    /// network order.
     pub fn add(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
+        let mut acc = 0u64;
+        let mut words = data.chunks_exact(8);
+        for w in &mut words {
+            let v = u64::from_ne_bytes(w.try_into().expect("8-byte chunk"));
+            acc += (v & 0xffff_ffff) + (v >> 32);
         }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
+        let mut pairs = words.remainder().chunks_exact(2);
+        for p in &mut pairs {
+            acc += u64::from(u16::from_ne_bytes([p[0], p[1]]));
         }
+        if let [last] = pairs.remainder() {
+            acc += u64::from(u16::from_ne_bytes([*last, 0]));
+        }
+        self.sum += u64::from(u16::from_be_bytes(fold(acc).to_ne_bytes()));
     }
 
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
-        self.sum += u32::from(v);
+        self.sum += u64::from(v);
     }
 
     /// Fold a 32-bit value (as two words).
@@ -59,12 +74,16 @@ impl Checksum {
 
     /// Finish: fold carries and complement.
     pub fn finish(self) -> u16 {
-        let mut s = self.sum;
-        while s > 0xffff {
-            s = (s & 0xffff) + (s >> 16);
-        }
-        !(s as u16)
+        !fold(self.sum)
     }
+}
+
+/// End-around-carry fold of a wide ones-complement sum to 16 bits.
+fn fold(mut s: u64) -> u16 {
+    while s > 0xffff {
+        s = (s & 0xffff) + (s >> 16);
+    }
+    s as u16
 }
 
 /// One-shot checksum of a contiguous buffer.

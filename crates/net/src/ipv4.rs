@@ -157,30 +157,39 @@ impl Repr {
         }
     }
 
-    /// Serialize header + payload into a fresh buffer, computing the header
-    /// checksum.
+    /// Write this header into the front of `buf`, ahead of the
+    /// `payload_len` bytes the caller places at `buf[HEADER_LEN..]`, and
+    /// compute the header checksum. The header is always a fresh
+    /// option-less one: TOS, identification and fragment fields zero.
     ///
     /// # Panics
     /// Totals beyond the 16-bit total-length field are a caller bug.
-    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
+    pub fn emit(&self, buf: &mut [u8]) {
+        let total = HEADER_LEN + self.payload_len;
         assert!(
-            HEADER_LEN + payload.len() <= usize::from(u16::MAX),
-            "ipv4 total length {} exceeds the length field",
-            HEADER_LEN + payload.len()
+            total <= usize::from(u16::MAX),
+            "ipv4 total length {total} exceeds the length field"
         );
+        let h = &mut buf[..HEADER_LEN];
+        h[0] = 0x45;
+        h[1] = 0;
+        h[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+        h[4..8].fill(0);
+        h[8] = self.ttl;
+        h[9] = self.protocol.into();
+        h[10..12].fill(0);
+        h[12..16].copy_from_slice(&self.src.octets());
+        h[16..20].copy_from_slice(&self.dst.octets());
+        let c = checksum::checksum(h);
+        h[10..12].copy_from_slice(&c.to_be_bytes());
+    }
+
+    /// Serialize header + payload into a fresh buffer.
+    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
         debug_assert_eq!(self.payload_len, payload.len());
-        let total = HEADER_LEN + payload.len();
-        let mut b = vec![0u8; total];
-        b[0] = 0x45;
-        b[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-        b[8] = self.ttl;
-        b[9] = self.protocol.into();
-        b[12..16].copy_from_slice(&self.src.octets());
-        b[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&b[..HEADER_LEN]);
-        b[10..12].copy_from_slice(&c.to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(payload);
-        b
+        let mut buf = [&[0; HEADER_LEN][..], payload].concat();
+        self.emit(&mut buf);
+        buf
     }
 }
 

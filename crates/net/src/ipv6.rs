@@ -240,27 +240,34 @@ impl Repr {
         }
     }
 
-    /// Serialize header + payload into a fresh buffer.
+    /// Write this header into the front of `buf`, ahead of the
+    /// `payload_len` bytes the caller places at `buf[HEADER_LEN..]`.
+    /// Traffic class and flow label are zero.
     ///
     /// # Panics
     /// Payloads beyond the 16-bit payload-length field are a caller bug
     /// (the simulator segments transport data well below this).
-    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
+    pub fn emit(&self, buf: &mut [u8]) {
         assert!(
-            payload.len() <= usize::from(u16::MAX),
+            self.payload_len <= usize::from(u16::MAX),
             "ipv6 payload {} exceeds the length field",
-            payload.len()
+            self.payload_len
         );
+        let h = &mut buf[..HEADER_LEN];
+        h[0..4].copy_from_slice(&[0x60, 0, 0, 0]);
+        h[4..6].copy_from_slice(&(self.payload_len as u16).to_be_bytes());
+        h[6] = self.next_header.into();
+        h[7] = self.hop_limit;
+        h[8..24].copy_from_slice(&self.src.octets());
+        h[24..40].copy_from_slice(&self.dst.octets());
+    }
+
+    /// Serialize header + payload into a fresh buffer.
+    pub fn build(&self, payload: &[u8]) -> Vec<u8> {
         debug_assert_eq!(self.payload_len, payload.len());
-        let mut b = vec![0u8; HEADER_LEN + payload.len()];
-        b[0] = 0x60;
-        b[4..6].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-        b[6] = self.next_header.into();
-        b[7] = self.hop_limit;
-        b[8..24].copy_from_slice(&self.src.octets());
-        b[24..40].copy_from_slice(&self.dst.octets());
-        b[HEADER_LEN..].copy_from_slice(payload);
-        b
+        let mut buf = [&[0; HEADER_LEN][..], payload].concat();
+        self.emit(&mut buf);
+        buf
     }
 }
 

@@ -204,27 +204,36 @@ impl Repr {
         Ok(Repr::parse(&Packet::new_checked(bytes)?))
     }
 
-    /// Serialize with the checksum computed against `ph`.
-    pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
-        let len = HEADER_LEN + self.payload.len();
-        let mut b = vec![0u8; len];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..8].copy_from_slice(&self.seq.to_be_bytes());
-        b[8..12].copy_from_slice(&self.ack.to_be_bytes());
-        b[12] = ((HEADER_LEN / 4) as u8) << 4;
-        b[13] = self.flags.0;
-        b[14..16].copy_from_slice(&self.window.to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(&self.payload);
+    /// Write this header into the front of `buf` and checksum the
+    /// segment in place against `ph`. The rest of `buf` is the payload,
+    /// already in place (`self.payload` is not read: the caller copies
+    /// or fills the payload, and [`Repr::build`] copies `self.payload`).
+    /// The header is always a fresh option-less one with a zero urgent
+    /// pointer.
+    pub fn emit(&self, buf: &mut [u8], ph: PseudoHeader) {
+        let len = buf.len();
+        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        buf[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        buf[12] = ((HEADER_LEN / 4) as u8) << 4;
+        buf[13] = self.flags.0;
+        buf[14..16].copy_from_slice(&self.window.to_be_bytes());
+        buf[16..20].fill(0);
         let mut c = Checksum::new();
         match ph {
             PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 6, len as u16),
             PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 6, len as u32),
         }
-        c.add(&b);
-        let sum = c.finish();
-        b[16..18].copy_from_slice(&sum.to_be_bytes());
-        b
+        c.add(buf);
+        buf[16..18].copy_from_slice(&c.finish().to_be_bytes());
+    }
+
+    /// Serialize with the checksum computed against `ph`.
+    pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
+        let mut buf = [&[0; HEADER_LEN][..], &self.payload].concat();
+        self.emit(&mut buf, ph);
+        buf
     }
 
     /// A bare SYN to open (or scan) `dst_port`.
@@ -236,19 +245,6 @@ impl Repr {
             ack: 0,
             flags: Flags::SYN,
             window: 0xffff,
-            payload: Vec::new(),
-        }
-    }
-
-    /// The RST an endpoint sends for a SYN to a closed port.
-    pub fn rst_for(&self) -> Repr {
-        Repr {
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            seq: 0,
-            ack: self.seq.wrapping_add(1),
-            flags: Flags::RST | Flags::ACK,
-            window: 0,
             payload: Vec::new(),
         }
     }
@@ -278,15 +274,11 @@ mod tests {
     }
 
     #[test]
-    fn syn_and_rst_shapes() {
+    fn syn_shape() {
         let syn = Repr::syn(55555, 37993, 7);
         assert!(syn.flags.contains(Flags::SYN));
         assert!(!syn.flags.contains(Flags::ACK));
-        let rst = syn.rst_for();
-        assert!(rst.flags.contains(Flags::RST));
-        assert_eq!(rst.ack, 8);
-        assert_eq!(rst.src_port, 37993);
-        assert_eq!(rst.dst_port, 55555);
+        assert_eq!((syn.src_port, syn.dst_port, syn.seq), (55555, 37993, 7));
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub fn client_hello(sni: &Name, payload_len: usize) -> Vec<u8> {
         rec.push(23); // application data
         rec.extend_from_slice(&[0x03, 0x03]);
         rec.extend_from_slice(&(chunk as u16).to_be_bytes());
-        rec.extend_from_slice(&vec![0x5a; chunk]);
+        rec.resize(rec.len() + chunk, 0x5a);
         remaining -= chunk;
     }
     rec

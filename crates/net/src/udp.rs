@@ -130,26 +130,35 @@ impl Repr {
         Ok(Repr::parse(&Packet::new_checked(bytes)?))
     }
 
-    /// Serialize with the checksum computed against `ph`.
-    pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
-        let len = HEADER_LEN + self.payload.len();
-        let mut b = vec![0u8; len];
-        b[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        b[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
-        b[4..6].copy_from_slice(&(len as u16).to_be_bytes());
-        b[HEADER_LEN..].copy_from_slice(&self.payload);
+    /// Write this header into the front of `buf` and checksum the
+    /// datagram in place against `ph`. The rest of `buf` is the payload,
+    /// already in place (`self.payload` is not read: the caller copies
+    /// or fills the payload, and [`Repr::build`] copies `self.payload`),
+    /// and the length field is `buf.len()`.
+    pub fn emit(&self, buf: &mut [u8], ph: PseudoHeader) {
+        let len = buf.len();
+        buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        buf[4..6].copy_from_slice(&(len as u16).to_be_bytes());
+        buf[6..8].fill(0);
         let mut c = Checksum::new();
         match ph {
             PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 17, len as u16),
             PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 17, len as u32),
         }
-        c.add(&b);
+        c.add(buf);
         let mut sum = c.finish();
         if sum == 0 {
             sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
         }
-        b[6..8].copy_from_slice(&sum.to_be_bytes());
-        b
+        buf[6..8].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// Serialize with the checksum computed against `ph`.
+    pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
+        let mut buf = [&[0; HEADER_LEN][..], &self.payload].concat();
+        self.emit(&mut buf, ph);
+        buf
     }
 }
 

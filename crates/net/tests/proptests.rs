@@ -31,6 +31,141 @@ fn arb_name() -> impl Strategy<Value = Name> {
         .prop_map(|labels| Name::new(&labels.join(".")).unwrap())
 }
 
+/// `len` deterministic pseudo-random bytes.
+fn bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect()
+}
+
+/// A payload that is empty, the 48 KiB cloud-reply size, odd, or any
+/// length up to 2 KiB.
+fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..4, 0usize..=2048, any::<u64>()).prop_map(|(kind, n, seed)| {
+        let len = match kind {
+            0 => 0,
+            1 => 48 * 1024,
+            2 => n | 1,
+            _ => n,
+        };
+        bytes(seed, len)
+    })
+}
+
+/// A checksum input length: half the cases under 300 bytes, where the
+/// 8-byte word and 16-bit tail boundaries lie close together, the rest up
+/// to 70,000 bytes.
+fn arb_checksum_len() -> impl Strategy<Value = usize> {
+    (any::<bool>(), 0usize..300, 0usize..=70_000)
+        .prop_map(|(short, s, l)| if short { s } else { l })
+}
+
+/// Reference RFC 1071 sum: big-endian 16-bit words, one at a time, of
+/// the concatenated pieces (the final odd byte zero-padded), folded and
+/// complemented.
+fn reference_checksum(pieces: &[&[u8]]) -> u16 {
+    let data = pieces.concat();
+    let mut sum = 0u64;
+    for w in data.chunks(2) {
+        sum += u64::from(u16::from_be_bytes([w[0], *w.get(1).unwrap_or(&0)]));
+    }
+    while sum > 0xffff {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// Reference pseudo-header bytes (RFC 768 / RFC 793 / RFC 8200 §8.1).
+fn reference_pseudo(ph: PseudoHeader, proto: u8, len: usize) -> Vec<u8> {
+    match ph {
+        PseudoHeader::V4 { src, dst } => {
+            let mut p = [src.octets(), dst.octets()].concat();
+            p.extend_from_slice(&[0, proto]);
+            p.extend_from_slice(&(len as u16).to_be_bytes());
+            p
+        }
+        PseudoHeader::V6 { src, dst } => {
+            let mut p = [src.octets(), dst.octets()].concat();
+            p.extend_from_slice(&(len as u32).to_be_bytes());
+            p.extend_from_slice(&[0, 0, 0, proto]);
+            p
+        }
+    }
+}
+
+fn reference_ipv4(src: Ipv4Addr, dst: Ipv4Addr, proto: u8, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    let total = (20 + payload.len()) as u16;
+    let mut h = vec![0x45, 0];
+    h.extend_from_slice(&total.to_be_bytes());
+    h.extend_from_slice(&[0, 0, 0, 0, ttl, proto, 0, 0]);
+    h.extend_from_slice(&src.octets());
+    h.extend_from_slice(&dst.octets());
+    let c = reference_checksum(&[&h]);
+    h[10..12].copy_from_slice(&c.to_be_bytes());
+    [&h[..], payload].concat()
+}
+
+fn reference_ipv6(src: Ipv6Addr, dst: Ipv6Addr, nh: u8, hl: u8, payload: &[u8]) -> Vec<u8> {
+    let mut h = vec![0x60, 0, 0, 0];
+    h.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+    h.extend_from_slice(&[nh, hl]);
+    h.extend_from_slice(&src.octets());
+    h.extend_from_slice(&dst.octets());
+    [&h[..], payload].concat()
+}
+
+fn reference_udp(sp: u16, dp: u16, payload: &[u8], ph: PseudoHeader) -> Vec<u8> {
+    let len = 8 + payload.len();
+    let mut h = [
+        sp.to_be_bytes(),
+        dp.to_be_bytes(),
+        (len as u16).to_be_bytes(),
+        [0, 0],
+    ]
+    .concat();
+    let c = match reference_checksum(&[&reference_pseudo(ph, 17, len), &h, payload]) {
+        0 => 0xffff,
+        c => c,
+    };
+    h[6..8].copy_from_slice(&c.to_be_bytes());
+    [&h[..], payload].concat()
+}
+
+fn reference_tcp(r: &tcp::Repr, ph: PseudoHeader) -> Vec<u8> {
+    let len = 20 + r.payload.len();
+    let mut h = [&r.src_port.to_be_bytes()[..], &r.dst_port.to_be_bytes()].concat();
+    h.extend_from_slice(&r.seq.to_be_bytes());
+    h.extend_from_slice(&r.ack.to_be_bytes());
+    h.extend_from_slice(&[0x50, r.flags.0]);
+    h.extend_from_slice(&r.window.to_be_bytes());
+    h.extend_from_slice(&[0, 0, 0, 0]);
+    let c = reference_checksum(&[&reference_pseudo(ph, 6, len), &h, &r.payload]);
+    h[16..18].copy_from_slice(&c.to_be_bytes());
+    [&h[..], &r.payload].concat()
+}
+
+fn arb_pseudo() -> impl Strategy<Value = PseudoHeader> {
+    (any::<bool>(), arb_v4(), arb_v4(), arb_v6(), arb_v6()).prop_map(|(v6, s4, d4, s6, d6)| {
+        if v6 {
+            PseudoHeader::V6 { src: s6, dst: d6 }
+        } else {
+            PseudoHeader::V4 { src: s4, dst: d4 }
+        }
+    })
+}
+
+/// A buffer of `header` garbage bytes ahead of `payload`: `emit` must
+/// write every header byte itself.
+fn dirty(header: usize, payload: &[u8]) -> Vec<u8> {
+    [&vec![0xa5; header][..], payload].concat()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -44,6 +179,70 @@ proptest! {
         let c = checksum::checksum(&buf);
         buf[0..2].copy_from_slice(&c.to_be_bytes());
         prop_assert!(checksum::verify(&buf));
+    }
+
+    #[test]
+    fn wide_checksum_matches_rfc1071_reference(len in arb_checksum_len(), seed in any::<u64>(),
+                                               cuts in proptest::collection::vec(any::<u32>(), 0..6)) {
+        let data = bytes(seed, len);
+        // Even split points; only the final piece may be odd.
+        let mut at: Vec<usize> = cuts.iter().map(|c| (*c as usize % (len / 2 + 1)) * 2).collect();
+        at.sort_unstable();
+        let mut c = checksum::Checksum::new();
+        let mut prev = 0;
+        for &cut in &at {
+            c.add(&data[prev..cut]);
+            prev = cut;
+        }
+        c.add(&data[prev..]);
+        let reference = reference_checksum(&[&data]);
+        prop_assert_eq!(c.finish(), reference);
+        prop_assert_eq!(checksum::checksum(&data), reference);
+    }
+
+    #[test]
+    fn ipv4_emit_matches_reference(src in arb_v4(), dst in arb_v4(), proto in any::<u8>(),
+                                   ttl in any::<u8>(), payload in arb_payload()) {
+        let r = ipv4::Repr { src, dst, protocol: proto.into(), ttl, payload_len: payload.len() };
+        let reference = reference_ipv4(src, dst, proto, ttl, &payload);
+        let mut buf = dirty(ipv4::HEADER_LEN, &payload);
+        r.emit(&mut buf);
+        prop_assert_eq!(&buf, &reference);
+        prop_assert_eq!(r.build(&payload), reference);
+    }
+
+    #[test]
+    fn ipv6_emit_matches_reference(src in arb_v6(), dst in arb_v6(), nh in any::<u8>(),
+                                   hl in any::<u8>(), payload in arb_payload()) {
+        let r = ipv6::Repr { src, dst, next_header: nh.into(), hop_limit: hl, payload_len: payload.len() };
+        let reference = reference_ipv6(src, dst, nh, hl, &payload);
+        let mut buf = dirty(ipv6::HEADER_LEN, &payload);
+        r.emit(&mut buf);
+        prop_assert_eq!(&buf, &reference);
+        prop_assert_eq!(r.build(&payload), reference);
+    }
+
+    #[test]
+    fn udp_emit_matches_reference(sp in any::<u16>(), dp in any::<u16>(), ph in arb_pseudo(),
+                                  payload in arb_payload()) {
+        let reference = reference_udp(sp, dp, &payload, ph);
+        let mut buf = dirty(udp::HEADER_LEN, &payload);
+        let r = udp::Repr { src_port: sp, dst_port: dp, payload };
+        r.emit(&mut buf, ph);
+        prop_assert_eq!(&buf, &reference);
+        prop_assert_eq!(r.build(ph), reference);
+    }
+
+    #[test]
+    fn tcp_emit_matches_reference(sp in any::<u16>(), dp in any::<u16>(), seq in any::<u32>(),
+                                  ack in any::<u32>(), flags in 0u8..32, window in any::<u16>(),
+                                  ph in arb_pseudo(), payload in arb_payload()) {
+        let r = tcp::Repr { src_port: sp, dst_port: dp, seq, ack, flags: tcp::Flags(flags), window, payload };
+        let reference = reference_tcp(&r, ph);
+        let mut buf = dirty(tcp::HEADER_LEN, &r.payload);
+        r.emit(&mut buf, ph);
+        prop_assert_eq!(&buf, &reference);
+        prop_assert_eq!(r.build(ph), reference);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
+use crate::wire::{alloc, Body};
 use std::collections::{BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{Message, Name, Rcode, Rdata, Record, RecordType};
@@ -317,135 +318,52 @@ impl Internet {
                     self.scanner_rx.push(p.payload().to_vec());
                     return Vec::new();
                 }
-                self.handle_v6(now, &inner_repr, inner.payload())
-                    .into_iter()
-                    .map(|v6_bytes| {
-                        ipv4::Repr {
-                            src: addrs::TUNNEL_REMOTE_IPV4,
-                            dst: repr.src,
-                            protocol: Protocol::Ipv6,
-                            ttl: 64,
-                            payload_len: v6_bytes.len(),
-                        }
-                        .build(&v6_bytes)
-                    })
-                    .collect()
+                let path = ReplyPath::SixIn4 {
+                    router: repr.src,
+                    src: inner_repr.dst,
+                    dst: inner_repr.src,
+                };
+                self.handle_v6(now, path, &inner_repr, inner.payload())
             }
             _ => self.handle_v4(now, &repr, p.payload()),
         }
     }
 
-    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, l4: &[u8]) -> Vec<Vec<u8>> {
+        let path = ReplyPath::V4 {
+            src: ip.dst,
+            dst: ip.src,
+        };
+        let server = IpAddr::V4(ip.dst);
         match ip.protocol {
-            Protocol::Udp => {
-                let Ok(u) = udp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let reply = self.handle_udp(
-                    now,
-                    IpAddr::V4(ip.src),
-                    IpAddr::V4(ip.dst),
-                    u.src_port(),
-                    u.dst_port(),
-                    u.payload(),
-                );
-                if let Some((payload, src_port)) = reply {
-                    let udp_bytes = udp::Repr {
-                        src_port,
-                        dst_port: u.src_port(),
-                        payload,
-                    }
-                    .build(PseudoHeader::V4 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv4::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            protocol: Protocol::Udp,
-                            ttl: 64,
-                            payload_len: udp_bytes.len(),
-                        }
-                        .build(&udp_bytes),
-                    );
-                }
-            }
-            Protocol::Tcp => {
-                let Ok(t) = tcp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let seg = tcp::Repr::parse(&t);
-                let domain = self.by_v4.get(&ip.dst).cloned();
-                for reply in self.handle_tcp(domain, false, &seg) {
-                    let bytes = reply.build(PseudoHeader::V4 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv4::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            protocol: Protocol::Tcp,
-                            ttl: 64,
-                            payload_len: bytes.len(),
-                        }
-                        .build(&bytes),
-                    );
-                }
-            }
-            _ => {}
+            Protocol::Udp => self.handle_udp(now, path, server, l4),
+            Protocol::Tcp => self.handle_tcp(path, server, l4),
+            _ => None,
         }
-        out
+        .into_iter()
+        .collect()
     }
 
-    fn handle_v6(&mut self, now: SimTime, ip: &ipv6::Repr, payload: &[u8]) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
+    fn handle_v6(
+        &mut self,
+        now: SimTime,
+        path: ReplyPath,
+        ip: &ipv6::Repr,
+        l4: &[u8],
+    ) -> Vec<Vec<u8>> {
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
         if let Some(name) = self.by_v6.get(&ip.dst) {
             if let Some(p) = self.zones.get(name) {
                 if !p.reachable_v6 {
-                    return out;
+                    return Vec::new();
                 }
             }
         }
+        let server = IpAddr::V6(ip.dst);
         match ip.next_header {
-            Protocol::Udp => {
-                let Ok(u) = udp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let reply = self.handle_udp(
-                    now,
-                    IpAddr::V6(ip.src),
-                    IpAddr::V6(ip.dst),
-                    u.src_port(),
-                    u.dst_port(),
-                    u.payload(),
-                );
-                if let Some((payload, src_port)) = reply {
-                    let udp_bytes = udp::Repr {
-                        src_port,
-                        dst_port: u.src_port(),
-                        payload,
-                    }
-                    .build(PseudoHeader::V6 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Udp,
-                            hop_limit: 64,
-                            payload_len: udp_bytes.len(),
-                        }
-                        .build(&udp_bytes),
-                    );
-                }
-            }
+            Protocol::Udp => self.handle_udp(now, path, server, l4),
+            Protocol::Tcp => self.handle_tcp(path, server, l4),
             Protocol::Icmpv6 => {
                 // Echo service on resolvers and known servers (the IoT
                 // connectivity probes of §5.4.1's "misc" EUI-64 uses).
@@ -453,71 +371,53 @@ impl Internet {
                     || ip.dst == addrs::DNS6_SECONDARY
                     || self.by_v6.contains_key(&ip.dst);
                 if !known {
-                    return out;
+                    return Vec::new();
                 }
-                if let Ok(icmpv6::Repr::EchoRequest {
-                    ident,
-                    seq,
-                    payload,
-                }) = icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload)
-                {
-                    let reply = icmpv6::Repr::EchoReply {
+                match icmpv6::Repr::parse_bytes(ip.src, ip.dst, l4) {
+                    Ok(icmpv6::Repr::EchoRequest {
                         ident,
                         seq,
                         payload,
-                    };
-                    let body = reply.build(ip.dst, ip.src);
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Icmpv6,
-                            hop_limit: 64,
-                            payload_len: body.len(),
-                        }
-                        .build(&body),
-                    );
+                    }) => {
+                        let reply = icmpv6::Repr::EchoReply {
+                            ident,
+                            seq,
+                            payload,
+                        };
+                        let body = reply.build(ip.dst, ip.src);
+                        Some(path.packet(Protocol::Icmpv6, 0, Body::Copy(&body), |_, _| {}))
+                    }
+                    _ => None,
                 }
             }
-            Protocol::Tcp => {
-                let Ok(t) = tcp::Packet::new_checked(payload) else {
-                    return out;
-                };
-                let seg = tcp::Repr::parse(&t);
-                let domain = self.by_v6.get(&ip.dst).cloned();
-                for reply in self.handle_tcp(domain, true, &seg) {
-                    let bytes = reply.build(PseudoHeader::V6 {
-                        src: ip.dst,
-                        dst: ip.src,
-                    });
-                    out.push(
-                        ipv6::Repr {
-                            src: ip.dst,
-                            dst: ip.src,
-                            next_header: Protocol::Tcp,
-                            hop_limit: 64,
-                            payload_len: bytes.len(),
-                        }
-                        .build(&bytes),
-                    );
-                }
-            }
-            _ => {}
+            _ => None,
         }
-        out
+        .into_iter()
+        .collect()
     }
 
-    /// UDP service dispatch. Returns (reply payload, reply source port).
+    /// UDP service dispatch: the reply to a datagram addressed to
+    /// `server`, if it gets one.
     fn handle_udp(
         &mut self,
         now: SimTime,
-        _src: IpAddr,
-        dst: IpAddr,
-        _src_port: u16,
-        dst_port: u16,
-        payload: &[u8],
-    ) -> Option<(Vec<u8>, u16)> {
-        let is_resolver = match dst {
+        path: ReplyPath,
+        server: IpAddr,
+        l4: &[u8],
+    ) -> Option<Vec<u8>> {
+        let u = udp::Packet::new_checked(l4).ok()?;
+        let (dst_port, payload) = (u.dst_port(), u.payload());
+        let reply = |src_port, body| {
+            path.packet(Protocol::Udp, udp::HEADER_LEN, body, |dgram, ph| {
+                udp::Repr {
+                    src_port,
+                    dst_port: u.src_port(),
+                    payload: Vec::new(),
+                }
+                .emit(dgram, ph)
+            })
+        };
+        let is_resolver = match server {
             IpAddr::V4(d) => d == addrs::DNS4_PRIMARY || d == addrs::DNS4_SECONDARY,
             IpAddr::V6(d) => d == addrs::DNS6_PRIMARY || d == addrs::DNS6_SECONDARY,
         };
@@ -532,98 +432,152 @@ impl Internet {
                 match self.faults.dns_fault_for(now, q.name.as_str()) {
                     Some(DnsFaultMode::Timeout) => return None,
                     Some(DnsFaultMode::Servfail) => {
-                        return Some((query.response(Rcode::ServFail).build(), 53));
+                        let answer = query.response(Rcode::ServFail).build();
+                        return Some(reply(53, Body::Copy(&answer)));
                     }
                     None => {}
                 }
             }
-            return Some((self.zones.resolve(&query).build(), 53));
+            let answer = self.zones.resolve(&query).build();
+            return Some(reply(53, Body::Copy(&answer)));
         }
+        let name = self.domain_for(server)?;
         // NTP on any known server address.
         if dst_port == 123 {
-            if self.domain_for(dst).is_some() {
-                return Some((vec![0x24; 48], 123));
-            }
-            return None;
+            return Some(reply(123, Body::Fill(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
-        if let Some(name) = self.domain_for(dst) {
-            let profile = self.zones.get(&name)?;
-            let len = (payload.len() as u32 * profile.response_scale).clamp(16, 8192) as usize;
-            *self
-                .served
-                .entry((name.clone(), dst.is_ipv6()))
-                .or_insert(0) += len as u64;
-            return Some((vec![0x5a; len], dst_port));
-        }
-        None
+        let scale = self.zones.get(name)?.response_scale;
+        let len = (payload.len() as u32 * scale).clamp(16, 8192) as usize;
+        let key = (name.clone(), server.is_ipv6());
+        *self.served.entry(key).or_insert(0) += len as u64;
+        Some(reply(dst_port, Body::Fill(0x5a, len)))
     }
 
-    /// Semi-stateless server-side TCP.
-    fn handle_tcp(
-        &mut self,
-        domain: Option<Name>,
-        was_v6: bool,
-        seg: &tcp::Repr,
-    ) -> Vec<tcp::Repr> {
-        let Some(name) = domain else {
-            // Unroutable/unknown destination: silence (packets to nowhere).
-            return Vec::new();
+    /// Semi-stateless server-side TCP: the reply to a segment addressed
+    /// to `server`, read in place.
+    fn handle_tcp(&mut self, path: ReplyPath, server: IpAddr, l4: &[u8]) -> Option<Vec<u8>> {
+        let seg = tcp::Packet::new_checked(l4).ok()?;
+        // Unroutable/unknown destination: silence (packets to nowhere).
+        let name = self.domain_for(server)?;
+        let scale = self.zones.get(name)?.response_scale;
+        let flags = seg.flags();
+        let data_len = seg.payload().len();
+        let header = |seq, ack, flags, window| tcp::Repr {
+            src_port: seg.dst_port(),
+            dst_port: seg.src_port(),
+            seq,
+            ack,
+            flags,
+            window,
+            payload: Vec::new(),
         };
-        let profile = match self.zones.get(&name) {
-            Some(p) => p.clone(),
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        if seg.flags.contains(tcp::Flags::SYN) {
-            // Accept connections on the standard cloud ports.
-            let open = matches!(seg.dst_port, 443 | 80 | 8883 | 8443 | 123);
-            if open {
-                out.push(tcp::Repr {
-                    src_port: seg.dst_port,
-                    dst_port: seg.src_port,
-                    seq: 1000,
-                    ack: seg.seq.wrapping_add(1),
-                    flags: tcp::Flags::SYN | tcp::Flags::ACK,
-                    window: 0xffff,
-                    payload: Vec::new(),
-                });
+        let (reply, body_len) = if flags.contains(tcp::Flags::SYN) {
+            // Accept connections on the standard cloud ports; RST the rest.
+            let ack = seg.seq().wrapping_add(1);
+            if matches!(seg.dst_port(), 443 | 80 | 8883 | 8443 | 123) {
+                let flags = tcp::Flags::SYN | tcp::Flags::ACK;
+                (header(1000, ack, flags, 0xffff), 0)
             } else {
-                out.push(seg.rst_for());
+                (header(0, ack, tcp::Flags::RST | tcp::Flags::ACK, 0), 0)
             }
-        } else if seg.flags.contains(tcp::Flags::FIN) {
-            out.push(tcp::Repr {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                seq: seg.ack,
-                ack: seg.seq.wrapping_add(1 + seg.payload.len() as u32),
-                flags: tcp::Flags::FIN | tcp::Flags::ACK,
-                window: 0xffff,
-                payload: Vec::new(),
-            });
-        } else if !seg.payload.is_empty() {
+        } else if flags.contains(tcp::Flags::FIN) {
+            let ack = seg.seq().wrapping_add(1 + data_len as u32);
+            let flags = tcp::Flags::FIN | tcp::Flags::ACK;
+            (header(seg.ack(), ack, flags, 0xffff), 0)
+        } else if data_len > 0 {
             // Cap the response segment well inside the IPv6 payload-length
             // field; clients chase volume with multiple request segments.
-            let len =
-                (seg.payload.len() as u32 * profile.response_scale).clamp(64, 48 * 1024) as usize;
-            *self.served.entry((name, was_v6)).or_insert(0) += len as u64;
-            out.push(tcp::Repr {
-                src_port: seg.dst_port,
-                dst_port: seg.src_port,
-                seq: seg.ack,
-                ack: seg.seq.wrapping_add(seg.payload.len() as u32),
-                flags: tcp::Flags::PSH | tcp::Flags::ACK,
-                window: 0xffff,
-                payload: vec![0x17; len],
-            });
-        }
-        out
+            let len = (data_len as u32 * scale).clamp(64, 48 * 1024) as usize;
+            let key = (name.clone(), server.is_ipv6());
+            *self.served.entry(key).or_insert(0) += len as u64;
+            let ack = seg.seq().wrapping_add(data_len as u32);
+            let flags = tcp::Flags::PSH | tcp::Flags::ACK;
+            (header(seg.ack(), ack, flags, 0xffff), len)
+        } else {
+            return None;
+        };
+        let body = Body::Fill(RESPONSE_FILL, body_len);
+        Some(path.packet(Protocol::Tcp, tcp::HEADER_LEN, body, |s, ph| {
+            reply.emit(s, ph)
+        }))
     }
 
-    fn domain_for(&self, ip: IpAddr) -> Option<Name> {
+    fn domain_for(&self, ip: IpAddr) -> Option<&Name> {
         match ip {
-            IpAddr::V4(a) => self.by_v4.get(&a).cloned(),
-            IpAddr::V6(a) => self.by_v6.get(&a).cloned(),
+            IpAddr::V4(a) => self.by_v4.get(&a),
+            IpAddr::V6(a) => self.by_v6.get(&a),
+        }
+    }
+}
+
+/// The byte cloud servers fill TCP responses with (the TLS
+/// application-data content type).
+const RESPONSE_FILL: u8 = 0x17;
+
+/// The IP layers a reply travels in: native IPv4, or IPv6 re-wrapped in
+/// the 6in4 tunnel back to the router.
+#[derive(Debug, Clone, Copy)]
+enum ReplyPath {
+    V4 {
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    },
+    SixIn4 {
+        router: Ipv4Addr,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+    },
+}
+
+impl ReplyPath {
+    /// A reply packet in one buffer: the IP header(s), then `l4_header`
+    /// bytes that `emit_l4` writes (with the body in place behind them,
+    /// for the checksum), then `body`.
+    fn packet(
+        self,
+        protocol: Protocol,
+        l4_header: usize,
+        body: Body,
+        emit_l4: impl FnOnce(&mut [u8], PseudoHeader),
+    ) -> Vec<u8> {
+        match self {
+            ReplyPath::V4 { src, dst } => {
+                let at = ipv4::HEADER_LEN;
+                let mut pkt = alloc(at + l4_header, body);
+                emit_l4(&mut pkt[at..], PseudoHeader::V4 { src, dst });
+                ipv4::Repr {
+                    src,
+                    dst,
+                    protocol,
+                    ttl: 64,
+                    payload_len: pkt.len() - at,
+                }
+                .emit(&mut pkt);
+                pkt
+            }
+            ReplyPath::SixIn4 { router, src, dst } => {
+                let at = ipv4::HEADER_LEN + ipv6::HEADER_LEN;
+                let mut pkt = alloc(at + l4_header, body);
+                emit_l4(&mut pkt[at..], PseudoHeader::V6 { src, dst });
+                ipv6::Repr {
+                    src,
+                    dst,
+                    next_header: protocol,
+                    hop_limit: 64,
+                    payload_len: pkt.len() - at,
+                }
+                .emit(&mut pkt[ipv4::HEADER_LEN..]);
+                ipv4::Repr {
+                    src: addrs::TUNNEL_REMOTE_IPV4,
+                    dst: router,
+                    protocol: Protocol::Ipv6,
+                    ttl: 64,
+                    payload_len: pkt.len() - ipv4::HEADER_LEN,
+                }
+                .emit(&mut pkt);
+                pkt
+            }
         }
     }
 }
@@ -631,9 +585,23 @@ impl Internet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire;
+    use v6brick_net::Mac;
 
     fn name(s: &str) -> Name {
         Name::new(s).unwrap()
+    }
+
+    /// An IPv4 packet from the router's WAN address: the IP part of the
+    /// frame the wire helper builds.
+    fn wan_udp(dst: Ipv4Addr, src_port: u16, dst_port: u16, payload: Vec<u8>) -> Vec<u8> {
+        let (m, src) = (Mac::BROADCAST, addrs::ROUTER_WAN_IPV4);
+        wire::udp4_frame(m, m, src, dst, src_port, dst_port, payload)[wire::ETH..].to_vec()
+    }
+
+    fn wan_tcp(dst: Ipv4Addr, seg: &tcp::Repr) -> Vec<u8> {
+        let (m, src) = (Mac::BROADCAST, addrs::ROUTER_WAN_IPV4);
+        wire::tcp4_frame(m, m, src, dst, seg)[wire::ETH..].to_vec()
     }
 
     fn test_internet() -> Internet {
@@ -681,23 +649,7 @@ mod tests {
     fn dns_over_v4_udp_end_to_end() {
         let mut net = test_internet();
         let query = Message::query(7, name("cloud.example.com"), RecordType::A).build();
-        let udp_bytes = udp::Repr {
-            src_port: 40000,
-            dst_port: 53,
-            payload: query,
-        }
-        .build(PseudoHeader::V4 {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: addrs::DNS4_PRIMARY,
-        });
-        let packet = ipv4::Repr {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: addrs::DNS4_PRIMARY,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
+        let packet = wan_udp(addrs::DNS4_PRIMARY, 40000, 53, query);
         let replies = net.handle_packet(&packet);
         assert_eq!(replies.len(), 1);
         let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
@@ -728,23 +680,7 @@ mod tests {
         );
         let query_packet = || {
             let query = Message::query(7, name("cloud.example.com"), RecordType::Aaaa).build();
-            let udp_bytes = udp::Repr {
-                src_port: 40000,
-                dst_port: 53,
-                payload: query,
-            }
-            .build(PseudoHeader::V4 {
-                src: addrs::ROUTER_WAN_IPV4,
-                dst: addrs::DNS4_PRIMARY,
-            });
-            ipv4::Repr {
-                src: addrs::ROUTER_WAN_IPV4,
-                dst: addrs::DNS4_PRIMARY,
-                protocol: Protocol::Udp,
-                ttl: 64,
-                payload_len: udp_bytes.len(),
-            }
-            .build(&udp_bytes)
+            wan_udp(addrs::DNS4_PRIMARY, 40000, 53, query)
         };
         let answer_at = |net: &mut Internet, t: u64| {
             let replies = net.handle_packet_at(SimTime::from_secs(t), &query_packet());
@@ -767,18 +703,9 @@ mod tests {
         let mut net = test_internet();
         let (_, server6) = derive_addrs(&name("cloud.example.com"));
         let client: Ipv6Addr = "2001:db8:10:1::abcd".parse().unwrap();
-        let syn = tcp::Repr::syn(40001, 443, 77).build(PseudoHeader::V6 {
-            src: client,
-            dst: server6,
-        });
-        let v6 = ipv6::Repr {
-            src: client,
-            dst: server6,
-            next_header: Protocol::Tcp,
-            hop_limit: 64,
-            payload_len: syn.len(),
-        }
-        .build(&syn);
+        let syn = tcp::Repr::syn(40001, 443, 77);
+        let m = Mac::BROADCAST;
+        let v6 = &wire::tcp6_frame(m, m, client, server6, &syn)[wire::ETH..];
         let encap = ipv4::Repr {
             src: addrs::ROUTER_WAN_IPV4,
             dst: addrs::TUNNEL_REMOTE_IPV4,
@@ -786,7 +713,7 @@ mod tests {
             ttl: 64,
             payload_len: v6.len(),
         }
-        .build(&v6);
+        .build(v6);
         let replies = net.handle_packet(&encap);
         assert_eq!(replies.len(), 1);
         let outer = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
@@ -803,23 +730,17 @@ mod tests {
     fn tcp_syn_to_closed_port_gets_rst() {
         let mut net = test_internet();
         let (server4, _) = derive_addrs(&name("cloud.example.com"));
-        let syn = tcp::Repr::syn(40001, 9999, 5).build(PseudoHeader::V4 {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: server4,
-        });
-        let packet = ipv4::Repr {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: server4,
-            protocol: Protocol::Tcp,
-            ttl: 64,
-            payload_len: syn.len(),
-        }
-        .build(&syn);
+        let packet = wan_tcp(server4, &tcp::Repr::syn(40001, 9999, 5));
         let replies = net.handle_packet(&packet);
         assert_eq!(replies.len(), 1);
         let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        assert_eq!((rp.src(), rp.dst()), (server4, addrs::ROUTER_WAN_IPV4));
         let seg = tcp::Packet::new_checked(rp.payload()).unwrap();
-        assert!(seg.flags().contains(tcp::Flags::RST));
+        assert_eq!(seg.flags(), tcp::Flags::RST | tcp::Flags::ACK);
+        assert_eq!((seg.src_port(), seg.dst_port()), (9999, 40001));
+        assert_eq!((seg.seq(), seg.ack(), seg.window()), (0, 6, 0));
+        assert!(seg.payload().is_empty());
+        assert!(seg.verify_checksum_v4(server4, addrs::ROUTER_WAN_IPV4));
     }
 
     #[test]
@@ -834,19 +755,8 @@ mod tests {
             flags: tcp::Flags::PSH | tcp::Flags::ACK,
             window: 0xffff,
             payload: vec![1; 100],
-        }
-        .build(PseudoHeader::V4 {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: server4,
-        });
-        let packet = ipv4::Repr {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: server4,
-            protocol: Protocol::Tcp,
-            ttl: 64,
-            payload_len: data.len(),
-        }
-        .build(&data);
+        };
+        let packet = wan_tcp(server4, &data);
         let replies = net.handle_packet(&packet);
         assert_eq!(replies.len(), 1);
         let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
@@ -861,18 +771,7 @@ mod tests {
     #[test]
     fn packets_to_unknown_hosts_are_dropped() {
         let mut net = test_internet();
-        let syn = tcp::Repr::syn(1, 443, 1).build(PseudoHeader::V4 {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: Ipv4Addr::new(192, 0, 2, 99),
-        });
-        let packet = ipv4::Repr {
-            src: addrs::ROUTER_WAN_IPV4,
-            dst: Ipv4Addr::new(192, 0, 2, 99),
-            protocol: Protocol::Tcp,
-            ttl: 64,
-            payload_len: syn.len(),
-        }
-        .build(&syn);
+        let packet = wan_tcp(Ipv4Addr::new(192, 0, 2, 99), &tcp::Repr::syn(1, 443, 1));
         assert!(net.handle_packet(&packet).is_empty());
     }
 }

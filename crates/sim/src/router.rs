@@ -17,15 +17,16 @@ use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::FaultPlan;
 use crate::host::Effects;
+use crate::wire::{self, alloc, eth_frame, Body};
 use std::collections::{HashMap, HashSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dhcpv6::OPTION_DNS_SERVERS;
-use v6brick_net::ethernet::{EtherType, Repr as EthRepr};
+use v6brick_net::ethernet::EtherType;
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, udp, Mac};
+use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, tcp, udp, Mac};
 
 /// How the CPE filters unsolicited IPv6 arriving from the WAN. IPv4 is
 /// always "filtered" as a side effect of NAT44; routed IPv6 has no such
@@ -266,13 +267,15 @@ impl Router {
             self.dropped += 1;
             return;
         };
-        let rewritten = rewrite_v4(&repr, p.payload(), None, Some((lan_ip, lan_port)));
-        fx.send_frame(eth_frame(
-            addrs::ROUTER_MAC,
-            mac,
-            EtherType::Ipv4,
-            &rewritten,
-        ));
+        let mut frame = rewrite_v4(
+            wire::ETH,
+            &repr,
+            p.payload(),
+            None,
+            Some((lan_ip, lan_port)),
+        );
+        wire::emit_eth(&mut frame, addrs::ROUTER_MAC, mac, EtherType::Ipv4);
+        fx.send_frame(frame);
     }
 
     fn handle_arp(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -343,13 +346,13 @@ impl Router {
                 p
             }
         };
-        let rewritten = rewrite_v4(
+        fx.send_wan(rewrite_v4(
+            0,
             &repr,
             p.payload(),
             Some((addrs::ROUTER_WAN_IPV4, wan_port)),
             None,
-        );
-        fx.send_wan(rewritten);
+        ));
     }
 
     fn handle_dhcpv4(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -374,28 +377,14 @@ impl Router {
         reply.subnet_mask = Some(Ipv4Addr::new(255, 255, 255, 0));
         reply.router = Some(addrs::ROUTER_IPV4);
         reply.dns_servers = vec![addrs::DNS4_PRIMARY, addrs::DNS4_SECONDARY];
-        let udp_bytes = udp::Repr {
-            src_port: 67,
-            dst_port: 68,
-            payload: reply.build(),
-        }
-        .build(PseudoHeader::V4 {
-            src: addrs::ROUTER_IPV4,
-            dst: ip,
-        });
-        let ip_bytes = ipv4::Repr {
-            src: addrs::ROUTER_IPV4,
-            dst: ip,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        fx.send_frame(eth_frame(
+        fx.send_frame(wire::udp4_frame(
             addrs::ROUTER_MAC,
             src_mac,
-            EtherType::Ipv4,
-            &ip_bytes,
+            addrs::ROUTER_IPV4,
+            ip,
+            67,
+            68,
+            reply.build(),
         ));
     }
 
@@ -484,16 +473,13 @@ impl Router {
                             target: *target,
                             options: vec![NdpOption::TargetLinkLayerAddr(addrs::ROUTER_MAC)],
                         });
-                        let body = na.build(addrs::ROUTER_LLA, ip.src);
-                        let pkt = ipv6::Repr {
-                            src: addrs::ROUTER_LLA,
-                            dst: ip.src,
-                            next_header: Protocol::Icmpv6,
-                            hop_limit: 255,
-                            payload_len: body.len(),
-                        }
-                        .build(&body);
-                        fx.send_frame(eth_frame(addrs::ROUTER_MAC, src_mac, EtherType::Ipv6, &pkt));
+                        fx.send_frame(wire::icmpv6_frame(
+                            addrs::ROUTER_MAC,
+                            src_mac,
+                            addrs::ROUTER_LLA,
+                            ip.src,
+                            &na,
+                        ));
                     }
                 }
             }
@@ -565,24 +551,15 @@ impl Router {
             _ => None,
         };
         if let Some(reply) = reply {
-            let udp_bytes = udp::Repr {
-                src_port: 547,
-                dst_port: 546,
-                payload: reply.build(),
-            }
-            .build(PseudoHeader::V6 {
-                src: addrs::ROUTER_LLA,
-                dst: src,
-            });
-            let pkt = ipv6::Repr {
-                src: addrs::ROUTER_LLA,
-                dst: src,
-                next_header: Protocol::Udp,
-                hop_limit: 64,
-                payload_len: udp_bytes.len(),
-            }
-            .build(&udp_bytes);
-            fx.send_frame(eth_frame(addrs::ROUTER_MAC, src_mac, EtherType::Ipv6, &pkt));
+            fx.send_frame(wire::udp6_frame(
+                addrs::ROUTER_MAC,
+                src_mac,
+                addrs::ROUTER_LLA,
+                src,
+                547,
+                546,
+                reply.build(),
+            ));
         }
     }
 
@@ -701,16 +678,7 @@ impl Router {
             Some((mac, ip)) if !ip.is_unspecified() => (mac, ip),
             _ => (Mac::for_ipv6_multicast(mcast::ALL_NODES), mcast::ALL_NODES),
         };
-        let body = ra.build(addrs::ROUTER_LLA, dst_ip);
-        let pkt = ipv6::Repr {
-            src: addrs::ROUTER_LLA,
-            dst: dst_ip,
-            next_header: Protocol::Icmpv6,
-            hop_limit: 255,
-            payload_len: body.len(),
-        }
-        .build(&body);
-        eth_frame(addrs::ROUTER_MAC, dst_mac, EtherType::Ipv6, &pkt)
+        wire::icmpv6_frame(addrs::ROUTER_MAC, dst_mac, addrs::ROUTER_LLA, dst_ip, &ra)
     }
 }
 
@@ -729,16 +697,6 @@ fn ia_with(addr: Ipv6Addr, iaid: u32) -> dhcpv6::IaNa {
     }
 }
 
-/// Build an Ethernet frame.
-pub fn eth_frame(src: Mac, dst: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    EthRepr {
-        src,
-        dst,
-        ethertype,
-    }
-    .build(payload)
-}
-
 /// (proto byte, src_port, dst_port) flow tuple of a v6 payload. ICMPv6
 /// flows are keyed on the address pair alone (ports 0/0), which pairs an
 /// outbound echo request with its inbound reply.
@@ -749,7 +707,7 @@ fn flow_v6(repr: &ipv6::Repr, l4: &[u8]) -> Option<(u8, u16, u16)> {
             Some((17, u.src_port(), u.dst_port()))
         }
         Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(l4).ok()?;
+            let t = tcp::Packet::new_checked(l4).ok()?;
             Some((6, t.src_port(), t.dst_port()))
         }
         Protocol::Icmpv6 => Some((58, 0, 0)),
@@ -765,16 +723,25 @@ fn extract_ports_v4(repr: &ipv4::Repr, payload: &[u8]) -> Option<(u16, u16, u8)>
             Some((u.src_port(), u.dst_port(), 17))
         }
         Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(payload).ok()?;
+            let t = tcp::Packet::new_checked(payload).ok()?;
             Some((t.src_port(), t.dst_port(), 6))
         }
         _ => None,
     }
 }
 
-/// Rewrite an IPv4 packet for NAT: change source (outbound) or destination
-/// (inbound) address+port, recomputing all checksums.
+/// Rewrite an IPv4 packet for NAT, changing its source (outbound) or
+/// destination (inbound) address and port, into a fresh packet that
+/// starts `prefix` bytes into its buffer (room for a link header).
+///
+/// The rewrite normalises: a fresh 20-byte IPv4 header with the TTL
+/// decremented, a fresh 20-byte TCP header (options dropped, flags
+/// masked to 0x1f, urgent pointer zero), a UDP payload cut at its length
+/// field, and every checksum recomputed in full. An RFC 1624 incremental
+/// update would instead carry a corrupted frame's bad checksum onto the
+/// WAN.
 fn rewrite_v4(
+    prefix: usize,
     repr: &ipv4::Repr,
     l4: &[u8],
     new_src: Option<(Ipv4Addr, u16)>,
@@ -782,37 +749,46 @@ fn rewrite_v4(
 ) -> Vec<u8> {
     let src = new_src.map(|(ip, _)| ip).unwrap_or(repr.src);
     let dst = new_dst.map(|(ip, _)| ip).unwrap_or(repr.dst);
-    let l4_new = match repr.protocol {
+    let ph = PseudoHeader::V4 { src, dst };
+    let at = prefix + ipv4::HEADER_LEN;
+    let mut pkt = match repr.protocol {
         Protocol::Udp => {
             let u = udp::Packet::new_checked(l4).expect("caller verified");
+            let mut pkt = alloc(at + udp::HEADER_LEN, Body::Copy(u.payload()));
             udp::Repr {
                 src_port: new_src.map(|(_, p)| p).unwrap_or_else(|| u.src_port()),
                 dst_port: new_dst.map(|(_, p)| p).unwrap_or_else(|| u.dst_port()),
-                payload: u.payload().to_vec(),
+                payload: Vec::new(),
             }
-            .build(PseudoHeader::V4 { src, dst })
+            .emit(&mut pkt[at..], ph);
+            pkt
         }
         Protocol::Tcp => {
-            let t = v6brick_net::tcp::Packet::new_checked(l4).expect("caller verified");
-            let mut seg = v6brick_net::tcp::Repr::parse(&t);
-            if let Some((_, p)) = new_src {
-                seg.src_port = p;
+            let t = tcp::Packet::new_checked(l4).expect("caller verified");
+            let mut pkt = alloc(at + tcp::HEADER_LEN, Body::Copy(t.payload()));
+            tcp::Repr {
+                src_port: new_src.map(|(_, p)| p).unwrap_or_else(|| t.src_port()),
+                dst_port: new_dst.map(|(_, p)| p).unwrap_or_else(|| t.dst_port()),
+                seq: t.seq(),
+                ack: t.ack(),
+                flags: t.flags(),
+                window: t.window(),
+                payload: Vec::new(),
             }
-            if let Some((_, p)) = new_dst {
-                seg.dst_port = p;
-            }
-            seg.build(PseudoHeader::V4 { src, dst })
+            .emit(&mut pkt[at..], ph);
+            pkt
         }
-        _ => l4.to_vec(),
+        _ => alloc(at, Body::Copy(l4)),
     };
     ipv4::Repr {
         src,
         dst,
         protocol: repr.protocol,
         ttl: repr.ttl.saturating_sub(1),
-        payload_len: l4_new.len(),
+        payload_len: pkt.len() - at,
     }
-    .build(&l4_new)
+    .emit(&mut pkt[prefix..]);
+    pkt
 }
 
 impl RouterConfig {
@@ -926,24 +902,15 @@ mod tests {
         let mut fx = Effects::new(&mut rng);
         let mut router = Router::new(RouterConfig::ipv4_only());
         let discover = dhcpv4::Repr::client(dhcpv4::MessageType::Discover, 7, client_mac());
-        let udp_bytes = udp::Repr {
-            src_port: 68,
-            dst_port: 67,
-            payload: discover.build(),
-        }
-        .build(PseudoHeader::V4 {
-            src: Ipv4Addr::UNSPECIFIED,
-            dst: Ipv4Addr::BROADCAST,
-        });
-        let ip = ipv4::Repr {
-            src: Ipv4Addr::UNSPECIFIED,
-            dst: Ipv4Addr::BROADCAST,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        let frame = eth_frame(client_mac(), Mac::BROADCAST, EtherType::Ipv4, &ip);
+        let frame = wire::udp4_frame(
+            client_mac(),
+            Mac::BROADCAST,
+            Ipv4Addr::UNSPECIFIED,
+            Ipv4Addr::BROADCAST,
+            68,
+            67,
+            discover.build(),
+        );
         router.on_frame(SimTime::ZERO, &frame, &mut fx);
         assert_eq!(fx.frames.len(), 1);
         let reply = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
@@ -968,25 +935,7 @@ mod tests {
         let mut fx = Effects::new(&mut rng);
         let mut router = Router::new(RouterConfig::ipv6_only());
         let lla: Ipv6Addr = "fe80::42".parse().unwrap();
-        let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit {
-            options: vec![NdpOption::SourceLinkLayerAddr(client_mac())],
-        });
-        let body = rs.build(lla, mcast::ALL_ROUTERS);
-        let pkt = ipv6::Repr {
-            src: lla,
-            dst: mcast::ALL_ROUTERS,
-            next_header: Protocol::Icmpv6,
-            hop_limit: 255,
-            payload_len: body.len(),
-        }
-        .build(&body);
-        let frame = eth_frame(
-            client_mac(),
-            Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-            EtherType::Ipv6,
-            &pkt,
-        );
-        router.on_frame(SimTime::ZERO, &frame, &mut fx);
+        router.on_frame(SimTime::ZERO, &rs_frame(lla), &mut fx);
         assert_eq!(fx.frames.len(), 1);
         let p = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         let ndp = match &p.l4 {
@@ -1025,30 +974,7 @@ mod tests {
         // Information-request must be ignored.
         let mut inf = dhcpv6::Repr::new(dhcpv6::MessageType::InformationRequest, 5);
         inf.oro = vec![OPTION_DNS_SERVERS];
-        let lla: Ipv6Addr = "fe80::42".parse().unwrap();
-        let udp_bytes = udp::Repr {
-            src_port: 546,
-            dst_port: 547,
-            payload: inf.build(),
-        }
-        .build(PseudoHeader::V6 {
-            src: lla,
-            dst: mcast::DHCPV6_SERVERS,
-        });
-        let pkt = ipv6::Repr {
-            src: lla,
-            dst: mcast::DHCPV6_SERVERS,
-            next_header: Protocol::Udp,
-            hop_limit: 1,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        let frame = eth_frame(
-            client_mac(),
-            Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
-            EtherType::Ipv6,
-            &pkt,
-        );
+        let frame = dhcpv6_frame(&inf);
         router.on_frame(SimTime::ZERO, &frame, &mut fx);
         assert!(fx.frames.is_empty());
     }
@@ -1057,7 +983,6 @@ mod tests {
     fn stateful_dhcpv6_assigns_stable_address() {
         let mut rng = fx_rng();
         let mut router = Router::new(RouterConfig::ipv6_only_stateful());
-        let lla: Ipv6Addr = "fe80::42".parse().unwrap();
         let duid = vec![0, 3, 0, 1, 2, 0, 0, 0, 0, 0x42];
 
         let run = |router: &mut Router, rng: &mut StdRng, mt: dhcpv6::MessageType| {
@@ -1070,30 +995,7 @@ mod tests {
                 t2: 0,
                 addresses: vec![],
             });
-            let udp_bytes = udp::Repr {
-                src_port: 546,
-                dst_port: 547,
-                payload: m.build(),
-            }
-            .build(PseudoHeader::V6 {
-                src: lla,
-                dst: mcast::DHCPV6_SERVERS,
-            });
-            let pkt = ipv6::Repr {
-                src: lla,
-                dst: mcast::DHCPV6_SERVERS,
-                next_header: Protocol::Udp,
-                hop_limit: 1,
-                payload_len: udp_bytes.len(),
-            }
-            .build(&udp_bytes);
-            let frame = eth_frame(
-                client_mac(),
-                Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
-                EtherType::Ipv6,
-                &pkt,
-            );
-            router.on_frame(SimTime::ZERO, &frame, &mut fx);
+            router.on_frame(SimTime::ZERO, &dhcpv6_frame(&m), &mut fx);
             assert_eq!(fx.frames.len(), 1);
             let p = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
             match &p.l4 {
@@ -1124,24 +1026,15 @@ mod tests {
 
         // Outbound UDP to a remote host.
         let remote = Ipv4Addr::new(198, 18, 5, 5);
-        let udp_bytes = udp::Repr {
-            src_port: 5000,
-            dst_port: 443,
-            payload: b"out".to_vec(),
-        }
-        .build(PseudoHeader::V4 {
-            src: lan_ip,
-            dst: remote,
-        });
-        let pkt = ipv4::Repr {
-            src: lan_ip,
-            dst: remote,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        let frame = eth_frame(client_mac(), addrs::ROUTER_MAC, EtherType::Ipv4, &pkt);
+        let frame = wire::udp4_frame(
+            client_mac(),
+            addrs::ROUTER_MAC,
+            lan_ip,
+            remote,
+            5000,
+            443,
+            b"out".to_vec(),
+        );
         let mut fx = Effects::new(&mut rng);
         router.on_frame(SimTime::ZERO, &frame, &mut fx);
         assert_eq!(fx.wan.len(), 1);
@@ -1153,23 +1046,7 @@ mod tests {
         assert!(ou.verify_checksum_v4(out.src(), out.dst()));
 
         // Inbound reply through the mapping reaches the device.
-        let reply_udp = udp::Repr {
-            src_port: 443,
-            dst_port: wan_port,
-            payload: b"in".to_vec(),
-        }
-        .build(PseudoHeader::V4 {
-            src: remote,
-            dst: addrs::ROUTER_WAN_IPV4,
-        });
-        let reply = ipv4::Repr {
-            src: remote,
-            dst: addrs::ROUTER_WAN_IPV4,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: reply_udp.len(),
-        }
-        .build(&reply_udp);
+        let reply = wan_udp(remote, 443, wan_port, b"in");
         let mut fx = Effects::new(&mut rng);
         router.on_wan_packet(SimTime::ZERO, &reply, &mut fx);
         assert_eq!(fx.frames.len(), 1);
@@ -1178,23 +1055,7 @@ mod tests {
         assert_eq!(p.ports(), Some((443, 5000)));
 
         // Unsolicited inbound is firewalled.
-        let stray_udp = udp::Repr {
-            src_port: 443,
-            dst_port: 31_337,
-            payload: b"x".to_vec(),
-        }
-        .build(PseudoHeader::V4 {
-            src: remote,
-            dst: addrs::ROUTER_WAN_IPV4,
-        });
-        let stray = ipv4::Repr {
-            src: remote,
-            dst: addrs::ROUTER_WAN_IPV4,
-            protocol: Protocol::Udp,
-            ttl: 64,
-            payload_len: stray_udp.len(),
-        }
-        .build(&stray_udp);
+        let stray = wan_udp(remote, 443, 31_337, b"x");
         let dropped_before = router.dropped;
         let mut fx = Effects::new(&mut rng);
         router.on_wan_packet(SimTime::ZERO, &stray, &mut fx);
@@ -1209,21 +1070,15 @@ mod tests {
         let remote: Ipv6Addr = "2001:db8:ffff::1".parse().unwrap();
 
         let send = |router: &mut Router, rng: &mut StdRng, src: Ipv6Addr| {
-            let udp_bytes = udp::Repr {
-                src_port: 5000,
-                dst_port: 443,
-                payload: b"x".to_vec(),
-            }
-            .build(PseudoHeader::V6 { src, dst: remote });
-            let pkt = ipv6::Repr {
+            let frame = wire::udp6_frame(
+                client_mac(),
+                addrs::ROUTER_MAC,
                 src,
-                dst: remote,
-                next_header: Protocol::Udp,
-                hop_limit: 64,
-                payload_len: udp_bytes.len(),
-            }
-            .build(&udp_bytes);
-            let frame = eth_frame(client_mac(), addrs::ROUTER_MAC, EtherType::Ipv6, &pkt);
+                remote,
+                5000,
+                443,
+                b"x".to_vec(),
+            );
             let mut fx = Effects::new(rng);
             router.on_frame(SimTime::ZERO, &frame, &mut fx);
             fx.wan.len()
@@ -1244,21 +1099,47 @@ mod tests {
         let rs = icmpv6::Repr::Ndp(Ndp::RouterSolicit {
             options: vec![NdpOption::SourceLinkLayerAddr(client_mac())],
         });
-        let body = rs.build(lla, mcast::ALL_ROUTERS);
-        let pkt = ipv6::Repr {
-            src: lla,
-            dst: mcast::ALL_ROUTERS,
-            next_header: Protocol::Icmpv6,
-            hop_limit: 255,
-            payload_len: body.len(),
-        }
-        .build(&body);
-        eth_frame(
+        wire::icmpv6_frame(
             client_mac(),
             Mac::for_ipv6_multicast(mcast::ALL_ROUTERS),
-            EtherType::Ipv6,
-            &pkt,
+            lla,
+            mcast::ALL_ROUTERS,
+            &rs,
         )
+    }
+
+    /// A DHCPv6 client message from fe80::42, multicast to the servers.
+    /// (Hop limit 64 where a real client sends 1; the router ignores it.)
+    fn dhcpv6_frame(m: &dhcpv6::Repr) -> Vec<u8> {
+        wire::udp6_frame(
+            client_mac(),
+            Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
+            "fe80::42".parse().unwrap(),
+            mcast::DHCPV6_SERVERS,
+            546,
+            547,
+            m.build(),
+        )
+    }
+
+    /// The IP packet of a frame: what crosses the WAN link.
+    fn ip_of(frame: Vec<u8>) -> Vec<u8> {
+        frame[wire::ETH..].to_vec()
+    }
+
+    /// A UDP datagram from a remote host to the router's WAN address.
+    fn wan_udp(remote: Ipv4Addr, src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        let wan = addrs::ROUTER_WAN_IPV4;
+        let m = addrs::ROUTER_MAC;
+        ip_of(wire::udp4_frame(
+            m,
+            m,
+            remote,
+            wan,
+            src_port,
+            dst_port,
+            payload.to_vec(),
+        ))
     }
 
     #[test]
@@ -1296,32 +1177,9 @@ mod tests {
         let mut rng = fx_rng();
         let mut router = Router::new(RouterConfig::ipv6_only());
         router.set_faults(FaultPlan::new().dhcpv6_silence(SimTime::ZERO, SimTime::from_secs(60)));
-        let lla: Ipv6Addr = "fe80::42".parse().unwrap();
         let mut inf = dhcpv6::Repr::new(dhcpv6::MessageType::InformationRequest, 5);
         inf.oro = vec![OPTION_DNS_SERVERS];
-        let udp_bytes = udp::Repr {
-            src_port: 546,
-            dst_port: 547,
-            payload: inf.build(),
-        }
-        .build(PseudoHeader::V6 {
-            src: lla,
-            dst: mcast::DHCPV6_SERVERS,
-        });
-        let pkt = ipv6::Repr {
-            src: lla,
-            dst: mcast::DHCPV6_SERVERS,
-            next_header: Protocol::Udp,
-            hop_limit: 1,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        let frame = eth_frame(
-            client_mac(),
-            Mac::for_ipv6_multicast(mcast::DHCPV6_SERVERS),
-            EtherType::Ipv6,
-            &pkt,
-        );
+        let frame = dhcpv6_frame(&inf);
         let mut fx = Effects::new(&mut rng);
         router.on_frame(SimTime::from_secs(30), &frame, &mut fx);
         assert!(fx.frames.is_empty(), "server is silent inside the window");
@@ -1343,33 +1201,21 @@ mod tests {
     }
 
     fn inner_udp(src: Ipv6Addr, dst: Ipv6Addr, src_port: u16, dst_port: u16) -> Vec<u8> {
-        let udp_bytes = udp::Repr {
-            src_port,
-            dst_port,
-            payload: b"probe".to_vec(),
-        }
-        .build(PseudoHeader::V6 { src, dst });
-        ipv6::Repr {
+        let m = client_mac();
+        ip_of(wire::udp6_frame(
+            m,
+            m,
             src,
             dst,
-            next_header: Protocol::Udp,
-            hop_limit: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes)
+            src_port,
+            dst_port,
+            b"probe".to_vec(),
+        ))
     }
 
     fn inner_tcp_syn(src: Ipv6Addr, dst: Ipv6Addr, src_port: u16, dst_port: u16) -> Vec<u8> {
-        let seg =
-            v6brick_net::tcp::Repr::syn(src_port, dst_port, 7).build(PseudoHeader::V6 { src, dst });
-        ipv6::Repr {
-            src,
-            dst,
-            next_header: Protocol::Tcp,
-            hop_limit: 64,
-            payload_len: seg.len(),
-        }
-        .build(&seg)
+        let syn = tcp::Repr::syn(src_port, dst_port, 7);
+        ip_of(wire::tcp6_frame(client_mac(), client_mac(), src, dst, &syn))
     }
 
     #[test]
@@ -1466,15 +1312,13 @@ mod tests {
             seq: 1,
             payload: vec![],
         };
-        let body = echo.build(remote, dev);
-        let inner = ipv6::Repr {
-            src: remote,
-            dst: dev,
-            next_header: Protocol::Icmpv6,
-            hop_limit: 64,
-            payload_len: body.len(),
-        }
-        .build(&body);
+        let inner = ip_of(wire::icmpv6_frame(
+            client_mac(),
+            client_mac(),
+            remote,
+            dev,
+            &echo,
+        ));
         assert_eq!(deliver(&mut router, &mut rng, inner), 1);
         assert_eq!(router.wan_v6_filtered, 2);
     }
@@ -1485,33 +1329,13 @@ mod tests {
         let mut router = Router::new(RouterConfig::ipv6_only());
         let dev: Ipv6Addr = "2001:db8:10:1::100".parse().unwrap();
         router.neighbors_v6.insert(dev, client_mac());
-        let udp_bytes = udp::Repr {
-            src_port: 443,
-            dst_port: 5000,
-            payload: b"reply".to_vec(),
-        }
-        .build(PseudoHeader::V6 {
-            src: "2001:db8:ffff::1".parse().unwrap(),
-            dst: dev,
-        });
-        let inner = ipv6::Repr {
-            src: "2001:db8:ffff::1".parse().unwrap(),
-            dst: dev,
-            next_header: Protocol::Udp,
-            hop_limit: 64,
-            payload_len: udp_bytes.len(),
-        }
-        .build(&udp_bytes);
-        let encap = ipv4::Repr {
-            src: addrs::TUNNEL_REMOTE_IPV4,
-            dst: addrs::ROUTER_WAN_IPV4,
-            protocol: Protocol::Ipv6,
-            ttl: 64,
-            payload_len: inner.len(),
-        }
-        .build(&inner);
+        let remote: Ipv6Addr = "2001:db8:ffff::1".parse().unwrap();
         let mut fx = Effects::new(&mut rng);
-        router.on_wan_packet(SimTime::ZERO, &encap, &mut fx);
+        router.on_wan_packet(
+            SimTime::ZERO,
+            &encap_v6(&inner_udp(remote, dev, 443, 5000)),
+            &mut fx,
+        );
         assert_eq!(fx.frames.len(), 1);
         let p = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         assert_eq!(p.eth.dst, client_mac());

@@ -1,13 +1,109 @@
-//! Frame-building helpers shared by every host implementation (devices,
-//! phones, the port scanner, tests).
+//! Frame emission shared by every host implementation (devices, phones,
+//! the port scanner, the router, the internet model, tests).
+//!
+//! Every frame is one allocation sized once: `alloc` copies or fills
+//! the payload into place, then each header is emitted into the front
+//! of the buffer, innermost first, so the transport checksum is summed
+//! once, in place, over bytes that are never moved again.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
-use v6brick_net::ethernet::EtherType;
+use v6brick_net::ethernet::{self, EtherType, Frame};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv4, ipv6, tcp, udp, Mac};
 
-pub use crate::router::eth_frame;
+/// Ethernet header length: where the IP header of a frame starts.
+pub(crate) const ETH: usize = ethernet::HEADER_LEN;
+/// Ethernet + IPv4 header length: where an IPv4 frame's L4 starts.
+const ETH_V4: usize = ETH + ipv4::HEADER_LEN;
+/// Ethernet + IPv6 header length: where an IPv6 frame's L4 starts.
+const ETH_V6: usize = ETH + ipv6::HEADER_LEN;
+
+/// Where a packet's payload comes from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body<'a> {
+    /// Copied from a slice.
+    Copy(&'a [u8]),
+    /// `len` copies of one byte.
+    Fill(u8, usize),
+}
+
+/// One buffer of `headers` zero bytes followed by `body`: a packet's
+/// single allocation and its payload's single copy or fill. The caller
+/// emits the headers into the front.
+pub(crate) fn alloc(headers: usize, body: Body) -> Vec<u8> {
+    let len = match body {
+        Body::Copy(b) => b.len(),
+        Body::Fill(_, n) => n,
+    };
+    let mut buf = Vec::with_capacity(headers + len);
+    buf.resize(headers, 0);
+    match body {
+        Body::Copy(b) => buf.extend_from_slice(b),
+        Body::Fill(byte, n) => buf.resize(headers + n, byte),
+    }
+    buf
+}
+
+/// Emit an Ethernet header into the front of `frame`.
+pub(crate) fn emit_eth(frame: &mut [u8], src: Mac, dst: Mac, ethertype: EtherType) {
+    ethernet::Repr {
+        src,
+        dst,
+        ethertype,
+    }
+    .emit(&mut Frame::new_unchecked(frame));
+}
+
+/// Emit the Ethernet and IPv4 headers (TTL 64) in front of the
+/// `protocol` payload already at `frame[ETH + 20..]`.
+fn emit_eth_ipv4(
+    frame: &mut [u8],
+    src_mac: Mac,
+    dst_mac: Mac,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    protocol: Protocol,
+) {
+    ipv4::Repr {
+        src,
+        dst,
+        protocol,
+        ttl: 64,
+        payload_len: frame.len() - ETH_V4,
+    }
+    .emit(&mut frame[ETH..]);
+    emit_eth(frame, src_mac, dst_mac, EtherType::Ipv4);
+}
+
+/// Emit the Ethernet and IPv6 headers in front of the `next_header`
+/// payload already at `frame[ETH + 40..]`.
+fn emit_eth_ipv6(
+    frame: &mut [u8],
+    src_mac: Mac,
+    dst_mac: Mac,
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: Protocol,
+    hop_limit: u8,
+) {
+    ipv6::Repr {
+        src,
+        dst,
+        next_header,
+        hop_limit,
+        payload_len: frame.len() - ETH_V6,
+    }
+    .emit(&mut frame[ETH..]);
+    emit_eth(frame, src_mac, dst_mac, EtherType::Ipv6);
+}
+
+/// An Ethernet frame carrying `payload`.
+pub fn eth_frame(src: Mac, dst: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
+    let mut f = alloc(ETH, Body::Copy(payload));
+    emit_eth(&mut f, src, dst, ethertype);
+    f
+}
 
 /// A UDP-in-IPv4-in-Ethernet frame.
 pub fn udp4_frame(
@@ -19,21 +115,15 @@ pub fn udp4_frame(
     dst_port: u16,
     payload: Vec<u8>,
 ) -> Vec<u8> {
-    let udp_bytes = udp::Repr {
+    let dgram = udp::Repr {
         src_port,
         dst_port,
         payload,
-    }
-    .build(PseudoHeader::V4 { src, dst });
-    let ip = ipv4::Repr {
-        src,
-        dst,
-        protocol: Protocol::Udp,
-        ttl: 64,
-        payload_len: udp_bytes.len(),
-    }
-    .build(&udp_bytes);
-    eth_frame(src_mac, dst_mac, EtherType::Ipv4, &ip)
+    };
+    let mut f = alloc(ETH_V4 + udp::HEADER_LEN, Body::Copy(&dgram.payload));
+    dgram.emit(&mut f[ETH_V4..], PseudoHeader::V4 { src, dst });
+    emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp);
+    f
 }
 
 /// A UDP-in-IPv6-in-Ethernet frame.
@@ -46,21 +136,15 @@ pub fn udp6_frame(
     dst_port: u16,
     payload: Vec<u8>,
 ) -> Vec<u8> {
-    let udp_bytes = udp::Repr {
+    let dgram = udp::Repr {
         src_port,
         dst_port,
         payload,
-    }
-    .build(PseudoHeader::V6 { src, dst });
-    let ip = ipv6::Repr {
-        src,
-        dst,
-        next_header: Protocol::Udp,
-        hop_limit: 64,
-        payload_len: udp_bytes.len(),
-    }
-    .build(&udp_bytes);
-    eth_frame(src_mac, dst_mac, EtherType::Ipv6, &ip)
+    };
+    let mut f = alloc(ETH_V6 + udp::HEADER_LEN, Body::Copy(&dgram.payload));
+    dgram.emit(&mut f[ETH_V6..], PseudoHeader::V6 { src, dst });
+    emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp, 64);
+    f
 }
 
 /// A TCP-in-IPv4-in-Ethernet frame.
@@ -71,16 +155,10 @@ pub fn tcp4_frame(
     dst: Ipv4Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
-    let bytes = seg.build(PseudoHeader::V4 { src, dst });
-    let ip = ipv4::Repr {
-        src,
-        dst,
-        protocol: Protocol::Tcp,
-        ttl: 64,
-        payload_len: bytes.len(),
-    }
-    .build(&bytes);
-    eth_frame(src_mac, dst_mac, EtherType::Ipv4, &ip)
+    let mut f = alloc(ETH_V4 + tcp::HEADER_LEN, Body::Copy(&seg.payload));
+    seg.emit(&mut f[ETH_V4..], PseudoHeader::V4 { src, dst });
+    emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp);
+    f
 }
 
 /// A TCP-in-IPv6-in-Ethernet frame.
@@ -91,16 +169,10 @@ pub fn tcp6_frame(
     dst: Ipv6Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
-    let bytes = seg.build(PseudoHeader::V6 { src, dst });
-    let ip = ipv6::Repr {
-        src,
-        dst,
-        next_header: Protocol::Tcp,
-        hop_limit: 64,
-        payload_len: bytes.len(),
-    }
-    .build(&bytes);
-    eth_frame(src_mac, dst_mac, EtherType::Ipv6, &ip)
+    let mut f = alloc(ETH_V6 + tcp::HEADER_LEN, Body::Copy(&seg.payload));
+    seg.emit(&mut f[ETH_V6..], PseudoHeader::V6 { src, dst });
+    emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp, 64);
+    f
 }
 
 /// An ICMPv6-in-IPv6-in-Ethernet frame (NDP hop limit 255 applied when the
@@ -112,17 +184,18 @@ pub fn icmpv6_frame(
     dst: Ipv6Addr,
     msg: &icmpv6::Repr,
 ) -> Vec<u8> {
-    let body = msg.build(src, dst);
     let hop_limit = if msg.as_ndp().is_some() { 255 } else { 64 };
-    let ip = ipv6::Repr {
+    let mut f = alloc(ETH_V6, Body::Copy(&msg.build(src, dst)));
+    emit_eth_ipv6(
+        &mut f,
+        src_mac,
+        dst_mac,
         src,
         dst,
-        next_header: Protocol::Icmpv6,
+        Protocol::Icmpv6,
         hop_limit,
-        payload_len: body.len(),
-    }
-    .build(&body);
-    eth_frame(src_mac, dst_mac, EtherType::Ipv6, &ip)
+    );
+    f
 }
 
 #[cfg(test)]
