@@ -112,6 +112,7 @@ pub struct SwitchEvent {
 }
 
 /// A behavioural IoT device on the simulated LAN.
+#[derive(Clone)]
 pub struct IotDevice {
     profile: DeviceProfile,
     boot_jitter_ms: u64,
@@ -1670,6 +1671,10 @@ impl Host for IotDevice {
         };
         let jitter = fx.rng.gen_range(0..2000u64);
         fx.set_timer(step + SimTime(jitter), TOKEN_TICK);
+    }
+
+    fn fork(&self) -> Option<Box<dyn Host>> {
+        Some(Box::new(self.clone()))
     }
 
     fn as_any(&self) -> &dyn Any {

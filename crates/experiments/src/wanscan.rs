@@ -5,18 +5,26 @@
 //! follow-up — asked by "Unconsidered Installations" and "Where Have All
 //! the Firewalls Gone?" — is what the same devices expose to the v6
 //! *Internet*, where routed GUAs replace the incidental shield IPv4 NAT
-//! provided. Each home is simulated once per [`FirewallPolicy`]; an
-//! external scanner at [`scanner_addr`] then probes it through the 6in4
-//! tunnel:
+//! provided. Each home settles once and is then probed once per
+//! [`FirewallPolicy`] by an external scanner at [`scanner_addr`],
+//! through the 6in4 tunnel:
 //!
 //! 1. **settle** — the home boots, addresses itself, and talks to its
 //!    clouds for [`WanScanSpec::settle_s`] virtual seconds, exactly as in
-//!    the connectivity experiments. The internet side passively records
-//!    every GUA it sees ([`Internet::observed_v6_sources`]) — the
-//!    scanner's only real-world knowledge of the home.
+//!    the connectivity experiments, behind the strictest requested
+//!    policy. The internet side passively records every GUA it sees
+//!    ([`Internet::observed_v6_sources`]) — the scanner's only
+//!    real-world knowledge of the home. All inbound traffic during the
+//!    settle is return traffic, so no policy filters any of it and the
+//!    settle is the same under all of them; the router's filter counter
+//!    checks this on every home.
 //! 2. **hitlist** — the observations are extrapolated into candidate
 //!    addresses ([`exposure::hitlist`]) next to a dense low-IID sweep
 //!    baseline ([`exposure::dense_sweep`]).
+//!
+//! Each policy then probes its own [`Simulation::fork`] of the settled
+//! home, with the router switched to that policy:
+//!
 //! 3. **liveness** — one ICMPv6 echo per candidate *and* per
 //!    ground-truth address (the omniscient probe set that measures the
 //!    firewall rather than the hitlist), injected on the WAN side.
@@ -247,20 +255,35 @@ fn probe_wave(sim: &mut Simulation, probes: Vec<Vec<u8>>, until: SimTime, replie
     }
 }
 
-/// Scan one home under one firewall policy, folding target rows and
-/// hitlist stats into `out`. With `mesh` set, every device sits behind
-/// a 6LoWPAN border router: the scanner's passive observations, hitlist
-/// extrapolation, and probes all see leaf GUAs that only exist on the
-/// Ethernet side because the border router decompressed and forwarded
-/// them.
-fn scan_policy(
+/// What the settle leaves the scanner to work with. None of it depends
+/// on the firewall policy, because the settle does not.
+struct Targets {
+    /// Every global address a device holds, with its category and
+    /// addressing mode (never shown to the scanner).
+    truth: BTreeMap<Ipv6Addr, (&'static str, &'static str)>,
+    /// The hitlist extrapolated from the passive observations.
+    candidates: Vec<Ipv6Addr>,
+    /// The dense low-IID sweep baseline.
+    dense: Vec<Ipv6Addr>,
+}
+
+/// Build one home behind a router running `policy`, let it live its
+/// normal life for `settle` while the internet side passively observes
+/// outbound sources, and read off the ground truth and the hitlist.
+/// With `mesh` set, every device sits behind a 6LoWPAN border router:
+/// the observations, the extrapolation, and later the probes all see
+/// leaf GUAs that only exist on the Ethernet side because the border
+/// router decompressed and forwarded them.
+///
+/// Panics if the router filtered any inbound v6 packet during the
+/// settle: only then is the settle identical under every looser policy,
+/// which [`scan_home`] relies on to probe them all from this one run.
+fn settle_home(
     home: &HomeSpec<NetworkConfig>,
     policy: FirewallPolicy,
-    plan: &ScanPlan,
     settle: SimTime,
     mesh: bool,
-    out: &mut HomeScanOutcome,
-) {
+) -> (Simulation, Targets) {
     let router = Router::new(home.config.router_config_with(policy));
     let internet = Internet::new(scenario::build_zones(&home.profiles));
     let mut b = SimulationBuilder::new(router, internet);
@@ -273,26 +296,34 @@ fn scan_policy(
             .iter()
             .map(|p| Box::new(IotDevice::new((*p).clone())) as Box<dyn Host>)
             .collect();
-        br_host = Some(b.add_host(Box::new(BorderRouter::new(sim_seed, leaves))));
+        let br = BorderRouter::new(sim_seed, leaves).mesh_capture_enabled(false);
+        br_host = Some(b.add_host(Box::new(br)));
     } else {
         for p in &home.profiles {
             hosts.push(b.add_host(Box::new(IotDevice::new((*p).clone()))));
         }
     }
-    let mut sim = b.seed(sim_seed).build();
+    let mut sim = b.seed(sim_seed).capture(false).build();
     sim.internet_mut().attach_scanner(scanner_addr());
-
-    // Phase 1: the home lives its normal life while the internet side
-    // passively observes outbound sources.
     sim.run_until(settle);
+    let filtered = sim.router().wan_v6_filtered;
+    assert_eq!(
+        filtered,
+        0,
+        "the {} settle filtered {filtered} inbound v6 packet(s), so a looser policy \
+         would not settle identically",
+        policy.label()
+    );
 
-    // Ground truth (never shown to the scanner): every global address a
-    // device holds, with its category and addressing mode.
-    let mut truth: BTreeMap<Ipv6Addr, (String, String)> = BTreeMap::new();
-    let absorb_truth = |dev: &IotDevice, truth: &mut BTreeMap<Ipv6Addr, (String, String)>| {
+    let mut truth = BTreeMap::new();
+    let mut absorb_truth = |host: &dyn Host| {
+        let dev = host
+            .as_any()
+            .downcast_ref::<IotDevice>()
+            .expect("host is a device");
         let category = dev.profile().category.label();
         for (addr, mode) in dev.gua_inventory() {
-            truth.insert(addr, (category.to_string(), mode.to_string()));
+            truth.insert(addr, (category, mode));
         }
     };
     if let Some(br_id) = br_host {
@@ -302,31 +333,42 @@ fn scan_policy(
             .downcast_ref::<BorderRouter>()
             .expect("host is the border router");
         for idx in 0..br.leaf_count() {
-            let dev = br
-                .leaf(idx)
-                .as_any()
-                .downcast_ref::<IotDevice>()
-                .expect("leaf is a device");
-            absorb_truth(dev, &mut truth);
+            absorb_truth(br.leaf(idx));
         }
     } else {
         for &h in &hosts {
-            let dev = sim
-                .host(h)
-                .as_any()
-                .downcast_ref::<IotDevice>()
-                .expect("host is a device");
-            absorb_truth(dev, &mut truth);
+            absorb_truth(sim.host(h));
         }
     }
 
-    // Phase 2: hitlist from passive observations, dense-sweep baseline.
     let observed: Vec<Ipv6Addr> = sim.internet().observed_v6_sources().copied().collect();
-    let candidates = exposure::hitlist(addrs::LAN_PREFIX, &observed, HITLIST_NEIGHBORHOOD);
-    let dense = exposure::dense_sweep(addrs::LAN_PREFIX, DENSE_BUDGET);
+    let targets = Targets {
+        truth,
+        candidates: exposure::hitlist(addrs::LAN_PREFIX, &observed, HITLIST_NEIGHBORHOOD),
+        dense: exposure::dense_sweep(addrs::LAN_PREFIX, DENSE_BUDGET),
+    };
+    (sim, targets)
+}
 
-    // Phase 3: liveness. The union covers the scanner's candidate lists
-    // and — for the firewall measurement — the ground truth itself.
+/// Switch a settled home's router to `policy` and probe it, folding
+/// target rows and hitlist stats into `out`: a liveness wave, then a
+/// service sweep of the responsive ground-truth addresses.
+fn probe_policy(
+    sim: &mut Simulation,
+    targets: &Targets,
+    policy: FirewallPolicy,
+    plan: &ScanPlan,
+    out: &mut HomeScanOutcome,
+) {
+    let Targets {
+        truth,
+        candidates,
+        dense,
+    } = targets;
+    sim.router_mut().set_wan_v6_firewall(policy);
+
+    // Liveness. The union covers the scanner's candidate lists and — for
+    // the firewall measurement — the ground truth itself.
     let probe_set: BTreeSet<Ipv6Addr> = candidates
         .iter()
         .chain(dense.iter())
@@ -339,10 +381,10 @@ fn scan_policy(
         .enumerate()
         .map(|(i, &dst)| echo_probe(dst, i as u16))
         .collect();
-    let t1 = settle + PROBE_WINDOW;
-    probe_wave(&mut sim, echoes, t1, &mut replies);
+    let t1 = sim.now() + PROBE_WINDOW;
+    probe_wave(sim, echoes, t1, &mut replies);
 
-    // Phase 4: service sweep over responsive ground-truth addresses.
+    // Service sweep over responsive ground-truth addresses.
     let sweep_targets: Vec<Ipv6Addr> = truth
         .keys()
         .filter(|a| replies.live.contains(a))
@@ -357,14 +399,14 @@ fn scan_policy(
             probes.push(udp_probe(dst, port));
         }
     }
-    probe_wave(&mut sim, probes, t1 + PROBE_WINDOW, &mut replies);
+    probe_wave(sim, probes, t1 + PROBE_WINDOW, &mut replies);
 
     let label = policy.label().to_string();
-    for (&addr, (category, mode)) in &truth {
+    for (&addr, &(category, mode)) in truth {
         out.targets.push(TargetOutcome {
             policy: label.clone(),
-            category: category.clone(),
-            addressing: mode.clone(),
+            category: category.to_string(),
+            addressing: mode.to_string(),
             responsive: replies.live.contains(&addr),
             open_tcp: plan
                 .tcp
@@ -395,11 +437,20 @@ fn scan_policy(
     ));
 }
 
-/// Scan one home under every requested policy. Each policy gets its own
-/// simulation from the same seed: the settle phase is byte-identical
-/// across policies (nothing inbound during settle is unsolicited), so
-/// the probe waves hit identical device state and reachability under a
-/// stricter policy is a subset of reachability under a looser one.
+/// Scan one home under every requested policy, in order.
+///
+/// The home settles once, behind the strictest requested policy; each
+/// policy then probes its own [`Simulation::fork`] of the settled home
+/// with the router switched to that policy (the last one probes the
+/// settled simulation itself). This gives the same outcome as settling
+/// a fresh simulation per policy from the same seed, because the
+/// settle is identical under every policy: nothing inbound during the
+/// settle is unsolicited, so no policy filters any of it. That is a
+/// checked precondition — the shared settle panics (and the campaign
+/// records a failed home) if its router filtered a single inbound v6
+/// packet. So the probe waves hit identical device state, and
+/// reachability under a stricter policy is a subset of reachability
+/// under a looser one.
 pub fn scan_home(
     home: &HomeSpec<NetworkConfig>,
     policies: &[FirewallPolicy],
@@ -411,9 +462,16 @@ pub fn scan_home(
         devices: home.profiles.len() as u64,
         ..Default::default()
     };
-    for &policy in policies {
-        scan_policy(home, policy, plan, settle, mesh, &mut out);
+    let Some((&last, rest)) = policies.split_last() else {
+        return out;
+    };
+    let strictest = rest.iter().copied().fold(last, Ord::min);
+    let (mut sim, targets) = settle_home(home, strictest, settle, mesh);
+    for &policy in rest {
+        let mut fork = sim.fork().expect("devices and border routers fork");
+        probe_policy(&mut fork, &targets, policy, plan, &mut out);
     }
+    probe_policy(&mut sim, &targets, last, plan, &mut out);
     out
 }
 

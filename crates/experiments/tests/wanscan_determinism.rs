@@ -2,8 +2,9 @@
 //! not depend on worker count, merge order, or shard boundaries, and the
 //! firewall-policy lattice (open >= pinholed >= default-deny per cell)
 //! must hold on every campaign. This pins the chain from home planning
-//! through per-policy simulation, probe-wave classification, in-order
-//! reduction, and the integer-only report serialization.
+//! through the shared settle and its per-policy forks, probe-wave
+//! classification, in-order reduction, and the integer-only report
+//! serialization.
 
 use v6brick_experiments::wanscan::{self, WanScanSpec};
 

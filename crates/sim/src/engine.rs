@@ -190,6 +190,11 @@ impl Simulation {
         &self.router
     }
 
+    /// Mutably borrow the router (switching its firewall policy).
+    pub fn router_mut(&mut self) -> &mut Router {
+        &mut self.router
+    }
+
     /// Borrow the internet model (zone db, served-bytes accounting).
     pub fn internet(&self) -> &Internet {
         &self.internet
@@ -214,6 +219,42 @@ impl Simulation {
     /// Number of hosts.
     pub fn host_count(&self) -> usize {
         self.hosts.len()
+    }
+
+    /// An independent copy of the running simulation: the clock, the
+    /// pending events, both RNG streams, the router, the internet model,
+    /// every host and the buffered capture. Run to the same deadline,
+    /// the copy and the original tap the same frames and end in the same
+    /// state. `None` when a streaming sink is attached (sinks cannot be
+    /// copied) or when a host does not implement [`Host::fork`].
+    pub fn fork(&self) -> Option<Simulation> {
+        if !self.sinks.is_empty() {
+            return None;
+        }
+        let hosts = self
+            .hosts
+            .iter()
+            .map(|h| h.fork())
+            .collect::<Option<Vec<_>>>()?;
+        Some(Simulation {
+            clock: self.clock,
+            queue: self.queue.clone(),
+            router: self.router.clone(),
+            internet: self.internet.clone(),
+            hosts,
+            rng: self.rng.clone(),
+            fault_rng: self.fault_rng.clone(),
+            capture: self.capture.clone(),
+            capture_enabled: self.capture_enabled,
+            sinks: Vec::new(),
+            loss_per_mille: self.loss_per_mille,
+            faults: self.faults.clone(),
+            started: self.started,
+            frames_delivered: self.frames_delivered,
+            frames_lost: self.frames_lost,
+            frames_corrupted: self.frames_corrupted,
+            tunnel_drops: self.tunnel_drops,
+        })
     }
 
     /// Run until `deadline` (inclusive) or until the event queue drains.

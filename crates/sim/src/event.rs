@@ -55,7 +55,7 @@ impl fmt::Display for SimTime {
 }
 
 /// What an event does when it fires.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EventKind {
     /// Deliver a frame onto the LAN from the given sender slot.
     LanFrame {
@@ -83,7 +83,7 @@ pub enum EventKind {
 
 /// A scheduled event. Ordering is (time, sequence number), so simultaneous
 /// events fire in scheduling order — the determinism guarantee.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Event {
     /// At.
     pub at: SimTime,
@@ -94,13 +94,13 @@ pub struct Event {
 }
 
 /// The priority queue driving the simulation.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct EventQueue {
     heap: BinaryHeap<Reverse<QueuedEvent>>,
     next_seq: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct QueuedEvent(Event);
 
 impl PartialEq for QueuedEvent {

@@ -72,6 +72,15 @@ pub trait Host: Any + Send {
     /// Called when a timer armed via [`Effects::set_timer`] fires.
     fn on_timer(&mut self, now: SimTime, token: u64, fx: &mut Effects);
 
+    /// An independent copy of this host in its current state, for
+    /// [`Simulation::fork`](crate::engine::Simulation::fork). Fed the
+    /// same events, the copy must behave exactly like the original.
+    /// Hosts that cannot promise that keep the default, `None`, which
+    /// makes the whole simulation unforkable.
+    fn fork(&self) -> Option<Box<dyn Host>> {
+        None
+    }
+
     /// Downcasting support, so experiment code can query concrete device
     /// state after a run.
     fn as_any(&self) -> &dyn Any;

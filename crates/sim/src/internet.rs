@@ -210,7 +210,7 @@ fn soa_for(name: &Name) -> Record {
 }
 
 /// The Internet entity: resolvers + remote servers + the 6in4 far end.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Internet {
     zones: ZoneDb,
     /// Reverse maps so a packet's destination identifies its domain.

@@ -416,6 +416,32 @@ impl Host for BorderRouter {
         }
     }
 
+    fn fork(&self) -> Option<Box<dyn Host>> {
+        let leaves = self
+            .leaves
+            .iter()
+            .map(|l| l.fork())
+            .collect::<Option<Vec<_>>>()?;
+        Some(Box::new(BorderRouter {
+            mac: self.mac,
+            context: self.context,
+            leaves,
+            leaf_macs: self.leaf_macs.clone(),
+            addr_table: self.addr_table.clone(),
+            mesh_rng: self.mesh_rng.clone(),
+            mesh_capture: self.mesh_capture.clone(),
+            mesh_capture_enabled: self.mesh_capture_enabled,
+            busy_until_us: self.busy_until_us,
+            seq: self.seq,
+            tag: self.tag,
+            dropped_v4_frames: self.dropped_v4_frames,
+            mesh_frames: self.mesh_frames,
+            forwarded_up: self.forwarded_up,
+            forwarded_down: self.forwarded_down,
+            no_route_drops: self.no_route_drops,
+        }))
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }

@@ -32,6 +32,8 @@ use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, tcp, udp, Mac};
 /// always "filtered" as a side effect of NAT44; routed IPv6 has no such
 /// accident, so the posture is an explicit policy ("Where Have All the
 /// Firewalls Gone?" finds all three in deployed home gateways).
+/// Policies order from most to least restrictive: each one lets in a
+/// superset of what the one before it lets in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FirewallPolicy {
     /// RFC 6092 simple security: only return traffic of flows the LAN
@@ -100,7 +102,7 @@ const RA_PERIOD: SimTime = SimTime::from_secs(120);
 const TOKEN_PERIODIC_RA: u64 = 1;
 
 /// The router.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Router {
     config: RouterConfig,
     /// DHCPv4 leases: MAC → assigned address.
@@ -154,6 +156,12 @@ impl Router {
     /// The active configuration.
     pub fn config(&self) -> RouterConfig {
         self.config
+    }
+
+    /// Switch the WAN-side v6 firewall policy from now on. Flows the
+    /// LAN opened so far stay in the stateful table.
+    pub fn set_wan_v6_firewall(&mut self, policy: FirewallPolicy) {
+        self.config.wan_v6_firewall = policy;
     }
 
     /// Install the fault schedule ([`SimulationBuilder::faults`] calls
