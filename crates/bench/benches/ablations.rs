@@ -80,7 +80,7 @@ fn bench_flow_ablation(c: &mut Criterion) {
     }
 
     // The production FlowTable on real parsed frames (end-to-end anchor).
-    let frames: Vec<v6brick_net::parse::ParsedPacket> = (0..10_000)
+    let raw: Vec<Vec<u8>> = (0..10_000)
         .map(|i| {
             use v6brick_net::udp::PseudoHeader;
             let src = Ipv6Addr::new(0x2001, 0xdb8, 0x10, 1, 0, 0, 0, (i % 64) as u16 + 1);
@@ -99,14 +99,17 @@ fn bench_flow_ablation(c: &mut Criterion) {
                 payload_len: u.len(),
             }
             .build(&u);
-            let f = v6brick_net::ethernet::Repr {
+            v6brick_net::ethernet::Repr {
                 src: v6brick_net::Mac::new(2, 0, 0, 0, 0, 1),
                 dst: v6brick_net::Mac::new(2, 0, 0, 0, 0, 2),
                 ethertype: v6brick_net::ethernet::EtherType::Ipv6,
             }
-            .build(&ip);
-            v6brick_net::parse::ParsedPacket::parse(&f).unwrap()
+            .build(&ip)
         })
+        .collect();
+    let frames: Vec<v6brick_net::parse::ParsedPacket> = raw
+        .iter()
+        .map(|f| v6brick_net::parse::ParsedPacket::parse(f).unwrap())
         .collect();
     let mut g = c.benchmark_group("ablation_flows/production_table");
     g.sample_size(20);

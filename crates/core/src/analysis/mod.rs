@@ -247,11 +247,7 @@ impl DataFrame {
             (Some(s), Some(d)) => (s, d),
             _ => return None,
         };
-        let payload_len = match &p.l4 {
-            L4::Tcp { payload_len, .. } => *payload_len as u64,
-            L4::Udp { payload, .. } => payload.len() as u64,
-            _ => return None,
-        };
+        let payload_len = p.l4_payload()?.len() as u64;
         let (idx, dev_ip, peer_ip, outbound) = match (from, to) {
             (Some(i), _) => (i, src_ip, dst_ip, true),
             (_, Some(i)) => (i, dst_ip, src_ip, false),

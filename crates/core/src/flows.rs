@@ -102,20 +102,21 @@ impl FlowTable {
             (Net::Ipv4(_) | Net::Ipv6(_), Some(s), Some(d)) => (s, d),
             _ => return None,
         };
-        let (proto, src_port, dst_port, len) = match &p.l4 {
+        let (proto, src_port, dst_port, payload) = match p.l4 {
             L4::Udp {
                 src_port,
                 dst_port,
                 payload,
-            } => (FlowProto::Udp, *src_port, *dst_port, payload.len() as u64),
+            } => (FlowProto::Udp, src_port, dst_port, payload),
             L4::Tcp {
                 src_port,
                 dst_port,
-                payload_len,
+                payload,
                 ..
-            } => (FlowProto::Tcp, *src_port, *dst_port, *payload_len as u64),
+            } => (FlowProto::Tcp, src_port, dst_port, payload),
             _ => return None,
         };
+        let len = payload.len() as u64;
         let src = (src_ip, src_port);
         let dst = (dst_ip, dst_port);
         let key = FlowKey::new(src, dst, proto);
@@ -164,7 +165,8 @@ mod tests {
     use v6brick_net::udp::{PseudoHeader, Repr as UdpRepr};
     use v6brick_net::{ipv6, Mac};
 
-    fn udp6(src: &str, sp: u16, dst: &str, dp: u16, n: usize) -> ParsedPacket {
+    /// A UDP frame with an `n`-byte payload, to parse in place.
+    fn udp6(src: &str, sp: u16, dst: &str, dp: u16, n: usize) -> Vec<u8> {
         let src: Ipv6Addr = src.parse().unwrap();
         let dst: Ipv6Addr = dst.parse().unwrap();
         let u = UdpRepr {
@@ -181,24 +183,33 @@ mod tests {
             payload_len: u.len(),
         }
         .build(&u);
-        let frame = EthRepr {
+        EthRepr {
             src: Mac::new(2, 0, 0, 0, 0, 1),
             dst: Mac::new(2, 0, 0, 0, 0, 2),
             ethertype: EtherType::Ipv6,
         }
-        .build(&ip);
-        ParsedPacket::parse(&frame).unwrap()
+        .build(&ip)
+    }
+
+    fn record(t: &mut FlowTable, ts_us: u64, frame: &[u8]) -> Option<FlowKey> {
+        t.record(ts_us, &ParsedPacket::parse(frame).unwrap())
     }
 
     #[test]
     fn both_directions_share_a_flow() {
         let mut t = FlowTable::new();
-        let k1 = t
-            .record(10, &udp6("2001:db8::1", 1000, "2001:db8::2", 53, 40))
-            .unwrap();
-        let k2 = t
-            .record(20, &udp6("2001:db8::2", 53, "2001:db8::1", 1000, 120))
-            .unwrap();
+        let k1 = record(
+            &mut t,
+            10,
+            &udp6("2001:db8::1", 1000, "2001:db8::2", 53, 40),
+        )
+        .unwrap();
+        let k2 = record(
+            &mut t,
+            20,
+            &udp6("2001:db8::2", 53, "2001:db8::1", 1000, 120),
+        )
+        .unwrap();
         assert_eq!(k1, k2);
         assert_eq!(t.len(), 1);
         let f = t.get(&k1).unwrap();
@@ -210,9 +221,9 @@ mod tests {
     #[test]
     fn distinct_tuples_distinct_flows() {
         let mut t = FlowTable::new();
-        t.record(0, &udp6("2001:db8::1", 1000, "2001:db8::2", 53, 1));
-        t.record(0, &udp6("2001:db8::1", 1001, "2001:db8::2", 53, 1));
-        t.record(0, &udp6("2001:db8::1", 1000, "2001:db8::3", 53, 1));
+        record(&mut t, 0, &udp6("2001:db8::1", 1000, "2001:db8::2", 53, 1));
+        record(&mut t, 0, &udp6("2001:db8::1", 1001, "2001:db8::2", 53, 1));
+        record(&mut t, 0, &udp6("2001:db8::1", 1000, "2001:db8::3", 53, 1));
         assert_eq!(t.len(), 3);
     }
 

@@ -9,7 +9,8 @@ use v6brick_net::parse::ParsedPacket;
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{ipv6, udp, Mac};
 
-fn frame(src: Ipv6Addr, dst: Ipv6Addr, sp: u16, dp: u16, n: usize) -> ParsedPacket {
+/// A UDP frame with an `n`-byte payload, to parse in place.
+fn frame(src: Ipv6Addr, dst: Ipv6Addr, sp: u16, dp: u16, n: usize) -> Vec<u8> {
     let u = udp::Repr {
         src_port: sp,
         dst_port: dp,
@@ -24,13 +25,12 @@ fn frame(src: Ipv6Addr, dst: Ipv6Addr, sp: u16, dp: u16, n: usize) -> ParsedPack
         payload_len: u.len(),
     }
     .build(&u);
-    let f = EthRepr {
+    EthRepr {
         src: Mac::new(2, 0, 0, 0, 0, 1),
         dst: Mac::new(2, 0, 0, 0, 0, 2),
         ethertype: EtherType::Ipv6,
     }
-    .build(&ip);
-    ParsedPacket::parse(&f).unwrap()
+    .build(&ip)
 }
 
 fn arb_v6() -> impl Strategy<Value = Ipv6Addr> {
@@ -54,8 +54,8 @@ proptest! {
         let mut table = FlowTable::new();
         let mut total = 0u64;
         for (i, (a, b, pa, pb, n)) in packets.iter().enumerate() {
-            let p = frame(Ipv6Addr::from(*a), Ipv6Addr::from(*b), *pa, *pb, *n);
-            table.record(i as u64, &p);
+            let f = frame(Ipv6Addr::from(*a), Ipv6Addr::from(*b), *pa, *pb, *n);
+            table.record(i as u64, &ParsedPacket::parse(&f).unwrap());
             total += *n as u64;
         }
         let sum: u64 = table.iter().map(|(_, f)| f.total_bytes()).sum();
@@ -70,8 +70,8 @@ proptest! {
         let src: Ipv6Addr = "2001:db8::1".parse().unwrap();
         let dst: Ipv6Addr = "2001:db8::2".parse().unwrap();
         for (i, n) in ns.iter().enumerate() {
-            let p = frame(src, dst, 1000, 2000, *n);
-            table.record(i as u64 * 10, &p);
+            let f = frame(src, dst, 1000, 2000, *n);
+            table.record(i as u64 * 10, &ParsedPacket::parse(&f).unwrap());
         }
         prop_assert_eq!(table.len(), 1);
         let (_, f) = table.iter().next().unwrap();

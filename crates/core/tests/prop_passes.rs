@@ -256,8 +256,7 @@ impl Monolith {
             _ => return,
         };
         let payload_len = match &p.l4 {
-            L4::Tcp { payload_len, .. } => *payload_len as u64,
-            L4::Udp { payload, .. } => payload.len() as u64,
+            L4::Tcp { payload, .. } | L4::Udp { payload, .. } => payload.len() as u64,
             _ => return,
         };
         let is_ntp = p.involves_port(123);

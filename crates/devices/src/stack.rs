@@ -1534,11 +1534,10 @@ impl Host for IotDevice {
 
     fn on_frame(&mut self, now: SimTime, frame: &[u8], fx: &mut Effects) {
         self.now_us = now.as_micros();
-        // Parse strictly first (with seq for TCP), then dispatch.
+        // Parse strictly first, then dispatch.
         if let Ok(p) = ParsedPacket::parse(frame) {
-            // For TCP we need the sequence number; re-extract from raw.
             if let L4::Tcp { .. } = p.l4 {
-                self.handle_tcp_raw(&p, frame, fx);
+                self.handle_tcp(&p, fx);
                 return;
             }
             self.handle_frame(&p, fx);
@@ -1687,24 +1686,13 @@ impl Host for IotDevice {
 }
 
 impl IotDevice {
-    /// TCP needs the raw sequence number (ParsedPacket keeps flags and
-    /// payload but not seq); extract it and reuse the common path.
-    fn handle_tcp_raw(&mut self, p: &ParsedPacket, frame: &[u8], fx: &mut Effects) {
-        let l3_off = v6brick_net::ethernet::HEADER_LEN;
-        let (tcp_off, is_v6) = match &p.net {
-            Net::Ipv4(_) => (l3_off + v6brick_net::ipv4::HEADER_LEN, false),
-            Net::Ipv6(_) => (l3_off + v6brick_net::ipv6::HEADER_LEN, true),
-            _ => return,
-        };
-        let Ok(seg) = tcp::Packet::new_checked(&frame[tcp_off..]) else {
-            return;
-        };
-        let seq = seg.seq();
-        let _ = is_v6;
-
+    /// A TCP segment: the client side of the device's own connections,
+    /// and the server side the port scans probe.
+    fn handle_tcp(&mut self, p: &ParsedPacket, fx: &mut Effects) {
         let L4::Tcp {
             src_port,
             dst_port,
+            seq,
             flags,
             payload,
             ..
@@ -1712,6 +1700,7 @@ impl IotDevice {
         else {
             return;
         };
+        let seq = *seq;
 
         // Client path.
         if let Some(conn) = self.conns.get_mut(dst_port) {
@@ -1874,6 +1863,64 @@ mod tests {
         assert_eq!(d.echo_src6(), d.eui_gua);
         d.stateful_addr = None;
         assert_eq!(d.dns_src6(), d.privacy_gua);
+    }
+
+    #[test]
+    fn syn_ack_behind_an_extension_header_acks_its_own_seq() {
+        use rand::SeedableRng;
+        use v6brick_net::ipv4::Protocol;
+        use v6brick_net::udp::PseudoHeader;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut d = IotDevice::new(registry::by_id("google_home_mini"));
+        let me: Ipv6Addr = "2001:db8:10:1::7".parse().unwrap();
+        let server: Ipv6Addr = "2001:db8:ffff::1".parse().unwrap();
+        d.privacy_gua = Some(me);
+        d.router_mac6 = Some(well_known::ROUTER_MAC);
+        let mut fx = Effects::new(&mut rng);
+        d.open_v6(
+            Name::new("cloud.example.com").unwrap(),
+            server,
+            443,
+            &mut fx,
+        );
+        let (&local, _) = d.conns.iter().next().expect("SYN sent");
+
+        // The SYN-ACK rides behind an 8-byte hop-by-hop header, so its
+        // TCP header does not start 40 bytes into the IPv6 packet.
+        let syn_ack = tcp::Repr {
+            src_port: 443,
+            dst_port: local,
+            seq: 0x0102_0304,
+            ack: 1,
+            flags: tcp::Flags::SYN | tcp::Flags::ACK,
+            window: 0xffff,
+            payload: Vec::new(),
+        }
+        .build(PseudoHeader::V6 {
+            src: server,
+            dst: me,
+        });
+        let mut l3 = vec![6u8, 0, 1, 4, 0, 0, 0, 0];
+        l3.extend_from_slice(&syn_ack);
+        let ip = v6brick_net::ipv6::Repr {
+            src: server,
+            dst: me,
+            next_header: Protocol::Other(0),
+            hop_limit: 64,
+            payload_len: l3.len(),
+        }
+        .build(&l3);
+        let frame = wire::eth_frame(
+            well_known::ROUTER_MAC,
+            d.profile.mac,
+            v6brick_net::ethernet::EtherType::Ipv6,
+            &ip,
+        );
+        let mut fx = Effects::new(&mut rng);
+        d.on_frame(SimTime::ZERO, &frame, &mut fx);
+        let conn = &d.conns[&local];
+        assert_eq!(conn.state, ConnState::Established);
+        assert_eq!(conn.ack, 0x0102_0305);
     }
 
     #[test]

@@ -179,6 +179,9 @@ fn main() {
             print(tables::dad_report(&suite));
             print(tracking::tracking_table(&suite));
             run_portscan(full_scan);
+            // Stderr only, like `repro fleet`'s: CI budgets the
+            // reproduction's memory without touching the stdout bytes.
+            eprintln!("peak_rss_bytes={}", peak_rss_bytes().unwrap_or(0));
         }
         "table3" => print(tables::table3(&suite)),
         "table4" => print(tables::table4(&suite)),
@@ -667,6 +670,7 @@ fn run_wanscan(args: &[String]) {
         report.devices,
         report.failures.len()
     );
+    eprintln!("peak_rss_bytes={}", peak_rss_bytes().unwrap_or(0));
     let mut exit = 0;
     for (index, msg) in &report.failures {
         eprintln!("   home {index} FAILED: {msg}");

@@ -97,15 +97,21 @@ struct Scanner {
 }
 
 const SCAN_BATCH: usize = 2048;
+/// When the targets are harvested from the router, in seconds.
+const HARVEST_S: u64 = 60;
+/// When the sweep starts, in seconds: after the harvest.
+const SCAN_START_S: u64 = 65;
 
 impl Scanner {
-    fn new(plan: ScanPlan, targets: Vec<(IpAddr, Mac)>) -> Scanner {
+    /// A scanner with no targets yet: [`scan`] harvests them from the
+    /// router once the devices have settled.
+    fn new(plan: ScanPlan) -> Scanner {
         Scanner {
             mac: Mac::new(0x02, 0x99, 0x99, 0x99, 0x99, 0x02),
             addr4: Ipv4Addr::new(192, 168, 1, 251),
             addr6: "2001:db8:10:1::5ca0".parse().unwrap(),
             plan,
-            targets,
+            targets: Vec::new(),
             cursor_target: 0,
             cursor_port: 0,
             udp_phase: false,
@@ -197,8 +203,10 @@ impl Host for Scanner {
     fn on_start(&mut self, _now: SimTime, fx: &mut Effects) {
         // Wait out the settling window: the paper scans a long-running
         // testbed, so every device must have booted and configured its
-        // addresses before the sweep starts.
-        fx.set_timer(SimTime::from_secs(65), 1);
+        // addresses before the sweep starts. Until then the scanner
+        // sends nothing and draws no random numbers, so the devices
+        // settle exactly as they would without it.
+        fx.set_timer(SimTime::from_secs(SCAN_START_S), 1);
     }
 
     fn on_frame(&mut self, _now: SimTime, frame: &[u8], _fx: &mut Effects) {
@@ -264,25 +272,25 @@ impl Host for Scanner {
     }
 }
 
-/// Run the scan over the given devices. Two phases, like the paper:
+/// Run the scan over the given devices, in one simulation. Two phases,
+/// like the paper:
 ///
 /// 1. a short dual-stack settling window in which devices boot and
-///    configure addresses (and the all-nodes ping refreshes the
-///    neighbor table);
+///    configure addresses, with the scanner on the LAN but silent;
 /// 2. target harvesting from the router's neighbor table and DHCPv4
-///    leases, followed by the SYN/UDP sweeps.
+///    leases, then the scanner's all-nodes ping and SYN/UDP sweeps.
 pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, DeviceScan> {
     // Phase 1: boot the devices in a dual-stack network.
     let zones = crate::scenario::build_zones(profiles);
     let internet = Internet::new(zones);
     let router = Router::new(RouterConfig::dual_stack());
     let mut b = SimulationBuilder::new(router, internet);
-    let mut hosts = Vec::new();
     for p in profiles {
-        hosts.push(b.add_host(Box::new(IotDevice::new(p.clone()))));
+        b.add_host(Box::new(IotDevice::new(p.clone())));
     }
+    let sid = b.add_host(Box::new(Scanner::new(plan.clone())));
     let mut sim = b.capture(false).seed(0x5ca9).build();
-    sim.run_until(SimTime::from_secs(60));
+    sim.run_until(SimTime::from_secs(HARVEST_S));
 
     // Harvest targets: IPv6 neighbor table + DHCPv4 leases.
     let mut targets: Vec<(IpAddr, Mac)> = Vec::new();
@@ -302,19 +310,12 @@ pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, Dev
         profiles.iter().map(|p| (p.mac, p.id.clone())).collect();
     targets.retain(|(_, m)| device_macs.contains_key(m));
 
-    // Phase 2: continue the same simulation with a scanner host... the
-    // engine does not support adding hosts mid-run, so we rebuild with
-    // the same seed (deterministic => same addresses) and a scanner.
-    let zones = crate::scenario::build_zones(profiles);
-    let internet = Internet::new(zones);
-    let router = Router::new(RouterConfig::dual_stack());
-    let mut b = SimulationBuilder::new(router, internet);
-    for p in profiles {
-        b.add_host(Box::new(IotDevice::new(p.clone())));
-    }
-    let scanner = Scanner::new(plan.clone(), targets);
-    let sid = b.add_host(Box::new(scanner));
-    let mut sim = b.capture(false).seed(0x5ca9).build();
+    // Phase 2: hand the targets to the scanner and sweep.
+    sim.host_mut(sid)
+        .as_any_mut()
+        .downcast_mut::<Scanner>()
+        .expect("scanner host")
+        .targets = targets;
     // Scan duration scales with the plan size.
     let probes = (plan.tcp.len() + plan.udp.len()) * profiles.len() * 2;
     let secs = 70 + (probes / SCAN_BATCH / 45) as u64 + 5;

@@ -45,6 +45,14 @@ impl Checksum {
         self.sum += u64::from(u16::from_be_bytes(fold(acc).to_ne_bytes()));
     }
 
+    /// Fold `len` copies of `byte` into the sum without reading them:
+    /// `len / 2` words of `byte` twice, then `byte` zero-padded when `len`
+    /// is odd. Like [`Checksum::add`], only the final piece may be odd.
+    pub fn add_fill(&mut self, byte: u8, len: usize) {
+        let byte = u64::from(byte);
+        self.sum += byte * 0x0101 * (len / 2) as u64 + (byte << 8) * (len % 2) as u64;
+    }
+
     /// Fold a single big-endian 16-bit word into the sum.
     pub fn add_u16(&mut self, v: u16) {
         self.sum += u64::from(v);

@@ -93,9 +93,11 @@ impl<T: AsRef<[u8]>> Frame<T> {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[12], b[13]]).into()
     }
+}
 
-    /// The layer-3 payload.
-    pub fn payload(&self) -> &[u8] {
+impl<'a, T: AsRef<[u8]> + ?Sized> Frame<&'a T> {
+    /// The layer-3 payload, borrowed for as long as the buffer.
+    pub fn payload(&self) -> &'a [u8] {
         &self.buffer.as_ref()[HEADER_LEN..]
     }
 }

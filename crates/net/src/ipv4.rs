@@ -64,6 +64,15 @@ impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating version, IHL, total length, and
     /// header checksum.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+        Packet::new_checked_with_tail(buffer, 0)
+    }
+
+    /// Wrap the front of a packet that continues `tail` bytes past
+    /// `buffer` (one that ends in a [`Run`](crate::Run)): the header must
+    /// lie in `buffer`, the total length is checked against
+    /// `buffer.len() + tail`, and [`Packet::payload`] returns the part of
+    /// the payload in `buffer`.
+    pub fn new_checked_with_tail(buffer: T, tail: usize) -> Result<Packet<T>> {
         let b = buffer.as_ref();
         if b.len() < HEADER_LEN {
             return Err(Error::Truncated);
@@ -76,7 +85,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
             return Err(Error::Malformed);
         }
         let total = usize::from(u16::from_be_bytes([b[2], b[3]]));
-        if total < ihl || b.len() < total {
+        if total < ihl || b.len() + tail < total {
             return Err(Error::Truncated);
         }
         if !checksum::verify(&b[..ihl]) {
@@ -121,12 +130,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
         let b = &self.buffer.as_ref()[16..20];
         Ipv4Addr::new(b[0], b[1], b[2], b[3])
     }
+}
 
-    /// The layer-4 payload (bounded by the total-length field).
-    pub fn payload(&self) -> &[u8] {
-        let ihl = self.ihl();
-        let total = usize::from(self.total_len());
-        &self.buffer.as_ref()[ihl..total]
+impl<'a, T: AsRef<[u8]> + ?Sized> Packet<&'a T> {
+    /// The layer-4 payload (bounded by the total-length field), borrowed
+    /// for as long as the buffer.
+    pub fn payload(&self) -> &'a [u8] {
+        let b = self.buffer.as_ref();
+        &b[self.ihl()..usize::from(self.total_len()).min(b.len())]
     }
 }
 
@@ -153,7 +164,7 @@ impl Repr {
             dst: packet.dst(),
             protocol: packet.protocol(),
             ttl: packet.ttl(),
-            payload_len: packet.payload().len(),
+            payload_len: usize::from(packet.total_len()) - packet.ihl(),
         }
     }
 

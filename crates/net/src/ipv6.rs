@@ -156,6 +156,15 @@ pub struct Packet<T: AsRef<[u8]>> {
 impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating version and payload length.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+        Packet::new_checked_with_tail(buffer, 0)
+    }
+
+    /// Wrap the front of a packet that continues `tail` bytes past
+    /// `buffer` (one that ends in a [`Run`](crate::Run)): the header must
+    /// lie in `buffer`, the payload length is checked against
+    /// `buffer.len() + tail`, and [`Packet::payload`] returns the part of
+    /// the payload in `buffer`.
+    pub fn new_checked_with_tail(buffer: T, tail: usize) -> Result<Packet<T>> {
         let b = buffer.as_ref();
         if b.len() < HEADER_LEN {
             return Err(Error::Truncated);
@@ -164,7 +173,7 @@ impl<T: AsRef<[u8]>> Packet<T> {
             return Err(Error::Malformed);
         }
         let plen = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if b.len() < HEADER_LEN + plen {
+        if b.len() + tail < HEADER_LEN + plen {
             return Err(Error::Truncated);
         }
         Ok(Packet { buffer })
@@ -205,11 +214,14 @@ impl<T: AsRef<[u8]>> Packet<T> {
         o.copy_from_slice(&self.buffer.as_ref()[24..40]);
         Ipv6Addr::from(o)
     }
+}
 
-    /// The layer-4 payload (bounded by the payload-length field).
-    pub fn payload(&self) -> &[u8] {
-        let plen = usize::from(self.payload_len());
-        &self.buffer.as_ref()[HEADER_LEN..HEADER_LEN + plen]
+impl<'a, T: AsRef<[u8]> + ?Sized> Packet<&'a T> {
+    /// The layer-4 payload (bounded by the payload-length field),
+    /// borrowed for as long as the buffer.
+    pub fn payload(&self) -> &'a [u8] {
+        let b = self.buffer.as_ref();
+        &b[HEADER_LEN..(HEADER_LEN + usize::from(self.payload_len())).min(b.len())]
     }
 }
 
@@ -236,7 +248,7 @@ impl Repr {
             dst: packet.dst(),
             next_header: packet.next_header(),
             hop_limit: packet.hop_limit(),
-            payload_len: packet.payload().len(),
+            payload_len: usize::from(packet.payload_len()),
         }
     }
 

@@ -47,6 +47,7 @@ pub mod ipv6;
 pub mod mac;
 pub mod ndp;
 pub mod parse;
+pub mod run;
 pub mod sixlowpan;
 pub mod tcp;
 pub mod tls;
@@ -55,3 +56,4 @@ pub mod udp;
 pub use error::{Error, Result};
 pub use mac::Mac;
 pub use parse::{ParsedPacket, L4};
+pub use run::Run;

@@ -20,17 +20,17 @@ pub enum Net {
     Other(u16),
 }
 
-/// Layer-4 content of a frame.
+/// Layer-4 content of a frame. Payloads borrow the frame's buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum L4 {
+pub enum L4<'a> {
     /// Udp.
     Udp {
         /// Source port.
         src_port: u16,
         /// Destination port.
         dst_port: u16,
-        /// Payload.
-        payload: Vec<u8>,
+        /// Payload (cut at the length field).
+        payload: &'a [u8],
     },
     /// Tcp.
     Tcp {
@@ -38,17 +38,19 @@ pub enum L4 {
         src_port: u16,
         /// Destination port.
         dst_port: u16,
+        /// Sequence number.
+        seq: u32,
+        /// Acknowledgement number.
+        ack: u32,
         /// Flags.
         flags: tcp::Flags,
-        /// Payload length.
-        payload_len: usize,
         /// Payload.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// Icmpv4.
     Icmpv4 {
         /// Raw body; decode with [`crate::icmpv4::Repr::parse_bytes`] on demand.
-        raw: Vec<u8>,
+        raw: &'a [u8],
     },
     /// Icmpv6.
     Icmpv6(icmpv6::Repr),
@@ -63,20 +65,21 @@ pub enum L4 {
     None,
 }
 
-/// A frame parsed down to layer 4.
+/// A frame parsed down to layer 4, borrowing its payloads from the
+/// frame's buffer: parsing copies no payload byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedPacket {
+pub struct ParsedPacket<'a> {
     /// Eth.
     pub eth: ethernet::Repr,
     /// Net.
     pub net: Net,
     /// L4.
-    pub l4: L4,
+    pub l4: L4<'a>,
 }
 
-impl ParsedPacket {
+impl<'a> ParsedPacket<'a> {
     /// Parse a raw Ethernet frame.
-    pub fn parse(frame: &[u8]) -> Result<ParsedPacket> {
+    pub fn parse(frame: &'a [u8]) -> Result<ParsedPacket<'a>> {
         let f = ethernet::Frame::new_checked(frame)?;
         let eth = ethernet::Repr::parse(&f);
         let (net, l4) = match eth.ethertype {
@@ -143,7 +146,7 @@ impl ParsedPacket {
     }
 
     /// UDP/TCP application payload bytes, if any.
-    pub fn l4_payload(&self) -> Option<&[u8]> {
+    pub fn l4_payload(&self) -> Option<&'a [u8]> {
         match &self.l4 {
             L4::Udp { payload, .. } | L4::Tcp { payload, .. } => Some(payload),
             _ => None,
@@ -158,34 +161,39 @@ impl ParsedPacket {
     }
 }
 
-fn parse_l4_v4(ip: &ipv4::Repr, payload: &[u8]) -> Result<L4> {
-    match ip.protocol {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(payload)?;
-            Ok(L4::Udp {
-                src_port: u.src_port(),
-                dst_port: u.dst_port(),
-                payload: u.payload().to_vec(),
-            })
-        }
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(payload)?;
-            Ok(L4::Tcp {
-                src_port: t.src_port(),
-                dst_port: t.dst_port(),
-                flags: t.flags(),
-                payload_len: t.payload().len(),
-                payload: t.payload().to_vec(),
-            })
-        }
-        Protocol::Icmp => Ok(L4::Icmpv4 {
-            raw: payload.to_vec(),
+/// The UDP or TCP layer of `payload`, whose protocol is `protocol`;
+/// `None` for any other protocol.
+fn parse_transport(protocol: Protocol, payload: &[u8]) -> Option<Result<L4<'_>>> {
+    let l4 = match protocol {
+        Protocol::Udp => udp::Packet::new_checked(payload).map(|u| L4::Udp {
+            src_port: u.src_port(),
+            dst_port: u.dst_port(),
+            payload: u.payload(),
         }),
-        p => Ok(L4::Other {
+        Protocol::Tcp => tcp::Packet::new_checked(payload).map(|t| L4::Tcp {
+            src_port: t.src_port(),
+            dst_port: t.dst_port(),
+            seq: t.seq(),
+            ack: t.ack(),
+            flags: t.flags(),
+            payload: t.payload(),
+        }),
+        _ => return None,
+    };
+    Some(l4)
+}
+
+fn parse_l4_v4<'a>(ip: &ipv4::Repr, payload: &'a [u8]) -> Result<L4<'a>> {
+    if let Some(l4) = parse_transport(ip.protocol, payload) {
+        return l4;
+    }
+    Ok(match ip.protocol {
+        Protocol::Icmp => L4::Icmpv4 { raw: payload },
+        p => L4::Other {
             protocol: p.into(),
             payload_len: payload.len(),
-        }),
-    }
+        },
+    })
 }
 
 /// Walk the IPv6 extension-header chain to the real upper-layer header.
@@ -218,7 +226,7 @@ fn skip_extension_headers(first: u8, payload: &[u8]) -> Result<(u8, usize)> {
     Err(Error::Malformed)
 }
 
-fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
+fn parse_l4_v6<'a>(ip: &ipv6::Repr, payload: &'a [u8]) -> Result<L4<'a>> {
     // Resolve extension headers first so MLD-with-router-alert and
     // similar real-world chains parse down to their actual L4.
     let (next, off) = skip_extension_headers(ip.next_header.into(), payload)?;
@@ -227,25 +235,10 @@ fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
         ..*ip
     };
     let payload = &payload[off..];
+    if let Some(l4) = parse_transport(ip.next_header, payload) {
+        return l4;
+    }
     match ip.next_header {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(payload)?;
-            Ok(L4::Udp {
-                src_port: u.src_port(),
-                dst_port: u.dst_port(),
-                payload: u.payload().to_vec(),
-            })
-        }
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(payload)?;
-            Ok(L4::Tcp {
-                src_port: t.src_port(),
-                dst_port: t.dst_port(),
-                flags: t.flags(),
-                payload_len: t.payload().len(),
-                payload: t.payload().to_vec(),
-            })
-        }
         Protocol::Icmpv6 => {
             let i = icmpv6::Repr::parse_bytes(ip.src, ip.dst, payload)?;
             Ok(L4::Icmpv6(i))
@@ -260,7 +253,7 @@ fn parse_l4_v6(ip: &ipv6::Repr, payload: &[u8]) -> Result<L4> {
 /// Parse a frame leniently: a frame whose L4 fails to decode (bad checksum,
 /// truncation) is still returned with [`L4::Other`] so capture statistics
 /// do not silently drop it.
-pub fn parse_lenient(frame: &[u8]) -> Result<ParsedPacket> {
+pub fn parse_lenient(frame: &[u8]) -> Result<ParsedPacket<'_>> {
     match ParsedPacket::parse(frame) {
         Ok(p) => Ok(p),
         Err(Error::Truncated)
@@ -337,7 +330,8 @@ mod tests {
 
     #[test]
     fn parse_v6_udp_stack() {
-        let p = ParsedPacket::parse(&v6_udp_frame()).unwrap();
+        let frame = v6_udp_frame();
+        let p = ParsedPacket::parse(&frame).unwrap();
         assert!(p.is_ipv6());
         assert_eq!(p.ports(), Some((5353, 5353)));
         assert_eq!(p.l4_payload(), Some(&b"mdns"[..]));

@@ -7,6 +7,7 @@
 
 use crate::checksum::Checksum;
 use crate::error::{Error, Result};
+use crate::run::Run;
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -139,11 +140,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         usize::from(self.buffer.as_ref()[12] >> 4) * 4
     }
 
-    /// Application payload.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.data_offset()..]
-    }
-
     /// Verify the checksum under an IPv6 pseudo-header.
     pub fn verify_checksum_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> bool {
         let b = self.buffer.as_ref();
@@ -160,6 +156,13 @@ impl<T: AsRef<[u8]>> Packet<T> {
         c.add_ipv4_pseudo(src, dst, 6, b.len() as u16);
         c.add(b);
         c.finish() == 0
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> Packet<&'a T> {
+    /// Application payload, borrowed for as long as the buffer.
+    pub fn payload(&self) -> &'a [u8] {
+        &self.buffer.as_ref()[self.data_offset()..]
     }
 }
 
@@ -195,7 +198,7 @@ impl Repr {
             ack: packet.ack(),
             flags: packet.flags(),
             window: packet.window(),
-            payload: packet.payload().to_vec(),
+            payload: packet.buffer.as_ref()[packet.data_offset()..].to_vec(),
         }
     }
 
@@ -205,13 +208,12 @@ impl Repr {
     }
 
     /// Write this header into the front of `buf` and checksum the
-    /// segment in place against `ph`. The rest of `buf` is the payload,
-    /// already in place (`self.payload` is not read: the caller copies
-    /// or fills the payload, and [`Repr::build`] copies `self.payload`).
-    /// The header is always a fresh option-less one with a zero urgent
-    /// pointer.
-    pub fn emit(&self, buf: &mut [u8], ph: PseudoHeader) {
-        let len = buf.len();
+    /// segment against `ph`. The segment is `buf` followed by `run`: the
+    /// rest of `buf` is the payload's front, already in place
+    /// (`self.payload` is not read: the caller copies the payload, and
+    /// [`Repr::build`] copies `self.payload`). The header is always a
+    /// fresh option-less one with a zero urgent pointer.
+    pub fn emit(&self, buf: &mut [u8], run: Run, ph: PseudoHeader) {
         buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         buf[4..8].copy_from_slice(&self.seq.to_be_bytes());
@@ -220,19 +222,14 @@ impl Repr {
         buf[13] = self.flags.0;
         buf[14..16].copy_from_slice(&self.window.to_be_bytes());
         buf[16..20].fill(0);
-        let mut c = Checksum::new();
-        match ph {
-            PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 6, len as u16),
-            PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 6, len as u32),
-        }
-        c.add(buf);
-        buf[16..18].copy_from_slice(&c.finish().to_be_bytes());
+        let sum = ph.checksum(6, buf, run);
+        buf[16..18].copy_from_slice(&sum.to_be_bytes());
     }
 
     /// Serialize with the checksum computed against `ph`.
     pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
         let mut buf = [&[0; HEADER_LEN][..], &self.payload].concat();
-        self.emit(&mut buf, ph);
+        self.emit(&mut buf, Run::default(), ph);
         buf
     }
 

@@ -2,6 +2,7 @@
 
 use crate::checksum::Checksum;
 use crate::error::{Error, Result};
+use crate::run::Run;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// UDP header length.
@@ -16,12 +17,22 @@ pub struct Packet<T: AsRef<[u8]>> {
 impl<T: AsRef<[u8]>> Packet<T> {
     /// Wrap a buffer after validating the length field.
     pub fn new_checked(buffer: T) -> Result<Packet<T>> {
+        Packet::new_checked_with_tail(buffer, 0)
+    }
+
+    /// Wrap the front of a datagram that continues `tail` bytes past
+    /// `buffer` (one that ends in a [`Run`]): the header must lie in
+    /// `buffer`, the length field is checked against `buffer.len() +
+    /// tail`, and [`Packet::payload`] returns the part of the payload in
+    /// `buffer`. The checksum verifiers need the whole datagram and
+    /// panic on such a view.
+    pub fn new_checked_with_tail(buffer: T, tail: usize) -> Result<Packet<T>> {
         let b = buffer.as_ref();
         if b.len() < HEADER_LEN {
             return Err(Error::Truncated);
         }
         let len = usize::from(u16::from_be_bytes([b[4], b[5]]));
-        if len < HEADER_LEN || b.len() < len {
+        if len < HEADER_LEN || b.len() + tail < len {
             return Err(Error::Truncated);
         }
         Ok(Packet { buffer })
@@ -56,10 +67,10 @@ impl<T: AsRef<[u8]>> Packet<T> {
         u16::from_be_bytes([b[6], b[7]])
     }
 
-    /// Application payload.
-    pub fn payload(&self) -> &[u8] {
-        let len = usize::from(self.len());
-        &self.buffer.as_ref()[HEADER_LEN..len]
+    /// Where the payload ends in the buffer: at the length field, or at
+    /// the buffer's end for a view made with a tail.
+    fn payload_end(&self) -> usize {
+        usize::from(self.len()).min(self.buffer.as_ref().len())
     }
 
     /// Verify the checksum under an IPv6 pseudo-header.
@@ -82,6 +93,13 @@ impl<T: AsRef<[u8]>> Packet<T> {
         c.add_ipv4_pseudo(src, dst, 17, self.len());
         c.add(b);
         c.finish() == 0
+    }
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> Packet<&'a T> {
+    /// Application payload, borrowed for as long as the buffer.
+    pub fn payload(&self) -> &'a [u8] {
+        &self.buffer.as_ref()[HEADER_LEN..self.payload_end()]
     }
 }
 
@@ -115,13 +133,40 @@ pub enum PseudoHeader {
     },
 }
 
+impl PseudoHeader {
+    /// The transport checksum of `segment` followed by `run`, with the
+    /// checksum field in `segment` zeroed, under this pseudo-header for
+    /// `protocol`. The run's share is computed without spelling it out.
+    pub(crate) fn checksum(self, protocol: u8, segment: &[u8], run: Run) -> u16 {
+        let len = segment.len() + run.len();
+        let mut c = Checksum::new();
+        match self {
+            PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, protocol, len as u16),
+            PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, protocol, len as u32),
+        }
+        match segment.split_last() {
+            // The run's first byte completes the segment's last word.
+            Some((&last, even)) if segment.len() % 2 == 1 && !run.is_empty() => {
+                c.add(even);
+                c.add(&[last, run.byte()]);
+                c.add_fill(run.byte(), run.len() - 1);
+            }
+            _ => {
+                c.add(segment);
+                c.add_fill(run.byte(), run.len());
+            }
+        }
+        c.finish()
+    }
+}
+
 impl Repr {
     /// Parse from a checked view, copying the payload.
     pub fn parse<T: AsRef<[u8]>>(packet: &Packet<T>) -> Repr {
         Repr {
             src_port: packet.src_port(),
             dst_port: packet.dst_port(),
-            payload: packet.payload().to_vec(),
+            payload: packet.buffer.as_ref()[HEADER_LEN..packet.payload_end()].to_vec(),
         }
     }
 
@@ -131,23 +176,18 @@ impl Repr {
     }
 
     /// Write this header into the front of `buf` and checksum the
-    /// datagram in place against `ph`. The rest of `buf` is the payload,
-    /// already in place (`self.payload` is not read: the caller copies
-    /// or fills the payload, and [`Repr::build`] copies `self.payload`),
-    /// and the length field is `buf.len()`.
-    pub fn emit(&self, buf: &mut [u8], ph: PseudoHeader) {
-        let len = buf.len();
+    /// datagram against `ph`. The datagram is `buf` followed by `run`:
+    /// the rest of `buf` is the payload's front, already in place
+    /// (`self.payload` is not read: the caller copies the payload, and
+    /// [`Repr::build`] copies `self.payload`), and the length field is
+    /// `buf.len() + run.len()`.
+    pub fn emit(&self, buf: &mut [u8], run: Run, ph: PseudoHeader) {
+        let len = buf.len() + run.len();
         buf[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         buf[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
         buf[4..6].copy_from_slice(&(len as u16).to_be_bytes());
         buf[6..8].fill(0);
-        let mut c = Checksum::new();
-        match ph {
-            PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, 17, len as u16),
-            PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, 17, len as u32),
-        }
-        c.add(buf);
-        let mut sum = c.finish();
+        let mut sum = ph.checksum(17, buf, run);
         if sum == 0 {
             sum = 0xffff; // RFC 768: transmitted zero means "no checksum"
         }
@@ -157,7 +197,7 @@ impl Repr {
     /// Serialize with the checksum computed against `ph`.
     pub fn build(&self, ph: PseudoHeader) -> Vec<u8> {
         let mut buf = [&[0; HEADER_LEN][..], &self.payload].concat();
-        self.emit(&mut buf, ph);
+        self.emit(&mut buf, Run::default(), ph);
         buf
     }
 }

@@ -7,7 +7,7 @@ use v6brick_net::ipv4::Protocol;
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{
     arp, checksum, dhcpv4, dhcpv6, dns, ethernet, icmpv4, icmpv6, ipv4, ipv6, ndp, tcp, tls, udp,
-    Mac,
+    Mac, Run,
 };
 
 fn arb_mac() -> impl Strategy<Value = Mac> {
@@ -160,6 +160,19 @@ fn arb_pseudo() -> impl Strategy<Value = PseudoHeader> {
     })
 }
 
+/// The front of a payload that ends in a run: empty, odd, or any length
+/// up to 2 KiB.
+fn arb_front() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..3, 0usize..=2048, any::<u64>()).prop_map(|(kind, n, seed)| {
+        let len = match kind {
+            0 => 0,
+            1 => n | 1,
+            _ => n,
+        };
+        bytes(seed, len)
+    })
+}
+
 /// A buffer of `header` garbage bytes ahead of `payload`: `emit` must
 /// write every header byte itself.
 fn dirty(header: usize, payload: &[u8]) -> Vec<u8> {
@@ -228,9 +241,84 @@ proptest! {
         let reference = reference_udp(sp, dp, &payload, ph);
         let mut buf = dirty(udp::HEADER_LEN, &payload);
         let r = udp::Repr { src_port: sp, dst_port: dp, payload };
-        r.emit(&mut buf, ph);
+        r.emit(&mut buf, Run::default(), ph);
         prop_assert_eq!(&buf, &reference);
         prop_assert_eq!(r.build(ph), reference);
+    }
+
+    #[test]
+    fn add_fill_matches_add_over_the_spelled_run(prefix in 0usize..600, seed in any::<u64>(),
+                                                 byte in any::<u8>(), n in 0usize..=65_535) {
+        let head = bytes(seed, prefix & !1);
+        let mut c = checksum::Checksum::new();
+        c.add(&head);
+        c.add_fill(byte, n);
+        let spelled = Run::new(byte, n).spell(&head, &mut Vec::new()).to_vec();
+        prop_assert_eq!(c.finish(), reference_checksum(&[&spelled]));
+    }
+
+    #[test]
+    fn udp_emit_with_a_run_spells_out_to_emit(sp in any::<u16>(), dp in any::<u16>(),
+                                              ph in arb_pseudo(), front in arb_front(),
+                                              byte in any::<u8>(), n in 0usize..=63_000) {
+        let run = Run::new(byte, n);
+        let mut head = dirty(udp::HEADER_LEN, &front);
+        let r = udp::Repr { src_port: sp, dst_port: dp, payload: Vec::new() };
+        r.emit(&mut head, run, ph);
+        let full = run.spell(&front, &mut Vec::new()).to_vec();
+        let mut spelled = dirty(udp::HEADER_LEN, &full);
+        r.emit(&mut spelled, Run::default(), ph);
+        prop_assert_eq!(run.spell(&head, &mut Vec::new()), &spelled[..]);
+        prop_assert_eq!(spelled, reference_udp(sp, dp, &full, ph));
+    }
+
+    #[test]
+    fn tcp_emit_with_a_run_spells_out_to_emit(sp in any::<u16>(), dp in any::<u16>(), seq in any::<u32>(),
+                                              ack in any::<u32>(), flags in 0u8..32, window in any::<u16>(),
+                                              ph in arb_pseudo(), front in arb_front(),
+                                              byte in any::<u8>(), n in 0usize..=63_000) {
+        let run = Run::new(byte, n);
+        let mut r = tcp::Repr { src_port: sp, dst_port: dp, seq, ack, flags: tcp::Flags(flags), window, payload: Vec::new() };
+        let mut head = dirty(tcp::HEADER_LEN, &front);
+        r.emit(&mut head, run, ph);
+        r.payload = run.spell(&front, &mut Vec::new()).to_vec();
+        let mut spelled = dirty(tcp::HEADER_LEN, &r.payload);
+        r.emit(&mut spelled, Run::default(), ph);
+        prop_assert_eq!(run.spell(&head, &mut Vec::new()), &spelled[..]);
+        prop_assert_eq!(spelled, reference_tcp(&r, ph));
+    }
+
+    #[test]
+    fn views_with_a_tail_agree_with_the_spelled_out_packet(src in arb_v4(), dst in arb_v4(),
+                                                           sp in any::<u16>(), dp in any::<u16>(),
+                                                           front in arb_front(), byte in any::<u8>(),
+                                                           n in 0usize..=60_000, lie in 0usize..=96) {
+        // An IPv4 datagram ending in a run, whose lengths may also lie
+        // short of the buffer, read through views over its head alone.
+        let run = Run::new(byte, n);
+        let ph = PseudoHeader::V4 { src, dst };
+        let mut dgram = dirty(udp::HEADER_LEN, &front);
+        udp::Repr { src_port: sp, dst_port: dp, payload: Vec::new() }.emit(&mut dgram, run, ph);
+        let len = (dgram.len() + n).saturating_sub(lie).max(udp::HEADER_LEN);
+        dgram[4..6].copy_from_slice(&(len as u16).to_be_bytes());
+        let ip = ipv4::Repr { src, dst, protocol: Protocol::Udp, ttl: 64, payload_len: dgram.len() + n };
+        let mut head = dirty(ipv4::HEADER_LEN, &dgram);
+        ip.emit(&mut head);
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+
+        let whole = ipv4::Packet::new_checked(&spelled[..]).unwrap();
+        let front4 = ipv4::Packet::new_checked_with_tail(&head[..], n).unwrap();
+        prop_assert_eq!(ipv4::Repr::parse(&front4), ipv4::Repr::parse(&whole));
+        let ip_run = run.cut(head.len(), usize::from(whole.total_len()));
+        prop_assert_eq!(ip_run.spell(front4.payload(), &mut Vec::new()), whole.payload());
+
+        let u = udp::Packet::new_checked(whole.payload()).unwrap();
+        let front_u = udp::Packet::new_checked_with_tail(front4.payload(), ip_run.len()).unwrap();
+        prop_assert_eq!((front_u.src_port(), front_u.dst_port()), (sp, dp));
+        let udp_run = ip_run.cut(front4.payload().len(), usize::from(u.len()));
+        prop_assert_eq!(udp_run.spell(front_u.payload(), &mut Vec::new()), u.payload());
+        // One byte short of the length field is truncated either way.
+        prop_assert!(udp::Packet::new_checked_with_tail(front4.payload(), u.len() as usize - front4.payload().len() - 1).is_err());
     }
 
     #[test]
@@ -240,7 +328,7 @@ proptest! {
         let r = tcp::Repr { src_port: sp, dst_port: dp, seq, ack, flags: tcp::Flags(flags), window, payload };
         let reference = reference_tcp(&r, ph);
         let mut buf = dirty(tcp::HEADER_LEN, &r.payload);
-        r.emit(&mut buf, ph);
+        r.emit(&mut buf, Run::default(), ph);
         prop_assert_eq!(&buf, &reference);
         prop_assert_eq!(r.build(ph), reference);
     }
@@ -453,9 +541,28 @@ proptest! {
         prop_assert_eq!(p.src_mac(), src_mac);
         prop_assert_eq!(p.ports(), Some((sp, dp)));
         match p.l4 {
-            L4::Udp { payload: got, .. } => prop_assert_eq!(got, payload),
+            L4::Udp { payload: got, .. } => prop_assert_eq!(got, &payload[..]),
             other => prop_assert!(false, "expected udp, got {:?}", other),
         }
+    }
+
+    #[test]
+    fn full_stack_tcp_parse_borrows_payload_and_carries_seq_ack(
+            src in arb_v4(), dst in arb_v4(), sp in any::<u16>(), dp in any::<u16>(),
+            seq in any::<u32>(), ack in any::<u32>(), flags in 0u8..32,
+            payload in proptest::collection::vec(any::<u8>(), 0..128)) {
+        use v6brick_net::parse::{L4, ParsedPacket};
+        let r = tcp::Repr { src_port: sp, dst_port: dp, seq, ack, flags: tcp::Flags(flags), window: 512, payload };
+        let seg = r.build(PseudoHeader::V4 { src, dst });
+        let ip = ipv4::Repr { src, dst, protocol: Protocol::Tcp, ttl: 64, payload_len: seg.len() }
+            .build(&seg);
+        let frame = ethernet::Repr { src: Mac::BROADCAST, dst: Mac::BROADCAST, ethertype: ethernet::EtherType::Ipv4 }
+            .build(&ip);
+        let p = ParsedPacket::parse(&frame).unwrap();
+        let expected = L4::Tcp { src_port: sp, dst_port: dp, seq, ack, flags: tcp::Flags(flags), payload: &r.payload[..] };
+        prop_assert_eq!(&p.l4, &expected);
+        // The payload is the frame's own bytes, not a copy.
+        prop_assert_eq!(p.l4_payload().map(|b| b.as_ptr()), Some(frame[frame.len() - r.payload.len()..].as_ptr()));
     }
 
     #[test]

@@ -99,7 +99,8 @@ mod tests {
     use v6brick_net::udp::PseudoHeader;
     use v6brick_net::{ipv6, udp};
 
-    fn dns6_packet() -> ParsedPacket {
+    /// A DNS query frame, to parse in place.
+    fn dns6_frame() -> Vec<u8> {
         let src: Ipv6Addr = "2001:db8::10".parse().unwrap();
         let dst: Ipv6Addr = "2001:4860:4860::8888".parse().unwrap();
         let u = udp::Repr {
@@ -116,18 +117,18 @@ mod tests {
             payload_len: u.len(),
         }
         .build(&u);
-        let frame = EthRepr {
+        EthRepr {
             src: Mac::new(2, 0, 0, 0, 0, 0x11),
             dst: Mac::new(2, 0, 0, 0, 0, 0xfe),
             ethertype: EtherType::Ipv6,
         }
-        .build(&ip);
-        ParsedPacket::parse(&frame).unwrap()
+        .build(&ip)
     }
 
     #[test]
     fn tcpdump_style_expressions() {
-        let p = dns6_packet();
+        let frame = dns6_frame();
+        let p = ParsedPacket::parse(&frame).unwrap();
         assert!(parse("ip6 and udp and port 53").unwrap().matches(&p));
         assert!(parse("ip6 && udp && port 53").unwrap().matches(&p));
         assert!(!parse("ip and udp").unwrap().matches(&p));

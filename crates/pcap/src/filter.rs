@@ -162,7 +162,8 @@ mod tests {
     #[test]
     fn conjunctive_matching() {
         let mac = Mac::new(2, 0, 0, 0, 0, 9);
-        let p = ParsedPacket::parse(&dns6_frame(mac)).unwrap();
+        let frame = dns6_frame(mac);
+        let p = ParsedPacket::parse(&frame).unwrap();
         assert!(Filter::new().matches(&p));
         assert!(Filter::new()
             .ip_version(IpVersion::V6)

@@ -60,7 +60,7 @@ pub struct CapturedPacket {
 
 impl CapturedPacket {
     /// Parse this frame leniently (never fails on L4 corruption).
-    pub fn parse(&self) -> Option<ParsedPacket> {
+    pub fn parse(&self) -> Option<ParsedPacket<'_>> {
         parse::parse_lenient(&self.data).ok()
     }
 }
@@ -118,7 +118,7 @@ impl Capture {
     }
 
     /// Iterate over parsed frames (lenient; unparseable frames skipped).
-    pub fn parsed(&self) -> impl Iterator<Item = (u64, ParsedPacket)> + '_ {
+    pub fn parsed(&self) -> impl Iterator<Item = (u64, ParsedPacket<'_>)> + '_ {
         self.packets
             .iter()
             .filter_map(|p| p.parse().map(|pp| (p.timestamp_us, pp)))

@@ -8,6 +8,12 @@
 //! default analysis path — the experiment harness attaches its
 //! incremental analyzer here so no frame is ever buffered or parsed
 //! twice).
+//!
+//! A queued frame may end in a [`Run`] (a bulk reply's payload of one
+//! repeated byte). The engine spells it out once per delivery, into one
+//! buffer it reuses, before the loss and corruption injectors, the tap,
+//! the router and the hosts read the frame, so every tapped and
+//! delivered byte is the frame's full bytes.
 
 use crate::addrs;
 use crate::event::{EventKind, EventQueue, SimTime};
@@ -15,10 +21,11 @@ use crate::faults::FaultPlan;
 use crate::host::{frame_addressed_to, Effects, Host, HostId};
 use crate::internet::Internet;
 use crate::router::Router;
+use crate::wire::Queued;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use v6brick_net::ethernet::Frame;
-use v6brick_net::ipv4;
+use v6brick_net::{ipv4, Mac, Run};
 use v6brick_pcap::Capture;
 pub use v6brick_pcap::FrameSink;
 
@@ -114,6 +121,7 @@ impl SimulationBuilder {
         router.set_faults(self.faults.clone());
         internet.set_faults(self.faults.clone());
         Simulation {
+            macs: self.hosts.iter().map(|h| h.mac()).collect(),
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
             router,
@@ -131,6 +139,7 @@ impl SimulationBuilder {
             frames_lost: 0,
             frames_corrupted: 0,
             tunnel_drops: 0,
+            spelled: Vec::new(),
         }
     }
 }
@@ -142,6 +151,8 @@ pub struct Simulation {
     router: Router,
     internet: Internet,
     hosts: Vec<Box<dyn Host>>,
+    /// Each host's MAC, read once at build: the LAN's address filter.
+    macs: Vec<Mac>,
     rng: StdRng,
     /// Dedicated stream for loss/corruption decisions — never shared
     /// with host/router behaviour.
@@ -160,6 +171,9 @@ pub struct Simulation {
     pub frames_corrupted: u64,
     /// WAN 6in4 packets swallowed by tunnel-outage windows.
     pub tunnel_drops: u64,
+    /// Where a frame ending in a run is spelled out, reused from one
+    /// delivery to the next.
+    spelled: Vec<u8>,
 }
 
 impl Simulation {
@@ -242,6 +256,7 @@ impl Simulation {
             router: self.router.clone(),
             internet: self.internet.clone(),
             hosts,
+            macs: self.macs.clone(),
             rng: self.rng.clone(),
             fault_rng: self.fault_rng.clone(),
             capture: self.capture.clone(),
@@ -254,6 +269,7 @@ impl Simulation {
             frames_lost: self.frames_lost,
             frames_corrupted: self.frames_corrupted,
             tunnel_drops: self.tunnel_drops,
+            spelled: Vec::new(),
         })
     }
 
@@ -286,7 +302,11 @@ impl Simulation {
             let ev = self.queue.pop().expect("peeked event exists");
             self.clock = ev.at;
             match ev.kind {
-                EventKind::LanFrame { from, frame } => self.deliver_lan(from, &frame),
+                EventKind::LanFrame { from, frame, run } => {
+                    let mut spelled = std::mem::take(&mut self.spelled);
+                    self.deliver_lan(from, run.spell(&frame, &mut spelled));
+                    self.spelled = spelled;
+                }
                 EventKind::Timer { host, token } => {
                     let mut fx = Effects::new(&mut self.rng);
                     if host == ROUTER_SLOT {
@@ -299,22 +319,28 @@ impl Simulation {
                 EventKind::WanPacket {
                     to_internet,
                     packet,
+                    run,
                 } => {
-                    if self.tunnel_blocked(&packet) {
+                    if self.tunnel_blocked(&packet, run) {
                         self.tunnel_drops += 1;
                     } else if to_internet {
-                        for reply in self.internet.handle_packet_at(self.clock, &packet) {
+                        let packet = run.spell(&packet, &mut self.spelled);
+                        if let Some((reply, run)) =
+                            self.internet.handle_packet_at(self.clock, packet)
+                        {
                             self.queue.push(
                                 self.clock + SimTime(addrs::WAN_DELAY_US),
                                 EventKind::WanPacket {
                                     to_internet: false,
                                     packet: reply,
+                                    run,
                                 },
                             );
                         }
                     } else {
                         let mut fx = Effects::new(&mut self.rng);
-                        self.router.on_wan_packet(self.clock, &packet, &mut fx);
+                        let packet = Queued { head: &packet, run };
+                        self.router.on_wan_packet(self.clock, packet, &mut fx);
                         Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
                     }
                 }
@@ -323,13 +349,14 @@ impl Simulation {
         self.clock = deadline;
     }
 
-    /// Is this WAN packet a 6in4 tunnel packet inside an active
-    /// tunnel-outage window? IPv4 traffic is never affected.
-    fn tunnel_blocked(&self, packet: &[u8]) -> bool {
+    /// Is this WAN packet, `packet` followed by `run`, a 6in4 tunnel
+    /// packet inside an active tunnel-outage window? IPv4 traffic is
+    /// never affected. Only the header is read, so the run stays unspelled.
+    fn tunnel_blocked(&self, packet: &[u8], run: Run) -> bool {
         if !self.faults.tunnel_down(self.clock) {
             return false;
         }
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
+        let Ok(p) = ipv4::Packet::new_checked_with_tail(packet, run.len()) else {
             return false;
         };
         let repr = ipv4::Repr::parse(&p);
@@ -386,7 +413,7 @@ impl Simulation {
             if i == from {
                 continue;
             }
-            if frame_addressed_to(dst, self.hosts[i].mac()) {
+            if frame_addressed_to(dst, self.macs[i]) {
                 let mut fx = Effects::new(&mut self.rng);
                 self.hosts[i].on_frame(self.clock, frame, &mut fx);
                 Self::apply(&mut self.queue, self.clock, i, fx);
@@ -395,11 +422,16 @@ impl Simulation {
     }
 
     /// Schedule the side effects a callback produced.
-    fn apply(queue: &mut EventQueue, now: SimTime, slot: usize, fx: Effects) {
-        for frame in fx.frames {
+    fn apply(queue: &mut EventQueue, now: SimTime, slot: usize, mut fx: Effects) {
+        for (i, frame) in std::mem::take(&mut fx.frames).into_iter().enumerate() {
+            let run = fx.run(i);
             queue.push(
                 now + SimTime(addrs::LAN_DELAY_US),
-                EventKind::LanFrame { from: slot, frame },
+                EventKind::LanFrame {
+                    from: slot,
+                    frame,
+                    run,
+                },
             );
         }
         for (delay, token) in fx.timers {
@@ -411,6 +443,7 @@ impl Simulation {
                 EventKind::WanPacket {
                     to_internet: true,
                     packet,
+                    run: Run::default(),
                 },
             );
         }
@@ -423,6 +456,7 @@ impl Simulation {
             EventKind::LanFrame {
                 from: NOBODY,
                 frame,
+                run: Run::default(),
             },
         );
     }
@@ -436,6 +470,7 @@ impl Simulation {
             EventKind::WanPacket {
                 to_internet: false,
                 packet,
+                run: Run::default(),
             },
         );
     }
@@ -444,6 +479,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::internet::ZoneDb;
     use crate::router::RouterConfig;
     use std::any::Any;
@@ -696,6 +732,146 @@ mod tests {
         // Corrupted frames still hit the capture tap.
         assert_eq!(sim.capture().len() as u64, sim.frames_corrupted);
         assert_eq!(sim.frames_lost, 0);
+    }
+
+    /// A host that keeps every frame it is handed.
+    struct Recorder {
+        mac: Mac,
+        heard: Vec<Vec<u8>>,
+    }
+
+    impl Host for Recorder {
+        fn mac(&self) -> Mac {
+            self.mac
+        }
+        fn on_start(&mut self, _now: SimTime, _fx: &mut Effects) {}
+        fn on_frame(&mut self, _now: SimTime, frame: &[u8], _fx: &mut Effects) {
+            self.heard.push(frame.to_vec());
+        }
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _fx: &mut Effects) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// One recorder on the LAN, with `frame` (ending in `run`) queued to
+    /// it at t = 0, run for a second under `faults` with `seed`.
+    fn run_one_frame(seed: u64, faults: FaultPlan, frame: &[u8], run: Run) -> Simulation {
+        let mut b = SimulationBuilder::new(
+            Router::new(RouterConfig::ipv4_only()),
+            Internet::new(ZoneDb::new()),
+        );
+        b.add_host(Box::new(Recorder {
+            mac: Mac::new(2, 0, 0, 0, 0, 1),
+            heard: Vec::new(),
+        }));
+        let mut sim = b.seed(seed).faults(faults).build();
+        sim.queue.push(
+            SimTime::ZERO,
+            EventKind::LanFrame {
+                from: NOBODY,
+                frame: frame.to_vec(),
+                run,
+            },
+        );
+        sim.run_until(SimTime::from_secs(1));
+        sim
+    }
+
+    fn tapped(sim: &Simulation) -> Vec<&[u8]> {
+        sim.capture().iter().map(|p| &p.data[..]).collect()
+    }
+
+    fn heard(sim: &Simulation) -> &[Vec<u8>] {
+        &sim.host(0)
+            .as_any()
+            .downcast_ref::<Recorder>()
+            .unwrap()
+            .heard
+    }
+
+    /// A 19-byte frame to the recorder, and a run of `run_len` bytes to
+    /// end it with.
+    fn frame_to_recorder(run_len: usize) -> (Vec<u8>, Run) {
+        let head = EthRepr {
+            src: Mac::new(2, 0, 0, 0, 0, 9),
+            dst: Mac::new(2, 0, 0, 0, 0, 1),
+            ethertype: EtherType::Other(0x9999),
+        }
+        .build(b"front");
+        (head, Run::new(0x17, run_len))
+    }
+
+    #[test]
+    fn a_run_is_tapped_and_delivered_spelled_out() {
+        let (head, run) = frame_to_recorder(3000);
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        let sim = run_one_frame(0, FaultPlan::new(), &head, run);
+        assert_eq!(tapped(&sim), [&spelled[..]]);
+        assert_eq!(heard(&sim), [spelled]);
+    }
+
+    #[test]
+    fn corruption_draws_its_index_over_the_spelled_out_frame() {
+        // The head is 19 bytes of a 50 kB frame: a draw over the head
+        // alone would almost never flip the byte the full-length draw does.
+        let (head, run) = frame_to_recorder(50_000);
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        let corrupt = || FaultPlan::new().lan_corrupt(SimTime::ZERO, SimTime::from_secs(1), 1000);
+        for seed in 0..8 {
+            let with_run = run_one_frame(seed, corrupt(), &head, run);
+            let plain = run_one_frame(seed, corrupt(), &spelled, Run::default());
+            assert_eq!(with_run.frames_corrupted, 1);
+            assert_ne!(tapped(&with_run), [&spelled[..]]);
+            assert_eq!(tapped(&with_run), tapped(&plain));
+            assert_eq!(heard(&with_run), heard(&plain));
+        }
+    }
+
+    #[test]
+    fn a_tunnel_outage_drops_a_run_like_its_spelled_out_form() {
+        // A 6in4 reply from the tunnel broker whose body is a run, and
+        // the same reply spelled out.
+        let run = Run::new(0x17, 40_000);
+        let mut head = vec![0; ipv4::HEADER_LEN + 8];
+        ipv4::Repr {
+            src: addrs::TUNNEL_REMOTE_IPV4,
+            dst: addrs::ROUTER_WAN_IPV4,
+            protocol: ipv4::Protocol::Ipv6,
+            ttl: 64,
+            payload_len: 8 + run.len(),
+        }
+        .emit(&mut head);
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        let drops = |packet: &[u8], run: Run, outage: bool| {
+            let mut plan = FaultPlan::new();
+            if outage {
+                plan = plan.tunnel_outage(SimTime::ZERO, SimTime::from_secs(1));
+            }
+            let mut sim = SimulationBuilder::new(
+                Router::new(RouterConfig::ipv6_only()),
+                Internet::new(ZoneDb::new()),
+            )
+            .faults(plan)
+            .build();
+            sim.queue.push(
+                SimTime::ZERO,
+                EventKind::WanPacket {
+                    to_internet: false,
+                    packet: packet.to_vec(),
+                    run,
+                },
+            );
+            sim.run_until(SimTime::from_secs(1));
+            sim.tunnel_drops
+        };
+        assert_eq!(drops(&head, run, true), 1);
+        assert_eq!(drops(&spelled, Run::default(), true), 1);
+        assert_eq!(drops(&head, run, false), 0);
+        assert_eq!(drops(&spelled, Run::default(), false), 0);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::ops::{Add, Sub};
+use v6brick_net::Run;
 
 /// Virtual time, in microseconds since the start of the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -54,15 +55,20 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// What an event does when it fires.
+/// What an event does when it fires. A frame or packet may end in a
+/// [`Run`], which the engine spells out behind its bytes where they are
+/// read; the run fits in the padding beside the sender slot or the
+/// direction flag, so it costs no queue space.
 #[derive(Debug, Clone)]
 pub enum EventKind {
     /// Deliver a frame onto the LAN from the given sender slot.
     LanFrame {
         /// Sender slot (host index, or the router sentinel).
         from: usize,
-        /// Raw Ethernet bytes.
+        /// Raw Ethernet bytes, up to the run.
         frame: Vec<u8>,
+        /// The run ending the frame (empty for most frames).
+        run: Run,
     },
     /// Fire a host timer.
     Timer {
@@ -76,8 +82,10 @@ pub enum EventKind {
     WanPacket {
         /// True when heading from the router to the Internet model.
         to_internet: bool,
-        /// Raw IPv4 bytes.
+        /// Raw IPv4 bytes, up to the run.
         packet: Vec<u8>,
+        /// The run ending the packet (empty for most packets).
+        run: Run,
     },
 }
 
@@ -181,6 +189,13 @@ mod tests {
             })
             .collect();
         assert_eq!(order, vec![2, 1, 3]);
+    }
+
+    #[test]
+    fn runs_ride_in_padding() {
+        // A bigger event grows every queued frame, timer and packet (the
+        // fleet workload's queue most of all).
+        assert_eq!(std::mem::size_of::<Event>(), 56);
     }
 
     #[test]

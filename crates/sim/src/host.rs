@@ -3,7 +3,7 @@
 use crate::event::SimTime;
 use rand::rngs::StdRng;
 use std::any::Any;
-use v6brick_net::Mac;
+use v6brick_net::{Mac, Run};
 
 /// Index of a host within the simulation's host table.
 pub type HostId = usize;
@@ -21,6 +21,10 @@ pub struct Effects<'a> {
     pub wan: Vec<Vec<u8>>,
     /// Deterministic per-simulation randomness.
     pub rng: &'a mut StdRng,
+    /// The run that ends each frame in `frames`, by index; frames past
+    /// its end have none. Only the router attaches runs, when it carries
+    /// a bulk reply from the WAN onto the LAN.
+    pub(crate) runs: Vec<Run>,
 }
 
 impl<'a> Effects<'a> {
@@ -31,12 +35,27 @@ impl<'a> Effects<'a> {
             timers: Vec::new(),
             wan: Vec::new(),
             rng,
+            runs: Vec::new(),
         }
     }
 
     /// Queue a frame for transmission.
     pub fn send_frame(&mut self, frame: Vec<u8>) {
         self.frames.push(frame);
+    }
+
+    /// Queue a frame that ends in `run`: the engine spells the run out
+    /// behind `frame` wherever the frame is read.
+    pub(crate) fn send_frame_with_run(&mut self, frame: Vec<u8>, run: Run) {
+        self.runs.resize(self.frames.len(), Run::default());
+        self.runs.push(run);
+        self.frames.push(frame);
+    }
+
+    /// The run ending `frames[frame]`: empty unless the router carried a
+    /// bulk reply from the WAN onto the LAN in that frame.
+    pub fn run(&self, frame: usize) -> Run {
+        self.runs.get(frame).copied().unwrap_or_default()
     }
 
     /// Arm a timer `delay` from now; `token` is returned to
@@ -60,6 +79,8 @@ impl<'a> Effects<'a> {
 /// and runs one `Simulation` per home on a thread pool.
 pub trait Host: Any + Send {
     /// This host's MAC address (its identity for capture attribution).
+    /// It never changes: the engine reads it once, when the simulation
+    /// is built, and filters every frame against that copy.
     fn mac(&self) -> Mac;
 
     /// Called once when the simulation starts (the "power on" moment).

@@ -12,14 +12,14 @@
 use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
-use crate::wire::{alloc, Body};
+use crate::wire::alloc;
 use std::collections::{BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{Message, Name, Rcode, Rdata, Record, RecordType};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{dns, icmpv6, ipv4, ipv6, tcp, udp};
+use v6brick_net::{dns, icmpv6, ipv4, ipv6, tcp, udp, Run};
 
 /// How a destination domain behaves: which address families it serves, and
 /// how chatty its responses are.
@@ -290,33 +290,24 @@ impl Internet {
         &self.zones
     }
 
-    /// Handle one IPv4 packet arriving from the router's WAN interface,
-    /// with time-based faults disabled (tests and callers without a
-    /// clock). Equivalent to [`Internet::handle_packet_at`] at `t = 0`.
-    pub fn handle_packet(&mut self, packet: &[u8]) -> Vec<Vec<u8>> {
-        self.handle_packet_at(SimTime::ZERO, packet)
-    }
-
     /// Handle one IPv4 packet arriving from the router's WAN interface
-    /// at virtual time `now`. Returns the IPv4 packets flowing back.
-    pub fn handle_packet_at(&mut self, now: SimTime, packet: &[u8]) -> Vec<Vec<u8>> {
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
-            return Vec::new();
-        };
+    /// at virtual time `now`. Returns the IPv4 packet flowing back, if
+    /// any, with the [`Run`] it ends in: a server's bulk reply is one
+    /// repeated byte, emitted as a run behind the headers.
+    pub fn handle_packet_at(&mut self, now: SimTime, packet: &[u8]) -> Option<(Vec<u8>, Run)> {
+        let p = ipv4::Packet::new_checked(packet).ok()?;
         let repr = ipv4::Repr::parse(&p);
         match repr.protocol {
             // 6in4: unwrap and process as IPv6, re-wrapping replies.
             Protocol::Ipv6 if repr.dst == addrs::TUNNEL_REMOTE_IPV4 => {
-                let Ok(inner) = ipv6::Packet::new_checked(p.payload()) else {
-                    return Vec::new();
-                };
+                let inner = ipv6::Packet::new_checked(p.payload()).ok()?;
                 let inner_repr = ipv6::Repr::parse(&inner);
                 if inner_repr.src.is_global_unicast() {
                     self.observed_v6_sources.insert(inner_repr.src);
                 }
                 if Some(inner_repr.dst) == self.scanner_addr {
                     self.scanner_rx.push(p.payload().to_vec());
-                    return Vec::new();
+                    return None;
                 }
                 let path = ReplyPath::SixIn4 {
                     router: repr.src,
@@ -329,7 +320,7 @@ impl Internet {
         }
     }
 
-    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, l4: &[u8]) -> Vec<Vec<u8>> {
+    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, l4: &[u8]) -> Option<(Vec<u8>, Run)> {
         let path = ReplyPath::V4 {
             src: ip.dst,
             dst: ip.src,
@@ -340,8 +331,6 @@ impl Internet {
             Protocol::Tcp => self.handle_tcp(path, server, l4),
             _ => None,
         }
-        .into_iter()
-        .collect()
     }
 
     fn handle_v6(
@@ -350,13 +339,13 @@ impl Internet {
         path: ReplyPath,
         ip: &ipv6::Repr,
         l4: &[u8],
-    ) -> Vec<Vec<u8>> {
+    ) -> Option<(Vec<u8>, Run)> {
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
         if let Some(name) = self.by_v6.get(&ip.dst) {
             if let Some(p) = self.zones.get(name) {
                 if !p.reachable_v6 {
-                    return Vec::new();
+                    return None;
                 }
             }
         }
@@ -371,7 +360,7 @@ impl Internet {
                     || ip.dst == addrs::DNS6_SECONDARY
                     || self.by_v6.contains_key(&ip.dst);
                 if !known {
-                    return Vec::new();
+                    return None;
                 }
                 match icmpv6::Repr::parse_bytes(ip.src, ip.dst, l4) {
                     Ok(icmpv6::Repr::EchoRequest {
@@ -385,15 +374,13 @@ impl Internet {
                             payload,
                         };
                         let body = reply.build(ip.dst, ip.src);
-                        Some(path.packet(Protocol::Icmpv6, 0, Body::Copy(&body), |_, _| {}))
+                        Some(path.packet(Protocol::Icmpv6, 0, &body, Run::default(), |_, _| {}))
                     }
                     _ => None,
                 }
             }
             _ => None,
         }
-        .into_iter()
-        .collect()
     }
 
     /// UDP service dispatch: the reply to a datagram addressed to
@@ -404,17 +391,17 @@ impl Internet {
         path: ReplyPath,
         server: IpAddr,
         l4: &[u8],
-    ) -> Option<Vec<u8>> {
+    ) -> Option<(Vec<u8>, Run)> {
         let u = udp::Packet::new_checked(l4).ok()?;
         let (dst_port, payload) = (u.dst_port(), u.payload());
-        let reply = |src_port, body| {
-            path.packet(Protocol::Udp, udp::HEADER_LEN, body, |dgram, ph| {
+        let reply = |src_port, body, run| {
+            path.packet(Protocol::Udp, udp::HEADER_LEN, body, run, |dgram, ph| {
                 udp::Repr {
                     src_port,
                     dst_port: u.src_port(),
                     payload: Vec::new(),
                 }
-                .emit(dgram, ph)
+                .emit(dgram, run, ph)
             })
         };
         let is_resolver = match server {
@@ -433,30 +420,30 @@ impl Internet {
                     Some(DnsFaultMode::Timeout) => return None,
                     Some(DnsFaultMode::Servfail) => {
                         let answer = query.response(Rcode::ServFail).build();
-                        return Some(reply(53, Body::Copy(&answer)));
+                        return Some(reply(53, &answer, Run::default()));
                     }
                     None => {}
                 }
             }
             let answer = self.zones.resolve(&query).build();
-            return Some(reply(53, Body::Copy(&answer)));
+            return Some(reply(53, &answer, Run::default()));
         }
         let name = self.domain_for(server)?;
         // NTP on any known server address.
         if dst_port == 123 {
-            return Some(reply(123, Body::Fill(0x24, 48)));
+            return Some(reply(123, &[], Run::new(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
         let scale = self.zones.get(name)?.response_scale;
         let len = (payload.len() as u32 * scale).clamp(16, 8192) as usize;
         let key = (name.clone(), server.is_ipv6());
         *self.served.entry(key).or_insert(0) += len as u64;
-        Some(reply(dst_port, Body::Fill(0x5a, len)))
+        Some(reply(dst_port, &[], Run::new(0x5a, len)))
     }
 
     /// Semi-stateless server-side TCP: the reply to a segment addressed
     /// to `server`, read in place.
-    fn handle_tcp(&mut self, path: ReplyPath, server: IpAddr, l4: &[u8]) -> Option<Vec<u8>> {
+    fn handle_tcp(&mut self, path: ReplyPath, server: IpAddr, l4: &[u8]) -> Option<(Vec<u8>, Run)> {
         let seg = tcp::Packet::new_checked(l4).ok()?;
         // Unroutable/unknown destination: silence (packets to nowhere).
         let name = self.domain_for(server)?;
@@ -497,10 +484,12 @@ impl Internet {
         } else {
             return None;
         };
-        let body = Body::Fill(RESPONSE_FILL, body_len);
-        Some(path.packet(Protocol::Tcp, tcp::HEADER_LEN, body, |s, ph| {
-            reply.emit(s, ph)
-        }))
+        let run = Run::new(RESPONSE_FILL, body_len);
+        Some(
+            path.packet(Protocol::Tcp, tcp::HEADER_LEN, &[], run, |s, ph| {
+                reply.emit(s, run, ph)
+            }),
+        )
     }
 
     fn domain_for(&self, ip: IpAddr) -> Option<&Name> {
@@ -531,17 +520,18 @@ enum ReplyPath {
 }
 
 impl ReplyPath {
-    /// A reply packet in one buffer: the IP header(s), then `l4_header`
-    /// bytes that `emit_l4` writes (with the body in place behind them,
-    /// for the checksum), then `body`.
+    /// A reply packet ending in `run`: one buffer of the IP header(s),
+    /// then `l4_header` bytes that `emit_l4` writes (with the body in
+    /// place behind them, for the checksum), then `body`.
     fn packet(
         self,
         protocol: Protocol,
         l4_header: usize,
-        body: Body,
+        body: &[u8],
+        run: Run,
         emit_l4: impl FnOnce(&mut [u8], PseudoHeader),
-    ) -> Vec<u8> {
-        match self {
+    ) -> (Vec<u8>, Run) {
+        let pkt = match self {
             ReplyPath::V4 { src, dst } => {
                 let at = ipv4::HEADER_LEN;
                 let mut pkt = alloc(at + l4_header, body);
@@ -551,7 +541,7 @@ impl ReplyPath {
                     dst,
                     protocol,
                     ttl: 64,
-                    payload_len: pkt.len() - at,
+                    payload_len: pkt.len() - at + run.len(),
                 }
                 .emit(&mut pkt);
                 pkt
@@ -565,7 +555,7 @@ impl ReplyPath {
                     dst,
                     next_header: protocol,
                     hop_limit: 64,
-                    payload_len: pkt.len() - at,
+                    payload_len: pkt.len() - at + run.len(),
                 }
                 .emit(&mut pkt[ipv4::HEADER_LEN..]);
                 ipv4::Repr {
@@ -573,12 +563,13 @@ impl ReplyPath {
                     dst: router,
                     protocol: Protocol::Ipv6,
                     ttl: 64,
-                    payload_len: pkt.len() - ipv4::HEADER_LEN,
+                    payload_len: pkt.len() - ipv4::HEADER_LEN + run.len(),
                 }
                 .emit(&mut pkt);
                 pkt
             }
-        }
+        };
+        (pkt, run)
     }
 }
 
@@ -602,6 +593,12 @@ mod tests {
     fn wan_tcp(dst: Ipv4Addr, seg: &tcp::Repr) -> Vec<u8> {
         let (m, src) = (Mac::BROADCAST, addrs::ROUTER_WAN_IPV4);
         wire::tcp4_frame(m, m, src, dst, seg)[wire::ETH..].to_vec()
+    }
+
+    /// The reply to `packet` at t = 0, its run spelled out.
+    fn reply_to(net: &mut Internet, packet: &[u8]) -> Option<Vec<u8>> {
+        let (head, run) = net.handle_packet_at(SimTime::ZERO, packet)?;
+        Some(run.spell(&head, &mut Vec::new()).to_vec())
     }
 
     fn test_internet() -> Internet {
@@ -650,9 +647,8 @@ mod tests {
         let mut net = test_internet();
         let query = Message::query(7, name("cloud.example.com"), RecordType::A).build();
         let packet = wan_udp(addrs::DNS4_PRIMARY, 40000, 53, query);
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = reply_to(&mut net, &packet).unwrap();
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         assert_eq!(rp.src(), addrs::DNS4_PRIMARY);
         let ru = udp::Packet::new_checked(rp.payload()).unwrap();
         let msg = Message::parse_bytes(ru.payload()).unwrap();
@@ -683,8 +679,9 @@ mod tests {
             wan_udp(addrs::DNS4_PRIMARY, 40000, 53, query)
         };
         let answer_at = |net: &mut Internet, t: u64| {
-            let replies = net.handle_packet_at(SimTime::from_secs(t), &query_packet());
-            replies.first().map(|r| {
+            let reply = net.handle_packet_at(SimTime::from_secs(t), &query_packet());
+            reply.map(|(r, run)| {
+                assert!(run.is_empty(), "DNS answers are copied, not runs");
                 let rp = ipv4::Packet::new_checked(&r[..]).unwrap();
                 let ru = udp::Packet::new_checked(rp.payload()).unwrap();
                 Message::parse_bytes(ru.payload()).unwrap().rcode
@@ -714,9 +711,8 @@ mod tests {
             payload_len: v6.len(),
         }
         .build(v6);
-        let replies = net.handle_packet(&encap);
-        assert_eq!(replies.len(), 1);
-        let outer = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = reply_to(&mut net, &encap).unwrap();
+        let outer = ipv4::Packet::new_checked(&reply[..]).unwrap();
         assert_eq!(outer.protocol(), Protocol::Ipv6);
         let inner = ipv6::Packet::new_checked(outer.payload()).unwrap();
         assert_eq!(inner.src(), server6);
@@ -731,9 +727,8 @@ mod tests {
         let mut net = test_internet();
         let (server4, _) = derive_addrs(&name("cloud.example.com"));
         let packet = wan_tcp(server4, &tcp::Repr::syn(40001, 9999, 5));
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let reply = reply_to(&mut net, &packet).unwrap();
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         assert_eq!((rp.src(), rp.dst()), (server4, addrs::ROUTER_WAN_IPV4));
         let seg = tcp::Packet::new_checked(rp.payload()).unwrap();
         assert_eq!(seg.flags(), tcp::Flags::RST | tcp::Flags::ACK);
@@ -757,11 +752,16 @@ mod tests {
             payload: vec![1; 100],
         };
         let packet = wan_tcp(server4, &data);
-        let replies = net.handle_packet(&packet);
-        assert_eq!(replies.len(), 1);
-        let rp = ipv4::Packet::new_checked(&replies[0][..]).unwrap();
+        let (head, run) = net.handle_packet_at(SimTime::ZERO, &packet).unwrap();
+        // The response body is a run behind the headers, checksummed
+        // as if it were spelled out.
+        assert_eq!(run, Run::new(RESPONSE_FILL, 400));
+        assert_eq!(head.len(), ipv4::HEADER_LEN + tcp::HEADER_LEN);
+        let reply = run.spell(&head, &mut Vec::new()).to_vec();
+        let rp = ipv4::Packet::new_checked(&reply[..]).unwrap();
         let seg = tcp::Packet::new_checked(rp.payload()).unwrap();
-        assert_eq!(seg.payload().len(), 400);
+        assert_eq!(seg.payload(), &[RESPONSE_FILL; 400][..]);
+        assert!(seg.verify_checksum_v4(server4, addrs::ROUTER_WAN_IPV4));
         assert_eq!(
             net.served.get(&(name("cloud.example.com"), false)),
             Some(&400)
@@ -772,6 +772,6 @@ mod tests {
     fn packets_to_unknown_hosts_are_dropped() {
         let mut net = test_internet();
         let packet = wan_tcp(Ipv4Addr::new(192, 0, 2, 99), &tcp::Repr::syn(1, 443, 1));
-        assert!(net.handle_packet(&packet).is_empty());
+        assert!(net.handle_packet_at(SimTime::ZERO, &packet).is_none());
     }
 }

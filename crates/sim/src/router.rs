@@ -17,7 +17,7 @@ use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::FaultPlan;
 use crate::host::Effects;
-use crate::wire::{self, alloc, eth_frame, Body};
+use crate::wire::{self, alloc, eth_frame, Queued};
 use std::collections::{HashMap, HashSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dhcpv6::OPTION_DNS_SERVERS;
@@ -26,7 +26,7 @@ use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, tcp, udp, Mac};
+use v6brick_net::{arp, dhcpv4, dhcpv6, icmpv6, ipv4, ipv6, tcp, udp, Mac, Run};
 
 /// How the CPE filters unsolicited IPv6 arriving from the WAN. IPv4 is
 /// always "filtered" as a side effect of NAT44; routed IPv6 has no such
@@ -220,35 +220,45 @@ impl Router {
         }
     }
 
-    /// An IPv4 packet arriving from the WAN (internet side).
-    pub fn on_wan_packet(&mut self, _now: SimTime, packet: &[u8], fx: &mut Effects) {
-        let Ok(p) = ipv4::Packet::new_checked(packet) else {
+    /// An IPv4 packet arriving from the WAN (internet side): plain bytes,
+    /// or bytes ending in a run. Every header the router reads lies
+    /// before the run; the run, cut to the packet's length fields, ends
+    /// the frame forwarded onto the LAN, still unspelled.
+    pub fn on_wan_packet<'a>(
+        &mut self,
+        _now: SimTime,
+        packet: impl Into<Queued<'a>>,
+        fx: &mut Effects,
+    ) {
+        let Queued { head: packet, run } = packet.into();
+        let Ok(p) = ipv4::Packet::new_checked_with_tail(packet, run.len()) else {
             return;
         };
         let repr = ipv4::Repr::parse(&p);
+        let (l3, run) = (
+            p.payload(),
+            run.cut(packet.len(), usize::from(p.total_len())),
+        );
         // 6in4 tunnel ingress: decapsulate and route onto the LAN.
         if repr.protocol == Protocol::Ipv6 && repr.src == addrs::TUNNEL_REMOTE_IPV4 {
             if !self.config.ipv6 {
                 self.dropped += 1;
                 return;
             }
-            let Ok(inner) = ipv6::Packet::new_checked(p.payload()) else {
+            let Ok(inner) = ipv6::Packet::new_checked_with_tail(l3, run.len()) else {
                 return;
             };
             let inner_repr = ipv6::Repr::parse(&inner);
-            if !self.wan_v6_permitted(&inner_repr, inner.payload()) {
+            let l4_run = run.cut(l3.len(), ipv6::HEADER_LEN + inner_repr.payload_len);
+            if !self.wan_v6_permitted(&inner_repr, inner.payload(), l4_run) {
                 self.wan_v6_filtered += 1;
                 return;
             }
             let dst = inner.dst();
             // Routed (no NAT66): deliver to the on-link neighbor if known.
             if let Some(&mac) = self.neighbors_v6.get(&dst) {
-                fx.send_frame(eth_frame(
-                    addrs::ROUTER_MAC,
-                    mac,
-                    EtherType::Ipv6,
-                    p.payload(),
-                ));
+                let frame = eth_frame(addrs::ROUTER_MAC, mac, EtherType::Ipv6, l3);
+                fx.send_frame_with_run(frame, run);
             } else {
                 self.dropped += 1;
             }
@@ -259,7 +269,7 @@ impl Router {
             return;
         }
         // Reverse NAT.
-        let (dst_port, proto) = match extract_ports_v4(&repr, p.payload()) {
+        let (dst_port, proto) = match extract_ports_v4(&repr, l3, run) {
             Some((_, dst_port, proto)) => (dst_port, proto),
             None => {
                 self.dropped += 1;
@@ -275,15 +285,10 @@ impl Router {
             self.dropped += 1;
             return;
         };
-        let mut frame = rewrite_v4(
-            wire::ETH,
-            &repr,
-            p.payload(),
-            None,
-            Some((lan_ip, lan_port)),
-        );
+        let (mut frame, run) =
+            rewrite_v4(wire::ETH, &repr, l3, run, None, Some((lan_ip, lan_port)));
         wire::emit_eth(&mut frame, addrs::ROUTER_MAC, mac, EtherType::Ipv4);
-        fx.send_frame(frame);
+        fx.send_frame_with_run(frame, run);
     }
 
     fn handle_arp(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -339,7 +344,9 @@ impl Router {
         }
 
         // Outbound: NAT and forward to the WAN.
-        let Some((src_port, _dst_port, proto)) = extract_ports_v4(&repr, p.payload()) else {
+        let Some((src_port, _dst_port, proto)) =
+            extract_ports_v4(&repr, p.payload(), Run::default())
+        else {
             self.dropped += 1;
             return;
         };
@@ -354,13 +361,15 @@ impl Router {
                 p
             }
         };
-        fx.send_wan(rewrite_v4(
+        let (packet, _) = rewrite_v4(
             0,
             &repr,
             p.payload(),
+            Run::default(),
             Some((addrs::ROUTER_WAN_IPV4, wan_port)),
             None,
-        ));
+        );
+        fx.send_wan(packet);
     }
 
     fn handle_dhcpv4(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -606,7 +615,7 @@ impl Router {
         // An outbound flow opens a stateful pinhole for its return
         // traffic, whatever the firewall policy.
         if let Ok(p6) = ipv6::Packet::new_checked(full_packet) {
-            if let Some((proto, src_port, dst_port)) = flow_v6(repr, p6.payload()) {
+            if let Some((proto, src_port, dst_port)) = flow_v6(repr, p6.payload(), Run::default()) {
                 self.v6_flows
                     .insert((repr.src, repr.dst, proto, src_port, dst_port));
             }
@@ -623,13 +632,13 @@ impl Router {
     }
 
     /// Does the WAN firewall policy let this decapsulated inbound IPv6
-    /// packet onto the LAN?
-    fn wan_v6_permitted(&self, inner: &ipv6::Repr, l4: &[u8]) -> bool {
+    /// packet, whose L4 bytes are `l4` followed by `run`, onto the LAN?
+    fn wan_v6_permitted(&self, inner: &ipv6::Repr, l4: &[u8], run: Run) -> bool {
         let policy = self.config.wan_v6_firewall;
         if policy == FirewallPolicy::Open {
             return true;
         }
-        let Some((proto, src_port, dst_port)) = flow_v6(inner, l4) else {
+        let Some((proto, src_port, dst_port)) = flow_v6(inner, l4, run) else {
             // Unparseable / exotic protocol: stateful gateways drop it.
             return false;
         };
@@ -705,42 +714,43 @@ fn ia_with(addr: Ipv6Addr, iaid: u32) -> dhcpv6::IaNa {
     }
 }
 
-/// (proto byte, src_port, dst_port) flow tuple of a v6 payload. ICMPv6
-/// flows are keyed on the address pair alone (ports 0/0), which pairs an
-/// outbound echo request with its inbound reply.
-fn flow_v6(repr: &ipv6::Repr, l4: &[u8]) -> Option<(u8, u16, u16)> {
-    match repr.next_header {
+/// (src_port, dst_port) of the UDP or TCP segment `l4` followed by
+/// `run`.
+fn transport_ports(protocol: Protocol, l4: &[u8], run: Run) -> Option<(u16, u16)> {
+    match protocol {
         Protocol::Udp => {
-            let u = udp::Packet::new_checked(l4).ok()?;
-            Some((17, u.src_port(), u.dst_port()))
+            let u = udp::Packet::new_checked_with_tail(l4, run.len()).ok()?;
+            Some((u.src_port(), u.dst_port()))
         }
         Protocol::Tcp => {
             let t = tcp::Packet::new_checked(l4).ok()?;
-            Some((6, t.src_port(), t.dst_port()))
+            Some((t.src_port(), t.dst_port()))
         }
-        Protocol::Icmpv6 => Some((58, 0, 0)),
         _ => None,
+    }
+}
+
+/// (proto byte, src_port, dst_port) flow tuple of a v6 payload. ICMPv6
+/// flows are keyed on the address pair alone (ports 0/0), which pairs an
+/// outbound echo request with its inbound reply.
+fn flow_v6(repr: &ipv6::Repr, l4: &[u8], run: Run) -> Option<(u8, u16, u16)> {
+    match repr.next_header {
+        Protocol::Icmpv6 => Some((58, 0, 0)),
+        p => transport_ports(p, l4, run).map(|(s, d)| (p.into(), s, d)),
     }
 }
 
 /// (src_port, dst_port, proto byte) of a v4 payload, if TCP/UDP.
-fn extract_ports_v4(repr: &ipv4::Repr, payload: &[u8]) -> Option<(u16, u16, u8)> {
-    match repr.protocol {
-        Protocol::Udp => {
-            let u = udp::Packet::new_checked(payload).ok()?;
-            Some((u.src_port(), u.dst_port(), 17))
-        }
-        Protocol::Tcp => {
-            let t = tcp::Packet::new_checked(payload).ok()?;
-            Some((t.src_port(), t.dst_port(), 6))
-        }
-        _ => None,
-    }
+fn extract_ports_v4(repr: &ipv4::Repr, l4: &[u8], run: Run) -> Option<(u16, u16, u8)> {
+    transport_ports(repr.protocol, l4, run).map(|(s, d)| (s, d, repr.protocol.into()))
 }
 
 /// Rewrite an IPv4 packet for NAT, changing its source (outbound) or
 /// destination (inbound) address and port, into a fresh packet that
-/// starts `prefix` bytes into its buffer (room for a link header).
+/// starts `prefix` bytes into its buffer (room for a link header). The
+/// packet's L4 bytes are `l4` followed by `run`, and so are the
+/// rewritten packet's: the run is returned, cut where the rewrite cuts
+/// the payload, and never spelled out.
 ///
 /// The rewrite normalises: a fresh 20-byte IPv4 header with the TTL
 /// decremented, a fresh 20-byte TCP header (options dropped, flags
@@ -752,28 +762,30 @@ fn rewrite_v4(
     prefix: usize,
     repr: &ipv4::Repr,
     l4: &[u8],
+    run: Run,
     new_src: Option<(Ipv4Addr, u16)>,
     new_dst: Option<(Ipv4Addr, u16)>,
-) -> Vec<u8> {
+) -> (Vec<u8>, Run) {
     let src = new_src.map(|(ip, _)| ip).unwrap_or(repr.src);
     let dst = new_dst.map(|(ip, _)| ip).unwrap_or(repr.dst);
     let ph = PseudoHeader::V4 { src, dst };
     let at = prefix + ipv4::HEADER_LEN;
-    let mut pkt = match repr.protocol {
+    let (mut pkt, run) = match repr.protocol {
         Protocol::Udp => {
-            let u = udp::Packet::new_checked(l4).expect("caller verified");
-            let mut pkt = alloc(at + udp::HEADER_LEN, Body::Copy(u.payload()));
+            let u = udp::Packet::new_checked_with_tail(l4, run.len()).expect("caller verified");
+            let run = run.cut(l4.len(), usize::from(u.len()));
+            let mut pkt = alloc(at + udp::HEADER_LEN, u.payload());
             udp::Repr {
                 src_port: new_src.map(|(_, p)| p).unwrap_or_else(|| u.src_port()),
                 dst_port: new_dst.map(|(_, p)| p).unwrap_or_else(|| u.dst_port()),
                 payload: Vec::new(),
             }
-            .emit(&mut pkt[at..], ph);
-            pkt
+            .emit(&mut pkt[at..], run, ph);
+            (pkt, run)
         }
         Protocol::Tcp => {
             let t = tcp::Packet::new_checked(l4).expect("caller verified");
-            let mut pkt = alloc(at + tcp::HEADER_LEN, Body::Copy(t.payload()));
+            let mut pkt = alloc(at + tcp::HEADER_LEN, t.payload());
             tcp::Repr {
                 src_port: new_src.map(|(_, p)| p).unwrap_or_else(|| t.src_port()),
                 dst_port: new_dst.map(|(_, p)| p).unwrap_or_else(|| t.dst_port()),
@@ -783,20 +795,20 @@ fn rewrite_v4(
                 window: t.window(),
                 payload: Vec::new(),
             }
-            .emit(&mut pkt[at..], ph);
-            pkt
+            .emit(&mut pkt[at..], run, ph);
+            (pkt, run)
         }
-        _ => alloc(at, Body::Copy(l4)),
+        _ => (alloc(at, l4), run),
     };
     ipv4::Repr {
         src,
         dst,
         protocol: repr.protocol,
         ttl: repr.ttl.saturating_sub(1),
-        payload_len: pkt.len() - at,
+        payload_len: pkt.len() - at + run.len(),
     }
     .emit(&mut pkt[prefix..]);
-    pkt
+    (pkt, run)
 }
 
 impl RouterConfig {
@@ -924,7 +936,7 @@ mod tests {
         let reply = v6brick_net::parse::ParsedPacket::parse(&fx.frames[0]).unwrap();
         match reply.l4 {
             v6brick_net::parse::L4::Udp { payload, .. } => {
-                let offer = dhcpv4::Repr::parse_bytes(&payload).unwrap();
+                let offer = dhcpv4::Repr::parse_bytes(payload).unwrap();
                 assert_eq!(offer.message_type, dhcpv4::MessageType::Offer);
                 assert_eq!(offer.your_addr, Ipv4Addr::new(192, 168, 1, 100));
                 assert_eq!(

@@ -1,16 +1,18 @@
 //! Frame emission shared by every host implementation (devices, phones,
 //! the port scanner, the router, the internet model, tests).
 //!
-//! Every frame is one allocation sized once: `alloc` copies or fills
-//! the payload into place, then each header is emitted into the front
-//! of the buffer, innermost first, so the transport checksum is summed
-//! once, in place, over bytes that are never moved again.
+//! Every frame is one allocation sized once: `alloc` copies the payload
+//! into place, then each header is emitted into the front of the
+//! buffer, innermost first, so the transport checksum is summed once, in
+//! place, over bytes that are never moved again. Payloads of one
+//! repeated byte are not written at all: they travel as a [`Run`] behind
+//! the headers, and the engine spells them out where they are read.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::ethernet::{self, EtherType, Frame};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{icmpv6, ipv4, ipv6, tcp, udp, Mac};
+use v6brick_net::{icmpv6, ipv4, ipv6, tcp, udp, Mac, Run};
 
 /// Ethernet header length: where the IP header of a frame starts.
 pub(crate) const ETH: usize = ethernet::HEADER_LEN;
@@ -19,29 +21,34 @@ const ETH_V4: usize = ETH + ipv4::HEADER_LEN;
 /// Ethernet + IPv6 header length: where an IPv6 frame's L4 starts.
 const ETH_V6: usize = ETH + ipv6::HEADER_LEN;
 
-/// Where a packet's payload comes from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Body<'a> {
-    /// Copied from a slice.
-    Copy(&'a [u8]),
-    /// `len` copies of one byte.
-    Fill(u8, usize),
+/// A packet or frame as the event queue holds it: its bytes up to the
+/// run, and the run (empty for most packets).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Queued<'a> {
+    /// The bytes before the run: every header, and any payload bytes
+    /// that are not part of the run.
+    pub head: &'a [u8],
+    /// The run ending the packet.
+    pub run: Run,
+}
+
+impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Queued<'a> {
+    /// Plain bytes: a packet with no run.
+    fn from(bytes: &'a T) -> Queued<'a> {
+        Queued {
+            head: bytes.as_ref(),
+            run: Run::default(),
+        }
+    }
 }
 
 /// One buffer of `headers` zero bytes followed by `body`: a packet's
-/// single allocation and its payload's single copy or fill. The caller
-/// emits the headers into the front.
-pub(crate) fn alloc(headers: usize, body: Body) -> Vec<u8> {
-    let len = match body {
-        Body::Copy(b) => b.len(),
-        Body::Fill(_, n) => n,
-    };
-    let mut buf = Vec::with_capacity(headers + len);
+/// single allocation and its payload's single copy. The caller emits the
+/// headers into the front.
+pub(crate) fn alloc(headers: usize, body: &[u8]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(headers + body.len());
     buf.resize(headers, 0);
-    match body {
-        Body::Copy(b) => buf.extend_from_slice(b),
-        Body::Fill(byte, n) => buf.resize(headers + n, byte),
-    }
+    buf.extend_from_slice(body);
     buf
 }
 
@@ -100,7 +107,7 @@ fn emit_eth_ipv6(
 
 /// An Ethernet frame carrying `payload`.
 pub fn eth_frame(src: Mac, dst: Mac, ethertype: EtherType, payload: &[u8]) -> Vec<u8> {
-    let mut f = alloc(ETH, Body::Copy(payload));
+    let mut f = alloc(ETH, payload);
     emit_eth(&mut f, src, dst, ethertype);
     f
 }
@@ -120,8 +127,12 @@ pub fn udp4_frame(
         dst_port,
         payload,
     };
-    let mut f = alloc(ETH_V4 + udp::HEADER_LEN, Body::Copy(&dgram.payload));
-    dgram.emit(&mut f[ETH_V4..], PseudoHeader::V4 { src, dst });
+    let mut f = alloc(ETH_V4 + udp::HEADER_LEN, &dgram.payload);
+    dgram.emit(
+        &mut f[ETH_V4..],
+        Run::default(),
+        PseudoHeader::V4 { src, dst },
+    );
     emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp);
     f
 }
@@ -141,8 +152,12 @@ pub fn udp6_frame(
         dst_port,
         payload,
     };
-    let mut f = alloc(ETH_V6 + udp::HEADER_LEN, Body::Copy(&dgram.payload));
-    dgram.emit(&mut f[ETH_V6..], PseudoHeader::V6 { src, dst });
+    let mut f = alloc(ETH_V6 + udp::HEADER_LEN, &dgram.payload);
+    dgram.emit(
+        &mut f[ETH_V6..],
+        Run::default(),
+        PseudoHeader::V6 { src, dst },
+    );
     emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp, 64);
     f
 }
@@ -155,8 +170,12 @@ pub fn tcp4_frame(
     dst: Ipv4Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
-    let mut f = alloc(ETH_V4 + tcp::HEADER_LEN, Body::Copy(&seg.payload));
-    seg.emit(&mut f[ETH_V4..], PseudoHeader::V4 { src, dst });
+    let mut f = alloc(ETH_V4 + tcp::HEADER_LEN, &seg.payload);
+    seg.emit(
+        &mut f[ETH_V4..],
+        Run::default(),
+        PseudoHeader::V4 { src, dst },
+    );
     emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp);
     f
 }
@@ -169,8 +188,12 @@ pub fn tcp6_frame(
     dst: Ipv6Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
-    let mut f = alloc(ETH_V6 + tcp::HEADER_LEN, Body::Copy(&seg.payload));
-    seg.emit(&mut f[ETH_V6..], PseudoHeader::V6 { src, dst });
+    let mut f = alloc(ETH_V6 + tcp::HEADER_LEN, &seg.payload);
+    seg.emit(
+        &mut f[ETH_V6..],
+        Run::default(),
+        PseudoHeader::V6 { src, dst },
+    );
     emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp, 64);
     f
 }
@@ -185,7 +208,7 @@ pub fn icmpv6_frame(
     msg: &icmpv6::Repr,
 ) -> Vec<u8> {
     let hop_limit = if msg.as_ndp().is_some() { 255 } else { 64 };
-    let mut f = alloc(ETH_V6, Body::Copy(&msg.build(src, dst)));
+    let mut f = alloc(ETH_V6, &msg.build(src, dst));
     emit_eth_ipv6(
         &mut f,
         src_mac,

@@ -7,16 +7,23 @@
 //! leaves with a good one. The expected packets are built with the
 //! `v6brick-net` serializers, which `v6brick-net`'s proptests pin
 //! against independent reference serializers.
+//!
+//! A reply from the internet model ends in a run (its body of one
+//! repeated byte, kept as `(byte, len)`). The router forwards the run
+//! unspelled, through NAT44 and through 6in4 decapsulation alike, and
+//! the frame it sends must spell out to the frame the spelled-out reply
+//! gives.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::net::Ipv4Addr;
+use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::ethernet::{self, EtherType};
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{checksum, ipv4, tcp, udp, Mac};
+use v6brick_net::{checksum, ipv4, ipv6, tcp, udp, Mac, Run};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::Effects;
+use v6brick_sim::wire::{self, Queued};
 use v6brick_sim::{addrs, Router, RouterConfig};
 
 const CLIENT_MAC: Mac = Mac::new(0x02, 0, 0, 0, 0, 0x42);
@@ -150,8 +157,138 @@ fn ipv4_packet(src: Ipv4Addr, dst: Ipv4Addr, proto: ipv4::Protocol, ttl: u8, l4:
     .build(l4)
 }
 
+/// Hand the router one WAN packet, `head` followed by `run`; return
+/// what it sends onto the LAN, each frame's run spelled out, and how
+/// many bytes it wrote itself.
+fn inbound_run(router: &mut Router, head: &[u8], run: Run) -> (Vec<Vec<u8>>, usize) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut fx = Effects::new(&mut rng);
+    router.on_wan_packet(SimTime::ZERO, Queued { head, run }, &mut fx);
+    let written = fx.frames.iter().map(Vec::len).sum();
+    let frames = fx
+        .frames
+        .iter()
+        .enumerate()
+        .map(|(i, f)| fx.run(i).spell(f, &mut Vec::new()).to_vec())
+        .collect();
+    (frames, written)
+}
+
+/// A transport header for a reply whose whole payload is `run`, emitted
+/// with the run's share of the checksum: TCP when `seg` is given, else
+/// UDP between the ports.
+fn l4_head(seg: Option<&tcp::Repr>, ports: (u16, u16), run: Run, ph: PseudoHeader) -> Vec<u8> {
+    match seg {
+        Some(seg) => {
+            let mut l4 = vec![0; tcp::HEADER_LEN];
+            seg.emit(&mut l4, run, ph);
+            l4
+        }
+        None => {
+            let mut l4 = vec![0; udp::HEADER_LEN];
+            let (src_port, dst_port) = ports;
+            udp::Repr {
+                src_port,
+                dst_port,
+                payload: Vec::new(),
+            }
+            .emit(&mut l4, run, ph);
+            l4
+        }
+    }
+}
+
+/// A run: empty, a 48 KiB cloud reply, odd, or up to 9 KiB.
+fn arb_run() -> impl Strategy<Value = Run> {
+    (0u8..4, 0usize..=9216, any::<u8>()).prop_map(|(kind, n, byte)| {
+        let len = match kind {
+            0 => 0,
+            1 => 48 * 1024,
+            2 => n | 1,
+            _ => n,
+        };
+        Run::new(byte, len)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn nat44_reverse_carries_a_run_to_the_spelled_out_frame(
+            lan_port in 1024u16..=65535, remote_port in 68u16..=65535, is_tcp in any::<bool>(),
+            seq in any::<u32>(), ack in any::<u32>(), ttl in 1u8..=255, run in arb_run()) {
+        let mut router = Router::new(RouterConfig::dual_stack());
+        let proto = if is_tcp { 6 } else { 17 };
+        let open = if is_tcp {
+            odd_tcp(&tcp::Repr::syn(lan_port, remote_port, seq), 0x02, 0, 0, 1)
+        } else {
+            short_udp(lan_port, remote_port, 0, &[], 1)
+        };
+        outbound(&mut router, &lan_frame(&odd_ipv4(LAN_IP, REMOTE, proto, 64, 0, 1, &open)));
+
+        let wan = addrs::ROUTER_WAN_IPV4;
+        let seg = tcp::Repr {
+            src_port: remote_port, dst_port: FIRST_NAT_PORT, seq, ack,
+            flags: tcp::Flags::PSH | tcp::Flags::ACK, window: 0xffff, payload: Vec::new(),
+        };
+        let l4 = l4_head(is_tcp.then_some(&seg), (remote_port, FIRST_NAT_PORT), run,
+                         PseudoHeader::V4 { src: REMOTE, dst: wan });
+        let mut head = vec![0; ipv4::HEADER_LEN];
+        head.extend_from_slice(&l4);
+        ipv4::Repr {
+            src: REMOTE, dst: wan, protocol: proto.into(), ttl,
+            payload_len: l4.len() + run.len(),
+        }
+        .emit(&mut head);
+
+        let spelled = inbound(&mut router.clone(), run.spell(&head, &mut Vec::new()));
+        let (frames, written) = inbound_run(&mut router, &head, run);
+        prop_assert_eq!(spelled.len(), 1);
+        prop_assert_eq!(frames, spelled);
+        // The router wrote the headers only.
+        prop_assert_eq!(written, ethernet::HEADER_LEN + head.len());
+    }
+
+    #[test]
+    fn sixin4_decapsulation_carries_a_run_to_the_spelled_out_frame(
+            dev_port in 1024u16..=65535, remote_port in 1u16..=65535, is_tcp in any::<bool>(),
+            seq in any::<u32>(), ack in any::<u32>(), run in arb_run()) {
+        let mut router = Router::new(RouterConfig::ipv6_only());
+        let dev: Ipv6Addr = "2001:db8:10:1::42".parse().unwrap();
+        let remote: Ipv6Addr = "2001:db8:ffff::9".parse().unwrap();
+        // The device's first packet teaches the router its neighbor.
+        let hello = wire::udp6_frame(CLIENT_MAC, addrs::ROUTER_MAC, dev, remote, 5000, 443, vec![1]);
+        outbound(&mut router, &hello);
+
+        let proto = if is_tcp { 6 } else { 17 };
+        let seg = tcp::Repr {
+            src_port: remote_port, dst_port: dev_port, seq, ack,
+            flags: tcp::Flags::PSH | tcp::Flags::ACK, window: 0xffff, payload: Vec::new(),
+        };
+        let l4 = l4_head(is_tcp.then_some(&seg), (remote_port, dev_port), run,
+                         PseudoHeader::V6 { src: remote, dst: dev });
+        let at = ipv4::HEADER_LEN + ipv6::HEADER_LEN;
+        let mut head = vec![0; at];
+        head.extend_from_slice(&l4);
+        ipv6::Repr {
+            src: remote, dst: dev, next_header: proto.into(), hop_limit: 64,
+            payload_len: l4.len() + run.len(),
+        }
+        .emit(&mut head[ipv4::HEADER_LEN..]);
+        ipv4::Repr {
+            src: addrs::TUNNEL_REMOTE_IPV4, dst: addrs::ROUTER_WAN_IPV4,
+            protocol: ipv4::Protocol::Ipv6, ttl: 64,
+            payload_len: head.len() - ipv4::HEADER_LEN + run.len(),
+        }
+        .emit(&mut head);
+
+        let spelled = inbound(&mut router.clone(), run.spell(&head, &mut Vec::new()));
+        let (frames, written) = inbound_run(&mut router, &head, run);
+        prop_assert_eq!(spelled.len(), 1);
+        prop_assert_eq!(frames, spelled);
+        prop_assert_eq!(written, ethernet::HEADER_LEN + head.len() - ipv4::HEADER_LEN);
+    }
 
     #[test]
     fn tcp_rewrite_normalises_both_directions(
