@@ -1,9 +1,8 @@
-//! Benchmark harness crate. The actual benchmarks live in `benches/`:
+//! Benchmark harness crate. The benchmark lives in `benches/`:
 //!
-//! * `tables` — regenerates every paper table end-to-end (Criterion timing
-//!   the full simulate-capture-analyze path per table);
-//! * `figures` — same for every figure;
-//! * `pipeline` — analysis-pipeline micro-benches (flow table, DNS
-//!   transaction pairing, address classification);
-//! * `wire` — parse/emit micro-benches for the wire formats;
-//! * `ablations` — the design-choice ablations called out in DESIGN.md.
+//! * `ablations` — the design-choice ablations DESIGN.md §4 stars (flow
+//!   table, DNS name encoding, capture storage, streaming vs buffered
+//!   analysis, analyzer pass subsets).
+//!
+//! End-to-end and per-layer timings come from `perfbench/`, the
+//! benchmark of record (`python3 perfbench/run.py`).

@@ -32,10 +32,6 @@
 //!                           # WAN-side exposure scan across firewall
 //!                           # policies; --verify reruns at other worker
 //!                           # counts and byte-diffs the report
-//! repro bench-json [--out BENCH_pipeline.json]
-//!                           # perf trajectory probe (streaming analyzer
-//!                           # frames/sec, suite serial vs parallel,
-//!                           # fleet homes/sec); schema in EXPERIMENTS.md
 //! repro serve [--addr HOST:PORT] [--seed N] [--shards N] [--loop-threads N]
 //!             [--data-dir PATH] [--snapshot-every N]
 //!                           # run the v6brickd ingestion daemon until a
@@ -63,8 +59,8 @@ use v6brick_experiments::portscan::{scan, ScanPlan};
 use v6brick_experiments::render::TextTable;
 use v6brick_experiments::suite::ExperimentSuite;
 use v6brick_experiments::{
-    active_dns, broken, config, enterprise, figures, fleet, mesh, reachability, scenario, serve,
-    tables, tracking, wanscan,
+    active_dns, broken, config, enterprise, figures, fleet, mesh, reachability, scenario, tables,
+    tracking, wanscan,
 };
 
 fn main() {
@@ -102,10 +98,6 @@ fn main() {
     }
     if what == "wanscan" {
         run_wanscan(&args[1..]);
-        return;
-    }
-    if what == "bench-json" {
-        run_bench_json(&args[1..]);
         return;
     }
     if what == "serve" {
@@ -240,8 +232,8 @@ fn main() {
 fn usage_hint() -> String {
     format!(
         "subcommands: all, table2..table13, figure2..figure5, portscan, dad, variants, \
-         tracking, enterprise, reachability, json, fleet, mesh, wanscan, bench-json, serve, \
-         upload, stats, --scenario <preset>; scenario presets: {}",
+         tracking, enterprise, reachability, json, fleet, mesh, wanscan, serve, upload, \
+         stats, --scenario <preset>; scenario presets: {}",
         broken::PRESETS.join(", ")
     )
 }
@@ -348,14 +340,13 @@ fn run_scenario(args: &[String]) {
     );
 }
 
-/// `repro fleet <homes> [--workers W] [--seed S] [--duration SECS]
-/// [--max-failures N] [--chaos-home IDX]... [--json]`
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`). `None` off Linux or if procfs is unreadable.
 ///
 /// The high-water mark is monotonic for the life of the process, so a
 /// per-campaign measurement needs the campaign in its own process —
-/// which is exactly how `bench-json`'s scale probe uses `repro fleet`.
+/// which is how CI's `fleet-scale-smoke` compares the peaks of a
+/// 1k-home and a 100k-home `repro fleet` run.
 fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -415,6 +406,8 @@ fn run_mesh(args: &[String]) {
     }
 }
 
+/// `repro fleet <homes> [--workers W] [--seed S] [--duration SECS]
+/// [--max-failures N] [--chaos-home IDX]... [--json]`
 fn run_fleet(args: &[String]) {
     let mut spec = fleet::CampaignSpec {
         workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -1002,651 +995,6 @@ fn run_upload(args: &[String]) {
     }
     if exit != 0 {
         std::process::exit(exit);
-    }
-}
-
-/// `repro bench-json [--out PATH]` — the perf-trajectory probe.
-///
-/// Emits one JSON document (schema documented in EXPERIMENTS.md) with
-/// the numbers future PRs track for regressions: frames/sec through
-/// the streaming analyzer, six-config suite wall-clock serial vs
-/// parallel, fleet homes/sec, and v6brickd uploads/sec at 1, 4, and 16
-/// concurrent clients. Written to `--out` (default
-/// `BENCH_pipeline.json`) and echoed to stdout.
-/// Run `repro fleet HOMES --workers W --duration 10 --json` in a child
-/// process and return `(wall_secs, child_peak_rss_bytes)`.
-///
-/// A subprocess per campaign is the only way to get a per-campaign peak
-/// RSS: `VmHWM` never goes down, so two campaigns in one process would
-/// share one high-water mark. The child self-reports on stderr; stdout
-/// (the report JSON) is discarded — its byte-identity across worker
-/// counts is pinned by CI's fleet-scale smoke, not here.
-fn fleet_scale_probe(homes: u64, workers: usize) -> (f64, u64) {
-    use std::process::{Command, Stdio};
-    let exe = std::env::current_exe().expect("current exe path");
-    let t0 = std::time::Instant::now();
-    let out = Command::new(exe)
-        .args([
-            "fleet",
-            &homes.to_string(),
-            "--workers",
-            &workers.to_string(),
-            "--duration",
-            "10",
-            "--json",
-        ])
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .output()
-        .expect("spawn repro fleet subprocess");
-    let secs = t0.elapsed().as_secs_f64();
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "fleet scale probe failed: {stderr}");
-    let rss = stderr
-        .lines()
-        .find_map(|l| l.strip_prefix("peak_rss_bytes="))
-        .and_then(|v| v.parse::<u64>().ok())
-        .expect("child reported peak_rss_bytes on stderr");
-    (secs, rss)
-}
-
-fn run_bench_json(args: &[String]) {
-    use std::time::Instant;
-    use v6brick_core::observe::StreamingAnalyzer;
-    use v6brick_devices::registry;
-    use v6brick_devices::stack::IotDevice;
-    use v6brick_sim::{Internet, Router, SimTime, SimulationBuilder};
-
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--out needs a value");
-                        std::process::exit(2);
-                    })
-                    .clone();
-            }
-            other => {
-                eprintln!("unknown bench-json flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    // --- 1. Streaming-analyzer throughput over a buffered household ---
-    // Buffer one 8-device dual-stack capture (the only place the byte
-    // buffer is still wanted: replaying identical frames repeatedly),
-    // then time the single-pass analyzer over it.
-    eprintln!("bench-json: simulating the 8-device household (240 s window)...");
-    let ids = [
-        "echo_show_5",
-        "nest_camera",
-        "google_home_mini",
-        "aqara_hub",
-        "homepod_mini",
-        "apple_tv",
-        "samsung_fridge",
-        "hue_hub",
-    ];
-    let profiles: Vec<_> = ids.iter().map(|id| registry::by_id(id)).collect();
-    let zones = scenario::build_zones(&profiles);
-    let mut b = SimulationBuilder::new(
-        Router::new(config::NetworkConfig::DualStack.router_config()),
-        Internet::new(zones),
-    );
-    let macs: Vec<_> = profiles
-        .iter()
-        .map(|p| {
-            b.add_host(Box::new(IotDevice::new(p.clone())));
-            (p.mac, p.id.clone())
-        })
-        .collect();
-    let mut sim = b.build();
-    sim.run_until(SimTime::from_secs(240));
-    let capture = sim.take_capture();
-    let (frames, bytes) = (capture.len() as u64, capture.total_bytes());
-    eprintln!("bench-json: timing the streaming analyzer over {frames} frames...");
-    let mut analyzer_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let mut analyzer = StreamingAnalyzer::new(&macs, scenario::lan_prefix());
-        for p in capture.iter() {
-            analyzer.feed(p.timestamp_us, &p.data);
-        }
-        std::hint::black_box(analyzer.finish().frames);
-        analyzer_secs = analyzer_secs.min(t0.elapsed().as_secs_f64());
-    }
-    let frames_per_sec = frames as f64 / analyzer_secs.max(1e-9);
-
-    // Per-pass cost attribution: one instrumented replay. The two
-    // `Instant` reads per (pass, frame) make this replay slower than
-    // the throughput loop above, which is why it is separate — the
-    // nanos are for *relative* attribution across passes.
-    eprintln!("bench-json: per-pass attribution replay...");
-    let mut instrumented = StreamingAnalyzer::new(&macs, scenario::lan_prefix());
-    instrumented.enable_metrics();
-    for p in capture.iter() {
-        instrumented.feed(p.timestamp_us, &p.data);
-    }
-    let per_pass: Vec<serde_json::Value> = instrumented
-        .pass_metrics()
-        .iter()
-        .map(|(id, m)| {
-            serde_json::json!({
-                "pass": id.label(),
-                "frames": m.frames,
-                "nanos": m.nanos,
-            })
-        })
-        .collect();
-    let parse_errors = instrumented.parse_errors();
-    std::hint::black_box(instrumented.finish().frames);
-
-    // --- 2. Six-config suite, serial vs parallel ---
-    let suite_ids = [
-        "echo_show_5",
-        "nest_camera",
-        "google_home_mini",
-        "aqara_hub",
-        "homepod_mini",
-        "apple_tv",
-        "samsung_fridge",
-        "hue_hub",
-        "ikea_gateway",
-        "echo_plus",
-        "behmor_brewer",
-        "wyze_cam",
-    ];
-    let suite_profiles = || suite_ids.iter().map(|id| registry::by_id(id)).collect();
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eprintln!("bench-json: six-config suite over 12 devices, serial...");
-    let t0 = Instant::now();
-    let serial =
-        ExperimentSuite::run_configs_with_workers(suite_profiles(), &config::NetworkConfig::ALL, 1);
-    let suite_serial_secs = t0.elapsed().as_secs_f64();
-    eprintln!("bench-json: six-config suite over 12 devices, {workers} workers...");
-    let t0 = Instant::now();
-    let parallel = ExperimentSuite::run_configs_with_workers(
-        suite_profiles(),
-        &config::NetworkConfig::ALL,
-        workers,
-    );
-    let suite_parallel_secs = t0.elapsed().as_secs_f64();
-    let deterministic = tables::table3(&serial).to_string()
-        == tables::table3(&parallel).to_string()
-        && tables::table5(&serial).to_string() == tables::table5(&parallel).to_string();
-
-    // --- 3. Fleet homes/sec: population pass subset vs every pass ---
-    let fleet_spec = |passes: &[PassId]| fleet::CampaignSpec {
-        homes: 8,
-        seed: 0xbe9c,
-        workers,
-        device_range: (2, 4),
-        duration_s: 60,
-        passes: passes.to_vec(),
-        ..Default::default()
-    };
-    eprintln!("bench-json: fleet campaign, 8 homes on {workers} workers (population passes)...");
-    let t0 = Instant::now();
-    let report = fleet::run(&fleet_spec(fleet::POPULATION_PASSES));
-    let fleet_secs = t0.elapsed().as_secs_f64();
-    let homes_per_sec = report.homes as f64 / fleet_secs.max(1e-9);
-    eprintln!("bench-json: same campaign with the full pass set...");
-    let t0 = Instant::now();
-    let full_report = fleet::run(&fleet_spec(&PassId::ALL));
-    let fleet_full_secs = t0.elapsed().as_secs_f64();
-    // The population subset must be a pure cost saving: the report the
-    // campaign produces may not change by a byte.
-    let report_identical = serde_json::to_string(&report).expect("serializable")
-        == serde_json::to_string(&full_report).expect("serializable");
-
-    // --- 4. Ingestion daemon: upload throughput at 1, 4, 16 clients ---
-    // The same 16-home campaign replayed at an in-process v6brickd over
-    // increasing client concurrency; each run must still snapshot
-    // byte-identically to the offline fleet JSON.
-    eprintln!("bench-json: packaging a 16-home campaign for v6brickd...");
-    let ingest_spec = fleet::CampaignSpec {
-        homes: 16,
-        seed: 0x1963,
-        workers,
-        device_range: (2, 4),
-        duration_s: 60,
-        ..Default::default()
-    };
-    let bundles = serve::campaign_bundles(&ingest_spec);
-    let ingest_offline = serve::offline_report_json(&ingest_spec);
-    let bundle_bytes: u64 = bundles.iter().map(|b| b.pcap.len() as u64).sum();
-    // One tier of the ingest ladder: replay `bundles` at `clients`
-    // concurrency and gate the tier on byte-identity with the offline
-    // fleet JSON — throughput without correctness is meaningless.
-    let run_ingest_tier = |spec: &fleet::CampaignSpec,
-                           bundles: &[v6brick_ingest::UploadBundle],
-                           offline: &str,
-                           clients: usize|
-     -> (serde_json::Value, bool, f64) {
-        let handle = v6brick_ingest::spawn(v6brick_ingest::ServerConfig {
-            campaign_seed: spec.seed,
-            shards: 8,
-            ..Default::default()
-        })
-        .expect("v6brickd binds an ephemeral port");
-        let addr = handle.addr().to_string();
-        let t0 = Instant::now();
-        let load = v6brick_ingest::loadgen::run(&addr, bundles, clients, spec.seed)
-            .expect("load generator runs");
-        let secs = t0.elapsed().as_secs_f64();
-        let identical = load.failures() == 0 && handle.state().snapshot_json() == offline;
-        let uploads_per_sec = load.uploads() as f64 / secs.max(1e-9);
-        let run = serde_json::json!({
-            "clients": clients,
-            "secs": secs,
-            "uploads_per_sec": uploads_per_sec,
-            "frames_per_sec": load.frames() as f64 / secs.max(1e-9),
-            "snapshot_identical": identical,
-        });
-        handle.shutdown();
-        handle.join();
-        (run, identical, uploads_per_sec)
-    };
-    let mut ingest_runs = Vec::new();
-    let mut snapshot_identical = true;
-    for clients in [1usize, 4, 16] {
-        eprintln!("bench-json: ingest replay, {clients} client(s)...");
-        let (run, identical, _) = run_ingest_tier(&ingest_spec, &bundles, &ingest_offline, clients);
-        snapshot_identical &= identical;
-        ingest_runs.push(run);
-    }
-
-    // --- 4b. C10k sweep: the event-loop server under 256/1k/4k clients ---
-    // A much wider campaign (one home per client at the top tier) so
-    // every connection has real work; the snapshot gate holds per tier.
-    eprintln!("bench-json: packaging a 4096-home campaign for the C10k sweep...");
-    let c10k_spec = fleet::CampaignSpec {
-        homes: 4096,
-        seed: 0xc10c,
-        workers,
-        device_range: (2, 3),
-        duration_s: 10,
-        ..Default::default()
-    };
-    let c10k_bundles = serve::campaign_bundles(&c10k_spec);
-    let c10k_offline = serve::offline_report_json(&c10k_spec);
-    let c10k_bytes: u64 = c10k_bundles.iter().map(|b| b.pcap.len() as u64).sum();
-    let mut c10k_runs = Vec::new();
-    let mut c10k_identical = true;
-    let mut c10k_uploads_per_sec = 0.0;
-    for clients in [256usize, 1024, 4096] {
-        eprintln!("bench-json: C10k ingest replay, {clients} concurrent clients...");
-        let (run, identical, rate) =
-            run_ingest_tier(&c10k_spec, &c10k_bundles, &c10k_offline, clients);
-        c10k_identical &= identical;
-        c10k_uploads_per_sec = rate;
-        c10k_runs.push(run);
-    }
-
-    // --- 4c. Durability: WAL overhead, crash recovery, checkpoint resume ---
-    // WAL overhead first: the same 16-home replay with and without a
-    // data dir, best of 3 each. Every WAL-on run gets a FRESH directory
-    // — reusing one would let the exactly-once dedupe skip the absorb
-    // (and most of the WAL write) on reruns and flatter the number.
-    let bench_tmp = |tag: &str, n: u32| -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("v6brick-bench-{tag}-{}-{n}", std::process::id()))
-    };
-    let time_replay = |data_dir: Option<std::path::PathBuf>| -> (f64, u64, u64) {
-        let handle = v6brick_ingest::spawn(v6brick_ingest::ServerConfig {
-            campaign_seed: ingest_spec.seed,
-            shards: 8,
-            data_dir,
-            ..Default::default()
-        })
-        .expect("v6brickd binds an ephemeral port");
-        let addr = handle.addr().to_string();
-        let t0 = Instant::now();
-        let load = v6brick_ingest::loadgen::run(&addr, &bundles, 4, ingest_spec.seed)
-            .expect("load generator runs");
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(load.failures(), 0, "WAL-overhead replay had failed uploads");
-        let stats = handle.state().stats_report();
-        handle.shutdown();
-        handle.join();
-        (
-            load.uploads() as f64 / secs.max(1e-9),
-            stats.wal_records,
-            stats.wal_bytes,
-        )
-    };
-    eprintln!("bench-json: WAL overhead, 16-home replay without a data dir (3 runs)...");
-    let mut wal_off_rate = 0.0f64;
-    for _ in 0..3 {
-        wal_off_rate = wal_off_rate.max(time_replay(None).0);
-    }
-    eprintln!("bench-json: WAL overhead, same replay write-ahead-logged (3 runs)...");
-    let mut wal_on_rate = 0.0f64;
-    let (mut wal_records, mut wal_bytes) = (0u64, 0u64);
-    for i in 0..3 {
-        let dir = bench_tmp("wal", i);
-        let (rate, records, bytes) = time_replay(Some(dir.clone()));
-        wal_on_rate = wal_on_rate.max(rate);
-        (wal_records, wal_bytes) = (records, bytes);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    let wal_overhead_pct = 100.0 * (1.0 - wal_on_rate / wal_off_rate.max(1e-9));
-    let wal_efficient = wal_on_rate >= 0.8 * wal_off_rate;
-
-    // Crash recovery: replay the whole 4096-home campaign into a durable
-    // daemon in pure-WAL mode (snapshot_every = 0), drain it, then time
-    // the recovery path over the resulting 4096-record WAL tail. The
-    // recovered report must be byte-identical to the offline oracle —
-    // recovery speed without correctness is meaningless.
-    eprintln!("bench-json: recovery probe — building a 4096-home WAL tail...");
-    let recovery_dir = bench_tmp("recover", 0);
-    {
-        let handle = v6brick_ingest::spawn(v6brick_ingest::ServerConfig {
-            campaign_seed: c10k_spec.seed,
-            shards: 8,
-            data_dir: Some(recovery_dir.clone()),
-            snapshot_every: 0,
-            ..Default::default()
-        })
-        .expect("v6brickd binds an ephemeral port");
-        let addr = handle.addr().to_string();
-        let load = v6brick_ingest::loadgen::run(&addr, &c10k_bundles, 256, c10k_spec.seed)
-            .expect("load generator runs");
-        assert_eq!(
-            load.failures(),
-            0,
-            "recovery-probe replay had failed uploads"
-        );
-        handle.shutdown();
-        handle.join();
-    }
-    eprintln!("bench-json: recovery probe — replaying the WAL tail...");
-    let t0 = Instant::now();
-    let recovered =
-        v6brick_ingest::recover(&recovery_dir, c10k_spec.seed).expect("recover the WAL tail");
-    let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let recovery_replayed = recovered.replayed;
-    let recovered_identical =
-        serde_json::to_string(&recovered.report).expect("serializable") == c10k_offline;
-    let _ = std::fs::remove_dir_all(&recovery_dir);
-
-    // Checkpoint/resume: the 16-home campaign run as stop-after-1-chunk
-    // legs (5 homes per chunk) must reassemble to the exact bytes of the
-    // uninterrupted offline report.
-    eprintln!("bench-json: checkpoint/resume probe over the 16-home campaign...");
-    let ck_path = bench_tmp("ckpt", 0);
-    let mut checkpoint_legs = 0u64;
-    let ck_report = loop {
-        let leg = fleet::run_checkpointed(&ingest_spec, &ck_path, 5, checkpoint_legs > 0, Some(1))
-            .expect("checkpointed campaign leg");
-        checkpoint_legs += 1;
-        if let Some(report) = leg.report {
-            break report;
-        }
-    };
-    let checkpoint_identical =
-        serde_json::to_string(&ck_report).expect("serializable") == ingest_offline;
-    let _ = std::fs::remove_file(&ck_path);
-
-    // --- 5. WAN exposure scan: homes/sec + cross-worker byte-identity ---
-    // A small campaign over all three firewall policies; the report must
-    // serialize byte-identically at 1 worker and at full parallelism, and
-    // the policy lattice (open >= pinholed >= default-deny per cell) must
-    // hold — both are correctness gates, not just timings.
-    let wanscan_spec = wanscan::WanScanSpec {
-        homes: 6,
-        seed: 0x5ca9,
-        workers,
-        device_range: (2, 4),
-        settle_s: 60,
-        ..Default::default()
-    };
-    eprintln!("bench-json: WAN scan, 6 homes x 3 policies on {workers} workers...");
-    let t0 = Instant::now();
-    let wan_report = wanscan::run(&wanscan_spec);
-    let wanscan_secs = t0.elapsed().as_secs_f64();
-    eprintln!("bench-json: same WAN scan, serial...");
-    let wan_serial = wanscan::run(&wanscan::WanScanSpec {
-        workers: 1,
-        ..wanscan_spec.clone()
-    });
-    let wanscan_identical = serde_json::to_string(&wan_report).expect("serializable")
-        == serde_json::to_string(&wan_serial).expect("serializable");
-    let wanscan_monotonic =
-        wan_report.monotonic_violations().is_empty() && wan_report.failures.is_empty();
-
-    // --- 6. Mesh homes: link-layer campaign throughput + determinism ---
-    // A mesh-heavy campaign (half the homes behind a 6LoWPAN border
-    // router) timed at full parallelism, then rerun serially. The mesh
-    // path costs a second analysis phase per home (decompress the
-    // 802.15.4 capture for attribution bindings), so its homes/sec is
-    // tracked separately — and the report must serialize byte-identically
-    // across worker counts, or the mesh axis broke campaign determinism.
-    let mesh_fleet_spec = fleet::CampaignSpec {
-        homes: 8,
-        seed: 0x6e5a,
-        workers,
-        device_range: (2, 4),
-        duration_s: 60,
-        mesh_per_mille: 500,
-        ..Default::default()
-    };
-    eprintln!("bench-json: mesh fleet, 8 homes (500 per mille meshed) on {workers} workers...");
-    let t0 = Instant::now();
-    let mesh_report = fleet::run(&mesh_fleet_spec);
-    let mesh_secs = t0.elapsed().as_secs_f64();
-    eprintln!("bench-json: same mesh fleet, serial...");
-    let mesh_serial = fleet::run(&fleet::CampaignSpec {
-        workers: 1,
-        ..mesh_fleet_spec.clone()
-    });
-    let mesh_identical = serde_json::to_string(&mesh_report).expect("serializable")
-        == serde_json::to_string(&mesh_serial).expect("serializable");
-    // The campaign must actually have exercised both link layers: a
-    // population report keyed only by Ethernet labels means the per-mille
-    // draw silently stopped selecting mesh homes.
-    let mesh_mixed = {
-        let labels: Vec<&str> = mesh_report
-            .homes_by_config
-            .keys()
-            .map(String::as_str)
-            .collect();
-        labels.iter().any(|l| l.ends_with("+ mesh"))
-            && labels.iter().any(|l| !l.ends_with("+ mesh"))
-    };
-
-    // --- 7. Memory-flat scale probe: 1k vs 100k homes ---
-    // Campaign memory is O(workers), so a 100x bigger campaign must not
-    // cost meaningfully more peak RSS. Each campaign runs in its own
-    // `repro fleet` child (VmHWM is per-process and monotonic) at short
-    // 10 s windows; the parent times the wall clock and reads the
-    // child's self-reported peak off stderr.
-    eprintln!("bench-json: fleet scale probe, 1k homes ({workers} workers, 10 s windows)...");
-    let (scale_small_secs, scale_small_rss) = fleet_scale_probe(1_000, workers);
-    eprintln!("bench-json: fleet scale probe, 100k homes (the long one)...");
-    let (scale_large_secs, scale_large_rss) = fleet_scale_probe(100_000, workers);
-    let rss_ratio = scale_large_rss as f64 / scale_small_rss.max(1) as f64;
-    let memory_flat = rss_ratio <= 2.0;
-
-    let out = serde_json::json!({
-        "schema": "v6brick-bench-pipeline/8",
-        "streaming_analyzer": serde_json::json!({
-            "frames": frames,
-            "bytes": bytes,
-            "parse_errors": parse_errors,
-            "secs": analyzer_secs,
-            "frames_per_sec": frames_per_sec,
-            "per_pass": per_pass,
-        }),
-        "suite": serde_json::json!({
-            "devices": suite_ids.len(),
-            "configs": config::NetworkConfig::ALL.len(),
-            "workers": workers,
-            "serial_secs": suite_serial_secs,
-            "parallel_secs": suite_parallel_secs,
-            "speedup": suite_serial_secs / suite_parallel_secs.max(1e-9),
-            "deterministic": deterministic,
-        }),
-        "fleet": serde_json::json!({
-            "homes": report.homes,
-            "devices": report.devices,
-            "workers": workers,
-            "secs": fleet_secs,
-            "homes_per_sec": homes_per_sec,
-            "full_pass_secs": fleet_full_secs,
-            "pass_ablation_speedup": fleet_full_secs / fleet_secs.max(1e-9),
-            "report_identical": report_identical,
-            "peak_rss_bytes": peak_rss_bytes(),
-        }),
-        "fleet_scale": serde_json::json!({
-            "duration_s": 10,
-            "workers": workers,
-            "small_homes": 1_000u64,
-            "small_secs": scale_small_secs,
-            "small_homes_per_sec": 1_000.0 / scale_small_secs.max(1e-9),
-            "small_peak_rss_bytes": scale_small_rss,
-            "large_homes": 100_000u64,
-            "large_secs": scale_large_secs,
-            "large_homes_per_sec": 100_000.0 / scale_large_secs.max(1e-9),
-            "large_peak_rss_bytes": scale_large_rss,
-            "rss_ratio": rss_ratio,
-            "memory_flat": memory_flat,
-        }),
-        "ingest": serde_json::json!({
-            "homes": ingest_spec.homes,
-            "bundle_bytes": bundle_bytes,
-            "shards": 8,
-            "runs": ingest_runs,
-            "snapshot_identical": snapshot_identical,
-        }),
-        "c10k": serde_json::json!({
-            "homes": c10k_spec.homes,
-            "bundle_bytes": c10k_bytes,
-            "shards": 8,
-            "runs": c10k_runs,
-            "snapshot_identical": c10k_identical,
-            "c10k_uploads_per_sec": c10k_uploads_per_sec,
-        }),
-        "durability": serde_json::json!({
-            "wal_homes": ingest_spec.homes,
-            "wal_off_uploads_per_sec": wal_off_rate,
-            "wal_on_uploads_per_sec": wal_on_rate,
-            "wal_overhead_pct": wal_overhead_pct,
-            "wal_efficient": wal_efficient,
-            "wal_records": wal_records,
-            "wal_bytes": wal_bytes,
-            "recovery_homes": c10k_spec.homes,
-            "recovery_replayed": recovery_replayed,
-            "recovery_ms": recovery_ms,
-            "recovered_identical": recovered_identical,
-            "checkpoint_homes": ingest_spec.homes,
-            "checkpoint_legs": checkpoint_legs,
-            "checkpoint_identical": checkpoint_identical,
-        }),
-        "mesh": serde_json::json!({
-            "homes": mesh_report.homes,
-            "devices": mesh_report.devices,
-            "mesh_per_mille": mesh_fleet_spec.mesh_per_mille,
-            "workers": workers,
-            "secs": mesh_secs,
-            "homes_per_sec": mesh_report.homes as f64 / mesh_secs.max(1e-9),
-            "report_identical": mesh_identical,
-            "mixed_link_layers": mesh_mixed,
-        }),
-        "wanscan": serde_json::json!({
-            "homes": wan_report.homes,
-            "devices": wan_report.devices,
-            "policies": wanscan_spec.policies.len(),
-            "workers": workers,
-            "secs": wanscan_secs,
-            "homes_per_sec": wan_report.homes as f64 / wanscan_secs.max(1e-9),
-            "report_identical": wanscan_identical,
-            "monotonic": wanscan_monotonic,
-        }),
-    });
-    let rendered = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write(&out_path, format!("{rendered}\n")).unwrap_or_else(|e| {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("bench-json: wrote {out_path}");
-    println!("{rendered}");
-    if !deterministic {
-        eprintln!(
-            "bench-json: serial and parallel suites DIVERGED — investigate before trusting timings"
-        );
-        std::process::exit(1);
-    }
-    if !report_identical {
-        eprintln!(
-            "bench-json: population-pass and full-pass fleet reports DIVERGED — \
-             a pass is writing fields the population report reads"
-        );
-        std::process::exit(1);
-    }
-    if !snapshot_identical {
-        eprintln!(
-            "bench-json: a v6brickd snapshot DIVERGED from the offline fleet JSON — \
-             the server==fleet equivalence spine is broken"
-        );
-        std::process::exit(1);
-    }
-    if !wanscan_identical {
-        eprintln!("bench-json: the WAN exposure report DIVERGED between serial and parallel runs");
-        std::process::exit(1);
-    }
-    if !mesh_identical {
-        eprintln!(
-            "bench-json: the mesh fleet report DIVERGED between serial and parallel runs — \
-             the mesh axis broke campaign determinism"
-        );
-        std::process::exit(1);
-    }
-    if !mesh_mixed {
-        eprintln!(
-            "bench-json: the mesh campaign did not produce both Ethernet and mesh homes — \
-             the per-mille draw is broken"
-        );
-        std::process::exit(1);
-    }
-    if !wanscan_monotonic {
-        eprintln!(
-            "bench-json: the WAN exposure report violates the firewall-policy lattice \
-             (or a home failed) — a stricter policy exposed more than a looser one"
-        );
-        std::process::exit(1);
-    }
-    if !memory_flat {
-        eprintln!(
-            "bench-json: a 100k-home campaign peaked at {rss_ratio:.2}x the RSS of a \
-             1k-home campaign — campaign memory is no longer flat in homes"
-        );
-        std::process::exit(1);
-    }
-    if !wal_efficient {
-        eprintln!(
-            "bench-json: write-ahead logging costs {wal_overhead_pct:.1}% of upload \
-             throughput (>20% budget) — the WAL append path regressed"
-        );
-        std::process::exit(1);
-    }
-    if !recovered_identical {
-        eprintln!(
-            "bench-json: the report recovered from the WAL tail DIVERGED from the \
-             offline oracle — crash recovery is broken"
-        );
-        std::process::exit(1);
-    }
-    if !checkpoint_identical {
-        eprintln!(
-            "bench-json: the checkpointed-and-resumed fleet report DIVERGED from the \
-             uninterrupted run — checkpoint/resume is broken"
-        );
-        std::process::exit(1);
     }
 }
 

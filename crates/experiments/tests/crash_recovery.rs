@@ -245,6 +245,31 @@ fn torn_wal_tail_is_truncated_and_recovery_converges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A pure-WAL daemon (`snapshot_every` 0) never folds uploads into a
+/// snapshot, so after a graceful drain the whole campaign lives in the
+/// WAL tail: `recover` must replay every record and rebuild the offline
+/// oracle byte for byte.
+#[test]
+fn pure_wal_tail_recovers_the_oracle_byte_for_byte() {
+    let oracle = oracle();
+    let dir = temp_dir("pure-wal", 0);
+    let mut daemon = start_daemon(&dir, 0);
+    let mut client = daemon.client();
+    upload_prefix(&mut client, oracle.bundles.len());
+    client.shutdown_server().expect("drain");
+    drop(client);
+    assert!(daemon.child.wait().expect("reap daemon").success());
+
+    let recovered = v6brick_ingest::recover(&dir, spec().seed).expect("recover the WAL tail");
+    assert_eq!(recovered.replayed, HOMES);
+    assert_eq!(
+        serde_json::to_string(&recovered.report).expect("serializable"),
+        oracle.offline,
+        "the report recovered from the WAL tail diverged from the oracle"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// SIGTERM is the graceful path: the daemon drains, fsyncs + closes the
 /// WAL, writes a final snapshot, and exits 0 with its STATS on stdout.
 #[cfg(target_os = "linux")]

@@ -40,7 +40,6 @@ fn unknown_artifact_lists_every_subcommand() {
         "fleet",
         "mesh",
         "wanscan",
-        "bench-json",
         "serve",
         "upload",
         "stats",
