@@ -78,7 +78,9 @@ impl Repr {
             (ty @ 133..=136, 0) => Ok(Repr::Ndp(ndp::Repr::parse_body(ty, &b[4..])?)),
             (143, 0) => {
                 let n = usize::from(u16::from_be_bytes([b[6], b[7]]));
-                let mut records = Vec::with_capacity(n);
+                // Reserve only what the bytes can hold (20 per record),
+                // never what the count claims.
+                let mut records = Vec::with_capacity(n.min((b.len() - 8) / 20));
                 let mut off = 8;
                 for _ in 0..n {
                     if b.len() < off + 20 {
