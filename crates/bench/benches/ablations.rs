@@ -2,7 +2,9 @@
 //!
 //! 1. Flow table: hash-indexed 5-tuple map vs a linear-scan vector.
 //! 2. DNS name encoding: RFC 1035 compression vs naive repetition
-//!    (size and time on a response with repeated owner names).
+//!    (size and time on a response with repeated owner names), and the
+//!    owned codec (`Message::build`, `Message::parse_bytes`) beside the
+//!    borrowed one (a `MessageView` walk, a `Writer` answering a view).
 //! 3. Capture storage: `bytes::Bytes` per-frame copies vs `Vec<u8>`
 //!    per-frame allocations vs a contiguous arena with ranges; plus
 //!    the pre-counted `Capture::with_capacity` vs growth reallocation.
@@ -13,7 +15,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use std::collections::HashMap;
 use std::net::{IpAddr, Ipv6Addr};
 use v6brick_core::flows::{FlowKey, FlowProto, FlowTable};
-use v6brick_net::dns::{Message, Name, Rcode, Rdata, Record, RecordType};
+use v6brick_net::dns::{
+    Message, MessageView, Name, Rcode, Rdata, Record, RecordType, Section, Writer,
+};
 
 // --- ablation 1: flow table ---------------------------------------------------
 
@@ -189,6 +193,30 @@ fn bench_dns_ablation(c: &mut Criterion) {
     });
     g.bench_function("compressed_parse", |b| {
         b.iter(|| Message::parse_bytes(black_box(&compressed)).unwrap())
+    });
+    // The borrowed side: what a host reads of an answer, and what the
+    // internet model writes from the query's view.
+    g.bench_function("view_walk", |b| {
+        b.iter(|| {
+            let v = MessageView::new(black_box(&compressed)).unwrap();
+            (
+                v.id(),
+                v.question().map(|q| q.name.text().len()),
+                v.aaaa_answers().count(),
+            )
+        })
+    });
+    let query = q.build();
+    g.bench_function("writer_from_view", |b| {
+        b.iter(|| {
+            let v = MessageView::new(black_box(&query)).unwrap();
+            let owner = v.question().unwrap().name.text();
+            let mut w = Writer::response_to(&v, Rcode::NoError);
+            for r in &resp.answers {
+                w.record(Section::Answer, &owner, r.rtype, r.ttl, &r.rdata);
+            }
+            w.finish()
+        })
     });
     g.finish();
 }

@@ -18,7 +18,7 @@ impl AnalyzerPass for AddressingPass {
         PassId::Addressing
     }
 
-    fn on_frame(&mut self, _ts: u64, p: &ParsedPacket, ctx: &mut SharedFrameCtx<'_>) {
+    fn on_frame<'a>(&mut self, _ts: u64, p: &ParsedPacket<'a>, ctx: &mut SharedFrameCtx<'a>) {
         match ctx.class {
             FrameClass::Icmpv6 => {
                 let (Net::Ipv6(ip), L4::Icmpv6(msg)) = (&p.net, &p.l4) else {

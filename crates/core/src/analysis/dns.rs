@@ -4,10 +4,10 @@
 //! the [`super::traffic`] and [`super::eui64`] passes attribute
 //! destinations with.
 
-use super::{AnalyzerPass, PassId, SharedFrameCtx};
+use super::{note_name, AnalyzerPass, PassId, SharedFrameCtx};
 use std::collections::HashMap;
 use std::net::IpAddr;
-use v6brick_net::dns::{Name, Rdata, RecordType};
+use v6brick_net::dns::{Name, RdataView, RecordType};
 use v6brick_net::parse::{ParsedPacket, L4};
 use v6brick_net::Mac;
 
@@ -16,8 +16,9 @@ use v6brick_net::Mac;
 /// [`super::SharedState::ip_to_name`] map. Only dispatched
 /// [`super::FrameClass::Dns`] frames.
 pub struct DnsPass {
-    /// Pending queries: (client mac, txid) -> (name, rtype, over_v6).
-    pending: HashMap<(Mac, u16), (Name, RecordType, bool)>,
+    /// Pending queries: (client mac, txid) -> the name, for an AAAA
+    /// query (the only type whose answer is recorded per name).
+    pending: HashMap<(Mac, u16), Option<Name>>,
 }
 
 impl DnsPass {
@@ -40,7 +41,7 @@ impl AnalyzerPass for DnsPass {
         PassId::Dns
     }
 
-    fn on_frame(&mut self, _ts: u64, p: &ParsedPacket, ctx: &mut SharedFrameCtx<'_>) {
+    fn on_frame<'a>(&mut self, _ts: u64, p: &ParsedPacket<'a>, ctx: &mut SharedFrameCtx<'a>) {
         let L4::Udp { dst_port, .. } = &p.l4 else {
             return;
         };
@@ -52,32 +53,22 @@ impl AnalyzerPass for DnsPass {
                 return;
             };
             let Some(q) = msg.question() else { return };
+            let name = q.name.text();
             let o = &mut ctx.state.obs[i];
-            match q.rtype {
-                RecordType::A => {
-                    if over_v6 {
-                        o.a_q_v6.insert(q.name.clone());
-                    } else {
-                        o.a_q_v4.insert(q.name.clone());
-                    }
-                }
-                RecordType::Aaaa => {
-                    if over_v6 {
-                        o.aaaa_q_v6.insert(q.name.clone());
-                    } else {
-                        o.aaaa_q_v4.insert(q.name.clone());
-                    }
-                }
-                RecordType::Https => {
-                    o.https_q.insert(q.name.clone());
-                }
-                RecordType::Svcb => {
-                    o.svcb_q.insert(q.name.clone());
-                }
-                _ => {}
+            let set = match q.rtype {
+                RecordType::A if over_v6 => Some(&mut o.a_q_v6),
+                RecordType::A => Some(&mut o.a_q_v4),
+                RecordType::Aaaa if over_v6 => Some(&mut o.aaaa_q_v6),
+                RecordType::Aaaa => Some(&mut o.aaaa_q_v4),
+                RecordType::Https => Some(&mut o.https_q),
+                RecordType::Svcb => Some(&mut o.svcb_q),
+                _ => None,
+            };
+            if let Some(set) = set {
+                note_name(set, &name);
             }
-            self.pending
-                .insert((p.eth.src, msg.id), (q.name.clone(), q.rtype, over_v6));
+            let aaaa = (q.rtype == RecordType::Aaaa).then(|| name.to_name());
+            self.pending.insert((p.eth.src, msg.id()), aaaa);
             if over_v6 {
                 if let Some(IpAddr::V6(src)) = p.src_ip() {
                     o.dns_src_v6.insert(src);
@@ -89,31 +80,32 @@ impl AnalyzerPass for DnsPass {
                 return;
             };
             // Harvest the global answer map regardless of destination.
-            for r in &msg.answers {
-                match r.rdata {
-                    Rdata::A(a) => {
-                        ctx.state.ip_to_name.insert(IpAddr::V4(a), r.name.clone());
+            for r in msg.answers() {
+                let ip = match r.rdata {
+                    RdataView::A(a) => IpAddr::V4(a),
+                    RdataView::Aaaa(a) => IpAddr::V6(a),
+                    _ => continue,
+                };
+                let name = r.name.text();
+                match ctx.state.ip_to_name.get_mut(&ip) {
+                    Some(known) if known.as_str() == name.as_str() => {}
+                    Some(known) => *known = name.to_name(),
+                    None => {
+                        ctx.state.ip_to_name.insert(ip, name.to_name());
                     }
-                    Rdata::Aaaa(a) => {
-                        ctx.state.ip_to_name.insert(IpAddr::V6(a), r.name.clone());
-                    }
-                    _ => {}
                 }
             }
             if let Some(i) = ctx.to {
-                if let Some((name, rtype, _)) = self.pending.remove(&(p.eth.dst, msg.id)) {
-                    if rtype == RecordType::Aaaa {
-                        let o = &mut ctx.state.obs[i];
-                        if msg.aaaa_answers().next().is_some() {
-                            if over_v6 {
-                                o.aaaa_pos_v6.insert(name);
-                            } else {
-                                o.aaaa_pos_v4.insert(name);
-                            }
-                        } else {
-                            o.aaaa_neg.insert(name);
-                        }
-                    }
+                if let Some(Some(name)) = self.pending.remove(&(p.eth.dst, msg.id())) {
+                    let o = &mut ctx.state.obs[i];
+                    let set = if msg.aaaa_answers().next().is_none() {
+                        &mut o.aaaa_neg
+                    } else if over_v6 {
+                        &mut o.aaaa_pos_v6
+                    } else {
+                        &mut o.aaaa_pos_v4
+                    };
+                    set.insert(name);
                 }
             }
         }

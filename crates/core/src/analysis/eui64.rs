@@ -2,7 +2,9 @@
 //! source address (by DNS query, attributed data, or SNI) — the raw
 //! material of the Fig. 5 privacy analysis in [`crate::eui64`].
 
-use super::{v6_peer_is_local, AnalyzerPass, FrameClass, PassId, SharedFrameCtx};
+use super::{
+    note_name, note_owned, v6_peer_is_local, AnalyzerPass, FrameClass, PassId, SharedFrameCtx,
+};
 use std::net::IpAddr;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::parse::{ParsedPacket, L4};
@@ -18,7 +20,7 @@ impl AnalyzerPass for Eui64Pass {
         PassId::Eui64
     }
 
-    fn on_frame(&mut self, _ts: u64, p: &ParsedPacket, ctx: &mut SharedFrameCtx<'_>) {
+    fn on_frame<'a>(&mut self, _ts: u64, p: &ParsedPacket<'a>, ctx: &mut SharedFrameCtx<'a>) {
         match ctx.class {
             FrameClass::Dns => {
                 // A query sent from an EUI-64 source exposes the name.
@@ -35,16 +37,13 @@ impl AnalyzerPass for Eui64Pass {
                 if !src.is_eui64() {
                     return;
                 }
-                let name = ctx
-                    .caches
-                    .dns_message(p)
-                    .and_then(|m| m.question())
-                    .map(|q| q.name.clone());
-                if let Some(name) = name {
-                    let o = &mut ctx.state.obs[i];
-                    o.dns_names_from_eui64.insert(name.clone());
-                    o.domains_from_eui64.insert(name);
-                }
+                let Some(q) = ctx.caches.dns_message(p).and_then(|m| m.question()) else {
+                    return;
+                };
+                let name = q.name.text();
+                let o = &mut ctx.state.obs[i];
+                note_name(&mut o.dns_names_from_eui64, &name);
+                note_name(&mut o.domains_from_eui64, &name);
             }
             FrameClass::Data => {
                 let Some(d) = ctx.data else { return };
@@ -54,9 +53,9 @@ impl AnalyzerPass for Eui64Pass {
                         && dev6.is_eui64()
                         && !d.is_ntp
                     {
-                        let name = ctx.state.ip_to_name.get(&IpAddr::V6(peer6)).cloned();
-                        if let Some(name) = name {
-                            ctx.state.obs[d.idx].domains_from_eui64.insert(name);
+                        let state = &mut *ctx.state;
+                        if let Some(name) = state.ip_to_name.get(&IpAddr::V6(peer6)) {
+                            note_owned(&mut state.obs[d.idx].domains_from_eui64, name);
                         }
                     }
                 }

@@ -33,7 +33,7 @@ impl AnalyzerPass for FlowsPass {
         PassId::Flows
     }
 
-    fn on_frame(&mut self, ts: u64, p: &ParsedPacket, _ctx: &mut SharedFrameCtx<'_>) {
+    fn on_frame<'a>(&mut self, ts: u64, p: &ParsedPacket<'a>, _ctx: &mut SharedFrameCtx<'a>) {
         self.table.record(ts, p);
     }
 

@@ -32,7 +32,7 @@ use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv6Addr};
 use std::time::Instant;
-use v6brick_net::dns::{Message, Name};
+use v6brick_net::dns::{MessageView, Name, NameText};
 use v6brick_net::ipv6::{Cidr, Ipv6AddrExt};
 use v6brick_net::parse::{self, Net, ParsedPacket, L4};
 use v6brick_net::{tls, Mac};
@@ -276,25 +276,24 @@ pub struct SharedState {
     pub ip_to_name: BTreeMap<IpAddr, Name>,
 }
 
-/// Lazily-computed per-frame derivations shared between passes. Lives in
-/// a field separate from [`SharedState`] so a pass can hold a parsed
-/// message borrowed from the caches while mutating observations.
+/// Lazily-computed per-frame derivations shared between passes, each
+/// made by the first pass that asks.
 #[derive(Debug, Default)]
-pub struct FrameCaches {
-    dns: Option<Option<Message>>,
+pub struct FrameCaches<'a> {
+    dns: Option<Option<MessageView<'a>>>,
     sni: Option<Option<Name>>,
 }
 
-impl FrameCaches {
-    /// The frame's UDP payload parsed as a DNS message (memoized; `None`
-    /// for non-UDP frames or unparseable payloads).
-    pub fn dns_message(&mut self, p: &ParsedPacket) -> Option<&Message> {
-        self.dns
-            .get_or_insert_with(|| match &p.l4 {
-                L4::Udp { payload, .. } => Message::parse_bytes(payload).ok(),
-                _ => None,
-            })
-            .as_ref()
+impl<'a> FrameCaches<'a> {
+    /// The frame's UDP payload as a validated DNS message view
+    /// (memoized; `None` for non-UDP frames or unparseable payloads). The
+    /// view borrows the frame, not the caches, so a pass can read it
+    /// while mutating observations.
+    pub fn dns_message(&mut self, p: &ParsedPacket<'a>) -> Option<MessageView<'a>> {
+        *self.dns.get_or_insert_with(|| match p.l4 {
+            L4::Udp { payload, .. } => MessageView::new(payload).ok(),
+            _ => None,
+        })
     }
 
     /// The TLS SNI carried in the frame's TCP payload (memoized).
@@ -325,7 +324,21 @@ pub struct SharedFrameCtx<'a> {
     /// Cross-pass mutable state.
     pub state: &'a mut SharedState,
     /// Per-frame memoized derivations.
-    pub caches: FrameCaches,
+    pub caches: FrameCaches<'a>,
+}
+
+/// Insert a decoded name into `set`, allocating only if the set lacks it.
+pub(crate) fn note_name(set: &mut BTreeSet<Name>, name: &NameText) {
+    if !set.contains(name.as_str()) {
+        set.insert(name.to_name());
+    }
+}
+
+/// Insert `name` into `set`, cloning only if the set lacks it.
+pub(crate) fn note_owned(set: &mut BTreeSet<Name>, name: &Name) {
+    if !set.contains(name) {
+        set.insert(name.clone());
+    }
 }
 
 /// One analysis concern, fed every frame of the classes it
@@ -335,7 +348,7 @@ pub trait AnalyzerPass: Send {
     fn id(&self) -> PassId;
 
     /// Observe one parsed frame.
-    fn on_frame(&mut self, ts: u64, p: &ParsedPacket, ctx: &mut SharedFrameCtx<'_>);
+    fn on_frame<'a>(&mut self, ts: u64, p: &ParsedPacket<'a>, ctx: &mut SharedFrameCtx<'a>);
 
     /// Move any privately-held results into the final analysis. Passes
     /// that write only shared per-device fields need not override this.

@@ -3,7 +3,7 @@
 //! addresses, and destination domains attributed through the DNS answer
 //! map and TLS SNI — the Fig. 3/4 traffic observables.
 
-use super::{v6_peer_is_local, AnalyzerPass, PassId, SharedFrameCtx};
+use super::{note_owned, v6_peer_is_local, AnalyzerPass, PassId, SharedFrameCtx};
 use std::net::IpAddr;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::parse::{ParsedPacket, L4};
@@ -19,14 +19,14 @@ impl AnalyzerPass for TrafficPass {
         PassId::Traffic
     }
 
-    fn on_frame(&mut self, _ts: u64, p: &ParsedPacket, ctx: &mut SharedFrameCtx<'_>) {
+    fn on_frame<'a>(&mut self, _ts: u64, p: &ParsedPacket<'a>, ctx: &mut SharedFrameCtx<'a>) {
         let Some(d) = ctx.data else { return };
         match (d.dev_ip, d.peer_ip) {
             (IpAddr::V6(_), IpAddr::V6(peer6)) => {
                 if v6_peer_is_local(peer6, ctx.lan_prefix) {
                     ctx.state.obs[d.idx].v6_local_bytes += d.payload_len;
                 } else {
-                    let name = ctx.state.ip_to_name.get(&IpAddr::V6(peer6)).cloned();
+                    let name = ctx.state.ip_to_name.get(&IpAddr::V6(peer6));
                     let o = &mut ctx.state.obs[d.idx];
                     o.v6_internet_bytes += d.payload_len;
                     o.v6_internet_peers.insert(peer6);
@@ -40,18 +40,18 @@ impl AnalyzerPass for TrafficPass {
                         }
                     }
                     if let Some(name) = name {
-                        o.domains_v6.insert(name);
+                        note_owned(&mut o.domains_v6, name);
                     }
                 }
             }
             (IpAddr::V4(_), IpAddr::V4(peer4)) => {
                 let local = peer4.is_private() || peer4.is_broadcast() || peer4.is_multicast();
                 if !local {
-                    let name = ctx.state.ip_to_name.get(&IpAddr::V4(peer4)).cloned();
+                    let name = ctx.state.ip_to_name.get(&IpAddr::V4(peer4));
                     let o = &mut ctx.state.obs[d.idx];
                     o.v4_internet_bytes += d.payload_len;
                     if let Some(name) = name {
-                        o.domains_v4.insert(name);
+                        note_owned(&mut o.domains_v4, name);
                     }
                 }
             }

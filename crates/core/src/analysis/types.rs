@@ -131,7 +131,7 @@ impl DeviceObservation {
         let all_aaaa = self.aaaa_q_any();
         self.a_q_v6
             .iter()
-            .filter(|n| !all_aaaa.contains(n))
+            .filter(|n| !all_aaaa.contains(*n))
             .cloned()
             .collect()
     }

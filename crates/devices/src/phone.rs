@@ -7,7 +7,7 @@ use rand::Rng;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
-use v6brick_net::dns::{Message, Name, RecordType};
+use v6brick_net::dns::{MessageView, Name, RecordType, Writer};
 use v6brick_net::ipv6::mcast;
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
@@ -203,8 +203,8 @@ impl Host for Phone {
                     ..
                 },
             ) => {
-                if let Ok(msg) = Message::parse_bytes(payload) {
-                    if let Some(rtype) = self.pending.remove(&msg.id) {
+                if let Ok(msg) = MessageView::new(payload) {
+                    if let Some(rtype) = self.pending.remove(&msg.id()) {
                         match rtype {
                             RecordType::A if msg.a_answers().next().is_some() => {
                                 self.canary_v4 = true;
@@ -254,7 +254,7 @@ impl Host for Phone {
                 if !self.canary_v4 {
                     let id = 0x4a00 | (self.tick as u16 & 0xff);
                     self.pending.insert(id, RecordType::A);
-                    let q = Message::query(id, self.canary.clone(), RecordType::A).build();
+                    let q = Writer::query(id, self.canary.as_str(), RecordType::A);
                     fx.send_frame(wire::udp4_frame(self.mac, gw, src, dns, 40053, 53, q));
                 }
             }
@@ -264,7 +264,7 @@ impl Host for Phone {
                 if !self.canary_v6 {
                     let id = 0x6a00 | (self.tick as u16 & 0xff);
                     self.pending.insert(id, RecordType::Aaaa);
-                    let q = Message::query(id, self.canary.clone(), RecordType::Aaaa).build();
+                    let q = Writer::query(id, self.canary.as_str(), RecordType::Aaaa);
                     fx.send_frame(wire::udp6_frame(self.mac, rm, src, dns, 40053, 53, q));
                 }
             }

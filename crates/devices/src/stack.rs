@@ -13,7 +13,8 @@ use rand::Rng;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-use v6brick_net::dns::{Message, Name, RecordType};
+use std::sync::Arc;
+use v6brick_net::dns::{Message, MessageView, Name, RecordType, Writer};
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
@@ -57,6 +58,16 @@ enum Dhcp6State {
 struct PendingQuery {
     name: Name,
     rtype: RecordType,
+}
+
+/// Attempts made at one lookup of a name (record type and transport),
+/// and the tick of the last one.
+#[derive(Debug, Clone, Copy)]
+struct Attempts {
+    rtype: RecordType,
+    over_v6: bool,
+    count: u8,
+    last: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +125,9 @@ pub struct SwitchEvent {
 /// A behavioural IoT device on the simulated LAN.
 #[derive(Clone)]
 pub struct IotDevice {
-    profile: DeviceProfile,
+    /// Shared, so a round can walk the destinations while it mutates
+    /// the device.
+    profile: Arc<DeviceProfile>,
     boot_jitter_ms: u64,
     tick: u32,
 
@@ -151,10 +164,10 @@ pub struct IotDevice {
     resolved6: HashMap<Name, Ipv6Addr>,
     negative6: HashSet<Name>,
     pending: HashMap<u16, PendingQuery>,
-    /// Query dedup/retry state: attempts made and the tick of the last
-    /// attempt. Lost queries (frame-loss injection) are retried with
-    /// backoff, up to four attempts.
-    asked: HashMap<(Name, RecordType, bool), (u8, u32)>,
+    /// Query dedup/retry state, per name: attempts made at each lookup
+    /// and the tick of the last attempt. Lost queries (frame-loss
+    /// injection) are retried with backoff, up to four attempts.
+    asked: HashMap<Name, Vec<Attempts>>,
     next_txid: u16,
 
     // Transport. Keyed by local port and walked in port order, so the
@@ -232,7 +245,7 @@ impl IotDevice {
             rfc6724_patience: true,
             connected: HashSet::new(),
             seed,
-            profile,
+            profile: Arc::new(profile),
         }
     }
 
@@ -706,30 +719,32 @@ impl IotDevice {
         self.next_txid
     }
 
-    fn send_query(&mut self, name: Name, rtype: RecordType, over_v6: bool, fx: &mut Effects) {
-        let key = (name.clone(), rtype, over_v6);
+    fn send_query(&mut self, name: &Name, rtype: RecordType, over_v6: bool, fx: &mut Effects) {
+        let tried = self.asked.get(name).and_then(|lookups| {
+            lookups
+                .iter()
+                .find(|a| a.rtype == rtype && a.over_v6 == over_v6)
+                .copied()
+        });
         // Already answered?
         let answered = match rtype {
             RecordType::A => {
-                self.resolved4.contains_key(&name)
-                    || (over_v6 && self.resolved6.contains_key(&name))
+                self.resolved4.contains_key(name) || (over_v6 && self.resolved6.contains_key(name))
             }
-            RecordType::Aaaa => {
-                self.resolved6.contains_key(&name) || self.negative6.contains(&name)
-            }
-            _ => self.asked.contains_key(&key),
+            RecordType::Aaaa => self.resolved6.contains_key(name) || self.negative6.contains(name),
+            _ => tried.is_some(),
         };
         if answered {
             return;
         }
         // Retry with backoff: at most 4 attempts, at least 5 ticks apart.
-        if let Some((attempts, last)) = self.asked.get(&key) {
-            if *attempts >= 4 || self.tick.saturating_sub(*last) < 5 {
+        if let Some(a) = tried {
+            if a.count >= 4 || self.tick.saturating_sub(a.last) < 5 {
                 return;
             }
         }
         let id = self.txid();
-        let query = Message::query(id, name.clone(), rtype).build();
+        let query = Writer::query(id, name.as_str(), rtype);
         if over_v6 {
             let (Some(src), Some(&server)) = (self.dns_src6(), self.v6_dns.first()) else {
                 return;
@@ -759,10 +774,33 @@ impl IotDevice {
                 query,
             ));
         }
-        let entry = self.asked.entry(key).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 = self.tick;
-        self.pending.insert(id, PendingQuery { name, rtype });
+        let tick = self.tick;
+        let lookups = match self.asked.get_mut(name) {
+            Some(lookups) => lookups,
+            None => self.asked.entry(name.clone()).or_default(),
+        };
+        match lookups
+            .iter_mut()
+            .find(|a| a.rtype == rtype && a.over_v6 == over_v6)
+        {
+            Some(a) => {
+                a.count += 1;
+                a.last = tick;
+            }
+            None => lookups.push(Attempts {
+                rtype,
+                over_v6,
+                count: 1,
+                last: tick,
+            }),
+        }
+        self.pending.insert(
+            id,
+            PendingQuery {
+                name: name.clone(),
+                rtype,
+            },
+        );
     }
 
     fn alloc_port(&mut self) -> u16 {
@@ -779,17 +817,17 @@ impl IotDevice {
         let has_v4_dns = self.v4_addr.is_some() && !self.v4_dns.is_empty();
         let v6_ready =
             self.profile.dns.v6_transport && !self.v6_dns.is_empty() && self.dns_src6().is_some();
-        let dests: Vec<Destination> = self.profile.app.destinations.clone();
-        for d in &dests {
+        let profile = Arc::clone(&self.profile);
+        for d in &profile.app.destinations {
             // A records: v4 transport when available. Over IPv6 transport
             // an A query only happens as the pair of a dual-family lookup
             // (wants_aaaa) or as a deliberate AF_INET resolution (the
             // a_only names of §5.2.2); everything else rides IPv4.
             if has_v4_dns {
-                self.send_query(d.domain.clone(), RecordType::A, false, fx);
+                self.send_query(&d.domain, RecordType::A, false, fx);
             }
             if v6_ready && ((d.wants_aaaa && !d.aaaa_v4_transport_only) || d.a_only) {
-                self.send_query(d.domain.clone(), RecordType::A, true, fx);
+                self.send_query(&d.domain, RecordType::A, true, fx);
             }
             // AAAA records.
             let wants = d.wants_aaaa && !d.a_only;
@@ -798,40 +836,40 @@ impl IotDevice {
                     AaaaTransport::None => {}
                     AaaaTransport::V4Only => {
                         if has_v4_dns {
-                            self.send_query(d.domain.clone(), RecordType::Aaaa, false, fx);
+                            self.send_query(&d.domain, RecordType::Aaaa, false, fx);
                         }
                     }
                     AaaaTransport::V6Capable => {
                         if d.aaaa_v4_transport_only {
                             if has_v4_dns {
-                                self.send_query(d.domain.clone(), RecordType::Aaaa, false, fx);
+                                self.send_query(&d.domain, RecordType::Aaaa, false, fx);
                             }
                         } else if v6_ready {
-                            self.send_query(d.domain.clone(), RecordType::Aaaa, true, fx);
+                            self.send_query(&d.domain, RecordType::Aaaa, true, fx);
                         } else if has_v4_dns {
-                            self.send_query(d.domain.clone(), RecordType::Aaaa, false, fx);
+                            self.send_query(&d.domain, RecordType::Aaaa, false, fx);
                         }
                     }
                 }
             }
             // HTTPS/SVCB probing rides the v6 resolver when available.
             if self.profile.dns.https_records && v6_ready && d.party == Party::First {
-                self.send_query(d.domain.clone(), RecordType::Https, true, fx);
+                self.send_query(&d.domain, RecordType::Https, true, fx);
             }
             if self.profile.dns.svcb_records && v6_ready && d.required {
-                self.send_query(d.domain.clone(), RecordType::Svcb, true, fx);
+                self.send_query(&d.domain, RecordType::Svcb, true, fx);
             }
         }
     }
 
     fn on_dns_response(&mut self, payload: &[u8]) {
-        let Ok(msg) = Message::parse_bytes(payload) else {
+        let Ok(msg) = MessageView::new(payload) else {
             return;
         };
-        if !msg.is_response {
+        if !msg.is_response() {
             return;
         }
-        let Some(p) = self.pending.remove(&msg.id) else {
+        let Some(p) = self.pending.remove(&msg.id()) else {
             return;
         };
         match p.rtype {
@@ -922,8 +960,8 @@ impl IotDevice {
                 }
             }
         }
-        let dests: Vec<Destination> = self.profile.app.destinations.clone();
-        for d in &dests {
+        let profile = Arc::clone(&self.profile);
+        for d in &profile.app.destinations {
             if gated && !d.required {
                 continue;
             }
@@ -1948,37 +1986,37 @@ mod tests {
         let name: Name = "retry.example".parse().unwrap();
 
         let mut fx = Effects::new(&mut rng);
-        d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+        d.send_query(&name, RecordType::Aaaa, true, &mut fx);
         assert_eq!(fx.frames.len(), 1, "first attempt goes out");
 
         // Immediate duplicate: suppressed by the backoff window.
         let mut fx = Effects::new(&mut rng);
-        d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+        d.send_query(&name, RecordType::Aaaa, true, &mut fx);
         assert!(fx.frames.is_empty(), "within backoff");
 
         // After the backoff expires, the retry goes out.
         d.tick = 16;
         let mut fx = Effects::new(&mut rng);
-        d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+        d.send_query(&name, RecordType::Aaaa, true, &mut fx);
         assert_eq!(fx.frames.len(), 1, "retry after backoff");
 
         // Four attempts total, then silence.
         d.tick = 22;
         let third = {
             let mut fx = Effects::new(&mut rng);
-            d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+            d.send_query(&name, RecordType::Aaaa, true, &mut fx);
             fx.frames.len()
         };
         d.tick = 28;
         let fourth = {
             let mut fx = Effects::new(&mut rng);
-            d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+            d.send_query(&name, RecordType::Aaaa, true, &mut fx);
             fx.frames.len()
         };
         d.tick = 34;
         let fifth = {
             let mut fx = Effects::new(&mut rng);
-            d.send_query(name.clone(), RecordType::Aaaa, true, &mut fx);
+            d.send_query(&name, RecordType::Aaaa, true, &mut fx);
             fx.frames.len()
         };
         assert_eq!((third, fourth, fifth), (1, 1, 0), "capped at 4 attempts");
@@ -1988,7 +2026,7 @@ mod tests {
             .insert(name.clone(), "2001:db8:ffff::1".parse().unwrap());
         d.tick = 60;
         let mut fx = Effects::new(&mut rng);
-        d.send_query(name, RecordType::Aaaa, true, &mut fx);
+        d.send_query(&name, RecordType::Aaaa, true, &mut fx);
         assert!(fx.frames.is_empty(), "answered => no more queries");
     }
 
@@ -2005,7 +2043,7 @@ mod tests {
         let name: Name = "nxdomain.example".parse().unwrap();
         d.negative6.insert(name.clone());
         let mut fx = Effects::new(&mut rng);
-        d.send_query(name, RecordType::Aaaa, true, &mut fx);
+        d.send_query(&name, RecordType::Aaaa, true, &mut fx);
         assert!(fx.frames.is_empty(), "negative answers are final");
     }
 

@@ -10,7 +10,7 @@ use rand::Rng;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
-use v6brick_net::dns::{Message, Name, RecordType};
+use v6brick_net::dns::{MessageView, Name, RecordType, Writer};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
 use v6brick_net::Mac;
 use v6brick_sim::event::SimTime;
@@ -82,7 +82,7 @@ impl Prober {
             self.next += 1;
             for rtype in [RecordType::A, RecordType::Aaaa] {
                 let txid = (idx as u16) << 1 | u16::from(rtype == RecordType::Aaaa);
-                let q = Message::query(txid, self.names[idx].clone(), rtype).build();
+                let q = Writer::query(txid, self.names[idx].as_str(), rtype);
                 fx.send_frame(wire::udp4_frame(
                     self.mac,
                     addrs::ROUTER_MAC,
@@ -124,8 +124,8 @@ impl Host for Prober {
             },
         ) = (&p.net, &p.l4)
         {
-            if let Ok(msg) = Message::parse_bytes(payload) {
-                if let Some((idx, rtype)) = self.pending.remove(&msg.id) {
+            if let Ok(msg) = MessageView::new(payload) {
+                if let Some((idx, rtype)) = self.pending.remove(&msg.id()) {
                     match rtype {
                         RecordType::A => self.results[idx].has_a = msg.a_answers().next().is_some(),
                         RecordType::Aaaa => {

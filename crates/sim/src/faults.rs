@@ -245,7 +245,10 @@ impl FaultPlan {
                     None => true,
                     Some(z) => {
                         let n = name.strip_suffix('.').unwrap_or(name);
-                        n == z || n.ends_with(&format!(".{z}"))
+                        n == z
+                            || (n.len() > z.len()
+                                && n.ends_with(z.as_str())
+                                && n.as_bytes()[n.len() - z.len() - 1] == b'.')
                     }
                 };
                 hit.then_some(*mode)
