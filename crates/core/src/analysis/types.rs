@@ -100,19 +100,9 @@ impl DeviceObservation {
         self.active_v6.iter().filter(move |a| a.kind() == kind)
     }
 
-    /// Does any active address classify as `kind`?
-    pub fn has_active(&self, kind: AddressKind) -> bool {
-        self.active_of(kind).next().is_some()
-    }
-
     /// Every assigned-or-active address.
     pub fn all_addrs(&self) -> BTreeSet<Ipv6Addr> {
         self.announced_v6.union(&self.active_v6).copied().collect()
-    }
-
-    /// Active EUI-64 addresses (any scope).
-    pub fn active_eui64(&self) -> impl Iterator<Item = &Ipv6Addr> {
-        self.active_v6.iter().filter(|a| a.is_eui64())
     }
 
     /// Did the device send AAAA queries over IPv6 transport?

@@ -69,16 +69,6 @@ pub fn dense_sweep(prefix: Ipv6Addr, budget: u32) -> Vec<Ipv6Addr> {
         .collect()
 }
 
-/// Addressing-mode label of a global address as a scanner would classify
-/// it from the address alone.
-pub fn addressing_mode(a: Ipv6Addr) -> &'static str {
-    if a.is_eui64() {
-        "eui64"
-    } else {
-        "opaque"
-    }
-}
-
 /// One cell of the exposure matrix: scan targets sharing a device
 /// category, firewall policy, and addressing mode.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]

@@ -350,11 +350,6 @@ impl PopulationReport {
         self.failures.extend(other.failures.iter().cloned());
         self.failures.sort_by_key(|f| f.index);
     }
-
-    /// Fraction of devices passing the functionality check.
-    pub fn functional_rate(&self) -> f64 {
-        self.funnel.functional as f64 / self.devices.max(1) as f64
-    }
 }
 
 #[cfg(test)]

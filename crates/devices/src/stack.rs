@@ -186,10 +186,6 @@ pub struct IotDevice {
     switch_events: Vec<SwitchEvent>,
     /// Simulated wall clock of the current callback, in microseconds.
     now_us: u64,
-    /// RFC 6724 patience: wait for AAAA answers before letting IPv4
-    /// capture a v6-preferring destination. On by default; the ablation
-    /// benchmark disables it to show Fig. 4's volume shares flattening.
-    rfc6724_patience: bool,
 
     // Application accounting (read by the functionality tester).
     connected: HashSet<Name>,
@@ -242,7 +238,6 @@ impl IotDevice {
             fallback: HashMap::new(),
             switch_events: Vec::new(),
             now_us: 0,
-            rfc6724_patience: true,
             connected: HashSet::new(),
             seed,
             profile: Arc::new(profile),
@@ -254,13 +249,6 @@ impl IotDevice {
         &self.profile
     }
 
-    /// Disable the RFC 6724 patience rule (ablation support): the device
-    /// connects over whichever family resolves first.
-    pub fn without_rfc6724_patience(mut self) -> IotDevice {
-        self.rfc6724_patience = false;
-        self
-    }
-
     /// The functionality test (§4.1): did every required destination
     /// complete a cloud exchange (over either family)?
     pub fn is_functional(&self) -> bool {
@@ -269,19 +257,9 @@ impl IotDevice {
             .all(|d| self.connected.contains(&d.domain))
     }
 
-    /// Every destination that completed an exchange.
-    pub fn connected_domains(&self) -> &HashSet<Name> {
-        &self.connected
-    }
-
     /// Every v6↔v4 family switch the device performed, in order.
     pub fn switch_events(&self) -> &[SwitchEvent] {
         &self.switch_events
-    }
-
-    /// Destinations currently served over IPv4 after a v6 fallback.
-    pub fn fallen_back_domains(&self) -> impl Iterator<Item = &Name> {
-        self.fallback.keys()
     }
 
     fn record_switch(&mut self, domain: Name, to_v6: bool) {
@@ -1001,8 +979,7 @@ impl IotDevice {
             // its AAAA answer before falling back to IPv4 (otherwise an
             // early A answer would permanently capture the connection
             // and flatten the Fig. 4 volume shares).
-            if self.rfc6724_patience
-                && !v6_possible
+            if !v6_possible
                 && v4_possible
                 && d.dual_stack != DualStackChoice::PreferV4
                 && d.wants_aaaa

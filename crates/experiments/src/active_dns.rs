@@ -9,7 +9,7 @@
 use rand::Rng;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv4Addr;
 use v6brick_net::dns::{MessageView, Name, RecordType, Writer};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
 use v6brick_net::Mac;
@@ -171,11 +171,10 @@ pub fn probe(names: impl IntoIterator<Item = Name>, zones: ZoneDb) -> ActiveDnsR
     );
     let total = names.len();
     let internet = Internet::new(zones);
-    // NAT for the prober's v4 path needs IPv4 enabled.
-    let mut router = Router::new(RouterConfig::dual_stack());
-    // Pre-seed the router's forwarding table with the prober (no DHCP).
+    // NAT for the prober's v4 path needs IPv4 enabled. The router
+    // learns the statically configured prober from its first frames.
+    let router = Router::new(RouterConfig::dual_stack());
     let prober = Prober::new(names.clone());
-    router_learns(&mut router, prober.addr, prober.mac);
 
     let mut b = SimulationBuilder::new(router, internet);
     let pid = b.add_host(Box::new(prober));
@@ -194,18 +193,6 @@ pub fn probe(names: impl IntoIterator<Item = Name>, zones: ZoneDb) -> ActiveDnsR
         report.names.insert(n.clone(), *r);
     }
     report
-}
-
-/// Teach the router about a statically-configured host (ARP-table entry).
-fn router_learns(router: &mut Router, _ip: Ipv4Addr, _mac: Mac) {
-    // The router learns dynamically from the first frames (its ARP table
-    // fills from any IPv4 source); nothing to do, kept for clarity.
-    let _ = router;
-}
-
-/// Convenience: the v6 anycast resolver address (used by examples).
-pub fn resolver_v6() -> Ipv6Addr {
-    addrs::DNS6_PRIMARY
 }
 
 #[cfg(test)]

@@ -32,12 +32,16 @@
 //!                           # WAN-side exposure scan across firewall
 //!                           # policies; --verify reruns at other worker
 //!                           # counts and byte-diffs the report
-//! repro serve [--addr HOST:PORT] [--seed N] [--shards N] [--loop-threads N]
+//! repro serve [--addr HOST:PORT] [--seed N] [--shards N]
+//!             [--max-upload-mb N] [--upload-timeout-ms N]
+//!             [--read-timeout-ms N] [--loop-threads N]
+//!             [--drain-deadline-ms N] [--max-conns N]
 //!             [--data-dir PATH] [--snapshot-every N]
-//!                           # run the v6brickd ingestion daemon until a
-//!                           # wire SHUTDOWN (or SIGTERM/SIGINT) drains
-//!                           # it; --data-dir write-ahead-logs every
-//!                           # upload and recovers state on restart
+//!                           # run the v6brickd ingestion daemon (same
+//!                           # flags, same main) until a wire SHUTDOWN
+//!                           # (or SIGTERM/SIGINT) drains it; --data-dir
+//!                           # write-ahead-logs every upload and
+//!                           # recovers state on restart
 //! repro stats [--addr HOST:PORT]
 //!                           # print a running daemon's STATS JSON
 //!                           # (wal_records, recovered_from, ...) — the
@@ -89,7 +93,7 @@ fn main() {
         return;
     }
     if what == "mesh" {
-        run_mesh(&args[1..]);
+        run_mesh_report(&args[1..]);
         return;
     }
     if what == "--scenario" || what == "scenario" {
@@ -101,8 +105,11 @@ fn main() {
         return;
     }
     if what == "serve" {
-        run_serve(&args[1..]);
-        return;
+        // The `v6brickd` daemon in-process: its flags, its main.
+        std::process::exit(v6brick_ingest::daemon::run(
+            "repro serve",
+            args[1..].iter().cloned(),
+        ));
     }
     if what == "upload" {
         run_upload(&args[1..]);
@@ -359,7 +366,7 @@ fn peak_rss_bytes() -> Option<u64> {
 /// each run once on the Ethernet LAN and once behind a 6LoWPAN border
 /// router. Human tables on stdout by default; `--json` emits the
 /// byte-deterministic report CI reruns and diffs.
-fn run_mesh(args: &[String]) {
+fn run_mesh_report(args: &[String]) {
     let mut spec = mesh::MeshSpec::default();
     let mut json = false;
     let mut it = args.iter();
@@ -705,85 +712,6 @@ fn run_wanscan(args: &[String]) {
     if exit != 0 {
         std::process::exit(exit);
     }
-}
-
-/// `repro serve` — run the `v6brickd` ingestion daemon in-process.
-fn run_serve(args: &[String]) {
-    let mut config = v6brick_ingest::ServerConfig {
-        addr: "127.0.0.1:6468".to_string(),
-        ..Default::default()
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .parse::<u64>()
-                .unwrap_or_else(|e| {
-                    eprintln!("bad value for {flag}: {e}");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--addr" => {
-                config.addr = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--addr needs a value");
-                        std::process::exit(2);
-                    })
-                    .clone()
-            }
-            "--seed" => config.campaign_seed = value("--seed"),
-            "--shards" => config.shards = value("--shards") as usize,
-            "--loop-threads" => config.loop_threads = value("--loop-threads") as usize,
-            "--data-dir" => {
-                config.data_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--data-dir needs a value");
-                            std::process::exit(2);
-                        })
-                        .into(),
-                )
-            }
-            "--snapshot-every" => config.snapshot_every = value("--snapshot-every"),
-            other => {
-                eprintln!("unknown serve flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    // Same ordering as the v6brickd binary: block the signals before any
-    // server thread exists so the whole process inherits the mask.
-    let term = v6brick_ingest::signal::TermSignals::block();
-    let handle = v6brick_ingest::spawn(config.clone()).unwrap_or_else(|e| {
-        eprintln!("serve: start on {}: {e}", config.addr);
-        std::process::exit(1);
-    });
-    if let Ok(term) = term {
-        let shutdown = handle.shutdown_handle();
-        term.watch(move |sig| {
-            eprintln!("serve: caught signal {sig}, draining");
-            shutdown.shutdown();
-        });
-    }
-    println!(
-        "v6brickd listening on {} (campaign seed {:#x}, {} shards)",
-        handle.addr(),
-        handle.state().campaign_seed(),
-        handle.state().shard_count()
-    );
-    let state = std::sync::Arc::clone(handle.state());
-    handle.join();
-    eprintln!("serve: drained cleanly");
-    println!(
-        "{}",
-        serde_json::to_string(&state.stats_report()).expect("stats serialize")
-    );
 }
 
 /// `repro stats [--addr HOST:PORT]` — fetch a running daemon's STATS

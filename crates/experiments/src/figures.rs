@@ -263,8 +263,3 @@ pub fn category_volume_fractions(suite: &ExperimentSuite) -> BTreeMap<&'static s
     }
     out
 }
-
-/// Keep the tables module linked from figures (figure 2 mirrors table 3).
-pub fn _table3_alias(suite: &ExperimentSuite) -> TextTable {
-    tables::table3(suite)
-}

@@ -11,15 +11,11 @@
 use crate::config::NetworkConfig;
 use crate::render::TextTable;
 use crate::scenario::{self, ExperimentRun};
-use std::collections::BTreeMap;
-use v6brick_core::observe::StreamingAnalyzer;
-use v6brick_devices::phone::Phone;
+use v6brick_core::analysis::PassId;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
-use v6brick_devices::stack::IotDevice;
-use v6brick_net::Mac;
-use v6brick_sim::internet::{Internet, ZoneDb};
-use v6brick_sim::{Router, SimulationBuilder};
+use v6brick_sim::internet::ZoneDb;
+use v6brick_sim::FaultPlan;
 
 /// Build zones where every `k`-th AAAA-ready destination is unreachable
 /// over IPv6 (deterministic by name hash).
@@ -43,64 +39,25 @@ pub fn zones_with_dead_v6(profiles: &[DeviceProfile], every_kth: u64) -> ZoneDb 
     out
 }
 
-/// Run one configuration with degraded v6 reachability.
+/// Run one configuration with degraded v6 reachability: the ordinary
+/// executor over [`zones_with_dead_v6`], every pass, base seed `0x7ea1`.
 pub fn run_with_dead_v6(
     config: NetworkConfig,
     profiles: &[DeviceProfile],
     every_kth: u64,
 ) -> ExperimentRun {
-    let zones = zones_with_dead_v6(profiles, every_kth);
-    let internet = Internet::new(zones);
-    let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-    let mut device_ids = Vec::new();
-    for p in profiles {
-        let id = b.add_host(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((id, p.id.clone(), p.mac));
-    }
-    let pixel = b.add_host(Box::new(Phone::pixel7()));
-    let iphone = b.add_host(Box::new(Phone::iphone_x()));
-    let macs: Vec<(Mac, String)> = device_ids
-        .iter()
-        .map(|(_, id, mac)| (*mac, id.clone()))
-        .collect();
-    b.add_sink(Box::new(StreamingAnalyzer::new(
-        &macs,
-        scenario::lan_prefix(),
-    )));
-    let mut sim = b.seed(0x7ea1 ^ config as u64).capture(false).build();
-    sim.run_until(scenario::EXPERIMENT_DURATION);
-
-    let mut functional = BTreeMap::new();
-    for (hid, id, _) in &device_ids {
-        let dev = sim.host(*hid).as_any().downcast_ref::<IotDevice>().unwrap();
-        functional.insert(id.clone(), dev.is_functional());
-    }
-    let phones_ok = [pixel, iphone].iter().all(|h| {
-        sim.host(*h)
-            .as_any()
-            .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
-    });
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-    let analyzer = sim
-        .take_sinks()
-        .pop()
-        .expect("the streaming analyzer was attached above")
-        .into_any()
-        .downcast::<StreamingAnalyzer>()
-        .expect("the only sink is the streaming analyzer");
-    let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-    ExperimentRun {
+    scenario::execute(
         config,
-        analysis,
-        functional,
-        phones_ok,
-        neighbors_v6,
-        frames,
-    }
+        profiles,
+        0x7ea1,
+        scenario::EXPERIMENT_DURATION,
+        &PassId::ALL,
+        FaultPlan::new(),
+        false,
+        zones_with_dead_v6(profiles, every_kth),
+    )
+    .0
+    .run
 }
 
 /// The reachability report: healthy vs degraded v6, in both dual-stack

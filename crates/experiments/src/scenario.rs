@@ -14,7 +14,7 @@
 
 use crate::config::NetworkConfig;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::{ExperimentAnalysis, StreamingAnalyzer};
 use v6brick_core::outage::SwitchRecord;
@@ -22,7 +22,6 @@ use v6brick_devices::phone::Phone;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
 use v6brick_devices::stack::{ntp_anycast, IotDevice};
-use v6brick_net::dns::Name;
 use v6brick_net::ipv6::Cidr;
 use v6brick_net::Mac;
 use v6brick_sim::event::SimTime;
@@ -114,17 +113,6 @@ impl ZoneCache {
     }
 }
 
-/// The AAAA-ready destination set (ground truth for the zone db; the
-/// *measured* equivalent comes from [`crate::active_dns`]).
-pub fn aaaa_ready_domains<P: Borrow<DeviceProfile>>(profiles: &[P]) -> BTreeSet<Name> {
-    profiles
-        .iter()
-        .flat_map(|p| p.borrow().app.destinations.iter())
-        .filter(|d| d.aaaa_ready)
-        .map(|d| d.domain.clone())
-        .collect()
-}
-
 /// The outcome of one connectivity experiment.
 pub struct ExperimentRun {
     /// Config.
@@ -157,34 +145,21 @@ pub fn run_with_profiles<P: Borrow<DeviceProfile>>(
     config: NetworkConfig,
     profiles: &[P],
 ) -> ExperimentRun {
-    run_with_profiles_seeded(config, profiles, 0x6b1c_0000)
+    run_scoped(
+        config,
+        profiles,
+        0x6b1c_0000,
+        EXPERIMENT_DURATION,
+        &PassId::ALL,
+    )
 }
 
-/// Like [`run_with_profiles`] but with an explicit base seed — device
-/// *behaviours* must be seed-invariant (only boot jitter and temporary
-/// addresses vary), which `tests/paper_reproduction.rs` checks.
-pub fn run_with_profiles_seeded<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-) -> ExperimentRun {
-    run_with_profiles_seeded_for(config, profiles, base_seed, EXPERIMENT_DURATION)
-}
-
-/// Like [`run_with_profiles_seeded`] but with an explicit duration —
-/// fleet campaigns and tests trade capture length for wall-clock time.
-pub fn run_with_profiles_seeded_for<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-) -> ExperimentRun {
-    run_scoped(config, profiles, base_seed, duration, &PassId::ALL)
-}
-
-/// Like [`run_with_profiles_seeded_for`] but analyzing with only the
-/// named passes (plus their dependencies). Callers that read a known
-/// subset of [`v6brick_core::observe::DeviceObservation`] — the fleet
+/// Like [`run_with_profiles`] with an explicit base seed and duration,
+/// analyzing with only the named passes (plus their dependencies).
+/// Device *behaviours* must be seed-invariant (only boot jitter and
+/// temporary addresses vary), and fleet campaigns and tests trade
+/// capture length for wall-clock time. Callers that read a known subset
+/// of [`v6brick_core::observe::DeviceObservation`] — the fleet
 /// population report, a single table generator — skip the work of the
 /// passes whose fields they never look at; the fields a disabled pass
 /// owns stay at their defaults.
@@ -225,7 +200,7 @@ pub fn run_home<P: Borrow<DeviceProfile>>(
         passes,
         FaultPlan::new(),
         false,
-        Some(cache),
+        cache.zones_for(profiles),
     )
     .0
     .run
@@ -276,7 +251,7 @@ pub fn run_captured<P: Borrow<DeviceProfile>>(
         &[],
         FaultPlan::new(),
         true,
-        None,
+        build_zones(profiles),
     );
     CapturedRun {
         config,
@@ -305,34 +280,14 @@ pub struct MeshRun {
     pub mesh_bindings: u64,
     /// Mesh frames/datagrams any decode stage dropped.
     pub mesh_decode_errors: u64,
-    /// The mesh-side 802.15.4 capture, when the caller kept it.
-    pub mesh_capture: Option<v6brick_pcap::Capture>,
 }
 
 /// Run one experiment with every IoT device behind a 6LoWPAN border
 /// router instead of directly on the Ethernet LAN — the second
-/// link-layer scenario family. Full duration, all passes, mesh capture
-/// retained (for pcap export and interop tests).
-pub fn run_mesh<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-) -> MeshRun {
-    execute_mesh(
-        config,
-        profiles,
-        base_seed,
-        EXPERIMENT_DURATION,
-        &PassId::ALL,
-        true,
-        None,
-    )
-}
-
-/// The fleet pool's mesh-home runner: like [`run_home`] but with the
-/// devices behind a border router. The mesh capture is walked for
-/// attribution bindings and then dropped — nothing `O(frames)` outlives
-/// the home.
+/// link-layer scenario family, and the fleet pool's mesh-home runner:
+/// like [`run_home`] but with the devices behind a border router. The
+/// mesh capture is walked for attribution bindings and then dropped —
+/// nothing `O(frames)` outlives the home.
 pub fn run_mesh_home<P: Borrow<DeviceProfile>>(
     cache: &mut ZoneCache,
     config: NetworkConfig,
@@ -347,8 +302,7 @@ pub fn run_mesh_home<P: Borrow<DeviceProfile>>(
         base_seed,
         duration,
         passes,
-        false,
-        Some(cache),
+        cache.zones_for(profiles),
     )
 }
 
@@ -365,13 +319,8 @@ fn execute_mesh<P: Borrow<DeviceProfile>>(
     base_seed: u64,
     duration: SimTime,
     passes: &[PassId],
-    keep_mesh_capture: bool,
-    zone_cache: Option<&mut ZoneCache>,
+    zones: ZoneDb,
 ) -> MeshRun {
-    let zones = match zone_cache {
-        Some(cache) => cache.zones_for(profiles),
-        None => build_zones(profiles),
-    };
     let internet = Internet::new(zones);
     let router = Router::new(config.router_config());
     let mut b = SimulationBuilder::new(router, internet);
@@ -459,7 +408,6 @@ fn execute_mesh<P: Borrow<DeviceProfile>>(
         no_route_drops: no_route,
         mesh_bindings: analyzer_bindings(&bindings),
         mesh_decode_errors: bindings.decode_errors,
-        mesh_capture: keep_mesh_capture.then_some(mesh_capture),
     }
 }
 
@@ -485,13 +433,25 @@ pub fn run_faulted<P: Borrow<DeviceProfile>>(
     faults: FaultPlan,
 ) -> FaultedRun {
     execute(
-        config, profiles, base_seed, duration, passes, faults, false, None,
+        config,
+        profiles,
+        base_seed,
+        duration,
+        passes,
+        faults,
+        false,
+        build_zones(profiles),
     )
     .0
 }
 
+/// The one Ethernet-home executor: build the home over `zones`, run it
+/// for `duration`, test each device's function and stream the analysis
+/// off the capture tap. Every Ethernet run in this module calls it, and
+/// so does the reachability extension, with zones whose IPv6 servers
+/// are partly dead.
 #[allow(clippy::too_many_arguments)]
-fn execute<P: Borrow<DeviceProfile>>(
+pub(crate) fn execute<P: Borrow<DeviceProfile>>(
     config: NetworkConfig,
     profiles: &[P],
     base_seed: u64,
@@ -499,12 +459,8 @@ fn execute<P: Borrow<DeviceProfile>>(
     passes: &[PassId],
     faults: FaultPlan,
     keep_capture: bool,
-    zone_cache: Option<&mut ZoneCache>,
+    zones: ZoneDb,
 ) -> (FaultedRun, Option<v6brick_pcap::Capture>) {
-    let zones = match zone_cache {
-        Some(cache) => cache.zones_for(profiles),
-        None => build_zones(profiles),
-    };
     let internet = Internet::new(zones);
     let router = Router::new(config.router_config());
     let mut b = SimulationBuilder::new(router, internet);
@@ -603,6 +559,7 @@ fn execute<P: Borrow<DeviceProfile>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6brick_net::dns::Name;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
         ids.iter().map(|id| registry::by_id(id)).collect()
@@ -671,10 +628,13 @@ mod tests {
 
     #[test]
     fn mesh_home_attributes_leaves_and_v6_device_works() {
-        let mesh = run_mesh(
+        let mesh = run_mesh_home(
+            &mut ZoneCache::new(),
             NetworkConfig::Ipv6Only,
             &profiles(&["google_home_mini"]),
             0x6b1c_0000,
+            EXPERIMENT_DURATION,
+            &PassId::ALL,
         );
         assert!(mesh.run.phones_ok, "phones live on Ethernet, unaffected");
         assert_eq!(mesh.run.functional.get("google_home_mini"), Some(&true));
@@ -685,8 +645,6 @@ mod tests {
         let o = mesh.run.analysis.device("google_home_mini").unwrap();
         assert!(o.dns_over_v6(), "DNS attributed to the leaf, not the BR");
         assert!(o.v6_internet_data(), "data attributed to the leaf");
-        let cap = mesh.mesh_capture.expect("run_mesh keeps the mesh capture");
-        assert!(!cap.is_empty());
     }
 
     #[test]
@@ -695,10 +653,13 @@ mod tests {
         // refuses its DHCPv4/ARP frames at the border, so it bricks even
         // with IPv4 service on the router — the readiness delta the mesh
         // family measures.
-        let mesh = run_mesh(
+        let mesh = run_mesh_home(
+            &mut ZoneCache::new(),
             NetworkConfig::Ipv4Only,
             &profiles(&["wyze_cam"]),
             0x6b1c_0000,
+            EXPERIMENT_DURATION,
+            &PassId::ALL,
         );
         assert_eq!(mesh.run.functional.get("wyze_cam"), Some(&false));
         assert!(mesh.dropped_v4_frames > 0);

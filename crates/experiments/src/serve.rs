@@ -13,7 +13,7 @@
 
 use crate::fleet::CampaignSpec;
 use crate::scenario;
-use v6brick_fleet::{plan_homes, run_indexed};
+use v6brick_fleet::{plan_homes_iter, run_indexed};
 use v6brick_ingest::{DeviceEntry, UploadBundle, UploadHeader};
 use v6brick_pcap::{format, pcapng};
 use v6brick_sim::SimTime;
@@ -29,7 +29,7 @@ use v6brick_sim::SimTime;
 /// as failed and absorbed nowhere).
 pub fn campaign_bundles(spec: &CampaignSpec) -> Vec<UploadBundle> {
     let (dev_min, dev_max) = spec.device_range;
-    let plans = plan_homes(spec.seed, spec.homes, &spec.mix, dev_min..=dev_max);
+    let plans = plan_homes_iter(spec.seed, spec.homes, &spec.mix, dev_min..=dev_max);
     let duration = SimTime::from_secs(spec.duration_s);
     let campaign_seed = spec.seed;
     let chaos = spec.chaos_panic_homes.clone();

@@ -41,14 +41,7 @@ impl ExperimentSuite {
     /// parallel across the available cores (capped at one worker per
     /// configuration).
     pub fn run_all() -> ExperimentSuite {
-        Self::run_all_with_workers(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// Like [`ExperimentSuite::run_all`] with an explicit worker count —
-    /// `workers <= 1` is the serial reference path the parallel suite
-    /// must match byte-for-byte.
-    pub fn run_all_with_workers(workers: usize) -> ExperimentSuite {
-        Self::run_configs_with_workers(registry::build(), &NetworkConfig::ALL, workers)
+        Self::run_all_scoped(&PassId::ALL)
     }
 
     /// Like [`ExperimentSuite::run_all`] but analyzing with only the
@@ -64,20 +57,11 @@ impl ExperimentSuite {
         )
     }
 
-    /// Run an arbitrary set of configurations over an arbitrary profile
-    /// subset on `workers` threads. Runs fold back in `configs` order no
-    /// matter which worker finishes first, so the suite is
-    /// byte-deterministic for any worker count.
-    pub fn run_configs_with_workers(
-        profiles: Vec<DeviceProfile>,
-        configs: &[NetworkConfig],
-        workers: usize,
-    ) -> ExperimentSuite {
-        Self::run_configs_scoped(profiles, configs, workers, &PassId::ALL)
-    }
-
     /// The fully general constructor: arbitrary configurations, profile
-    /// subset, worker count, and analyzer pass selection.
+    /// subset, worker count, and analyzer pass selection. Runs fold back
+    /// in `configs` order no matter which worker finishes first, so the
+    /// suite is byte-deterministic for any worker count; `workers <= 1`
+    /// is the serial reference path.
     pub fn run_configs_scoped(
         profiles: Vec<DeviceProfile>,
         configs: &[NetworkConfig],

@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 use v6brick_core::exposure::{self, ExposureReport, HitlistStats, HomeScanOutcome, TargetOutcome};
 use v6brick_devices::stack::IotDevice;
-use v6brick_fleet::{plan_homes, run_indexed_outcomes, HomeSpec};
+use v6brick_fleet::{plan_home, run_partials, HomeSpec};
 use v6brick_net::ipv4::{self, Protocol};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv6, tcp, udp};
@@ -475,27 +475,31 @@ pub fn scan_home(
     out
 }
 
-/// Execute a campaign: synthesize the homes, scan each on the worker
-/// pool, aggregate the exposure report. Worker crashes are isolated and
-/// recorded in [`ExposureReport::failures`] without perturbing the
-/// serialized aggregates.
+/// Execute a campaign: stream the homes from the lazy planner into the
+/// worker pool, fold each worker's scans into its own partial report
+/// and merge the partials ([`ExposureReport::merge`] only sums integer
+/// counters, so the merged bytes equal the serial in-order fold's).
+/// Worker crashes are isolated and recorded in
+/// [`ExposureReport::failures`] without perturbing the serialized
+/// aggregates.
 pub fn run(spec: &WanScanSpec) -> ExposureReport {
     let (dev_min, dev_max) = spec.device_range;
-    let plans = plan_homes(spec.seed, spec.homes, &spec.mix, dev_min..=dev_max);
-    let policies = spec.policies.clone();
-    let plan = spec.plan.clone();
     let settle = SimTime::from_secs(spec.settle_s);
-    let mesh_per_mille = spec.mesh_per_mille;
-    let (mut report, failures) = run_indexed_outcomes(
-        plans,
+    let (partials, failures) = run_partials(
+        (0..spec.homes).map(|i| plan_home(spec.seed, i, &spec.mix, dev_min..=dev_max)),
         spec.workers,
-        move |home| {
-            let mesh = crate::fleet::home_is_mesh(home.seed, mesh_per_mille);
-            scan_home(&home, &policies, &plan, settle, mesh)
+        || (),
+        |_, home: HomeSpec<NetworkConfig>| {
+            let mesh = crate::fleet::home_is_mesh(home.seed, spec.mesh_per_mille);
+            scan_home(&home, &spec.policies, &spec.plan, settle, mesh)
         },
-        ExposureReport::new(spec.seed),
-        |report, _index, outcome| report.absorb_home(&outcome),
+        || ExposureReport::new(spec.seed),
+        |partial, _index, outcome| partial.absorb_home(&outcome),
     );
+    let mut report = ExposureReport::new(spec.seed);
+    for partial in &partials {
+        report.merge(partial);
+    }
     for f in failures {
         report.absorb_failure(f.index, f.message);
     }

@@ -71,11 +71,12 @@ fn merged_shards_equal_one_campaign() {
             homes,
             2,
             |home: v6brick_fleet::HomeSpec<_>| {
-                let run = v6brick_experiments::scenario::run_with_profiles_seeded_for(
+                let run = v6brick_experiments::scenario::run_scoped(
                     home.config,
                     &home.profiles,
                     home.seed,
                     duration,
+                    &v6brick_core::analysis::PassId::ALL,
                 );
                 (
                     run.config.label().to_string(),

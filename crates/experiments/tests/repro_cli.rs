@@ -69,3 +69,28 @@ fn fleet_rejects_out_of_range_mesh_fraction() {
     assert_eq!(code, 2);
     assert!(stderr.contains("--mesh-per-mille"), "{stderr}");
 }
+
+#[test]
+fn serve_rejects_unknown_flags_before_binding() {
+    // A bound daemon would serve until drained; exiting at all shows the
+    // flag was refused before the listener existed.
+    let (code, stderr) = repro(&["serve", "--no-such-flag"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("unknown flag --no-such-flag"), "{stderr}");
+    // The usage is v6brickd's: every ServerConfig flag.
+    for flag in [
+        "--addr",
+        "--seed",
+        "--shards",
+        "--max-upload-mb",
+        "--upload-timeout-ms",
+        "--read-timeout-ms",
+        "--loop-threads",
+        "--drain-deadline-ms",
+        "--max-conns",
+        "--data-dir",
+        "--snapshot-every",
+    ] {
+        assert!(stderr.contains(flag), "usage is missing {flag}: {stderr}");
+    }
+}

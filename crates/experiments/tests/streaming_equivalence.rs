@@ -8,6 +8,7 @@
 //!    order for any worker count, so the Table 3 / Table 5 renderings
 //!    compare equal between the serial and parallel paths.
 
+use v6brick_core::analysis::PassId;
 use v6brick_core::observe::{self, StreamingAnalyzer};
 use v6brick_devices::registry;
 use v6brick_devices::stack::IotDevice;
@@ -86,8 +87,10 @@ fn parallel_suite_is_byte_deterministic() {
         "aqara_hub",
     ];
     let profiles = || ids.iter().map(|id| registry::by_id(id)).collect();
-    let serial = ExperimentSuite::run_configs_with_workers(profiles(), &NetworkConfig::ALL, 1);
-    let parallel = ExperimentSuite::run_configs_with_workers(profiles(), &NetworkConfig::ALL, 4);
+    let serial =
+        ExperimentSuite::run_configs_scoped(profiles(), &NetworkConfig::ALL, 1, &PassId::ALL);
+    let parallel =
+        ExperimentSuite::run_configs_scoped(profiles(), &NetworkConfig::ALL, 4, &PassId::ALL);
 
     // Runs fold in NetworkConfig::ALL order regardless of worker count...
     let order: Vec<NetworkConfig> = parallel.runs().iter().map(|r| r.config).collect();

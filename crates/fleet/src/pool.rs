@@ -84,7 +84,8 @@ where
     F: Fn(W) -> R + Sync,
     G: FnMut(&mut T, u64, R),
 {
-    let (acc, failures) = run_indexed_outcomes(items, workers, runner, init, fold);
+    let (acc, failures) =
+        run_indexed_with(items, workers, || (), move |_, w| runner(w), init, fold);
     if let Some(first) = failures.into_iter().next() {
         panic!("item {} panicked: {}", first.index, first.message);
     }

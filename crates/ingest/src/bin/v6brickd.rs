@@ -17,110 +17,11 @@
 //! its durability state (`wal_records`, `snapshots_written`,
 //! `recovered_from`). With `--data-dir` the daemon write-ahead-logs
 //! every absorbed upload before acking it and recovers the population
-//! on restart.
+//! on restart. `repro serve` runs the same [`v6brick_ingest::daemon`].
 
-use std::process::ExitCode;
-use std::time::Duration;
-use v6brick_ingest::signal::TermSignals;
-use v6brick_ingest::{spawn, ServerConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: v6brickd [--addr HOST:PORT] [--seed N] [--shards N] \
-         [--max-upload-mb N] [--upload-timeout-ms N] [--read-timeout-ms N] \
-         [--loop-threads N] [--drain-deadline-ms N] [--max-conns N] \
-         [--data-dir PATH] [--snapshot-every N]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_u64(value: Option<String>, flag: &str) -> u64 {
-    match value.as_deref().map(str::parse) {
-        Some(Ok(n)) => n,
-        _ => {
-            eprintln!("v6brickd: {flag} needs an unsigned integer");
-            usage();
-        }
-    }
-}
-
-fn main() -> ExitCode {
-    let mut config = ServerConfig {
-        addr: "127.0.0.1:6468".to_string(),
-        ..ServerConfig::default()
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => match args.next() {
-                Some(a) => config.addr = a,
-                None => usage(),
-            },
-            "--seed" => config.campaign_seed = parse_u64(args.next(), "--seed"),
-            "--shards" => config.shards = parse_u64(args.next(), "--shards") as usize,
-            "--max-upload-mb" => {
-                config.max_upload_bytes = parse_u64(args.next(), "--max-upload-mb") << 20
-            }
-            "--upload-timeout-ms" => {
-                config.max_upload_time =
-                    Duration::from_millis(parse_u64(args.next(), "--upload-timeout-ms"))
-            }
-            "--read-timeout-ms" => {
-                config.read_timeout =
-                    Duration::from_millis(parse_u64(args.next(), "--read-timeout-ms"))
-            }
-            "--loop-threads" => {
-                config.loop_threads = parse_u64(args.next(), "--loop-threads") as usize
-            }
-            "--drain-deadline-ms" => {
-                config.drain_deadline =
-                    Duration::from_millis(parse_u64(args.next(), "--drain-deadline-ms"))
-            }
-            "--max-conns" => {
-                config.max_connections = parse_u64(args.next(), "--max-conns") as usize
-            }
-            "--data-dir" => match args.next() {
-                Some(d) => config.data_dir = Some(d.into()),
-                None => usage(),
-            },
-            "--snapshot-every" => {
-                config.snapshot_every = parse_u64(args.next(), "--snapshot-every")
-            }
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("v6brickd: unknown flag {other}");
-                usage();
-            }
-        }
-    }
-    // Block SIGINT/SIGTERM *before* any server thread exists so every
-    // thread inherits the mask; unsupported platforms just run without
-    // signal-triggered drain.
-    let term = TermSignals::block();
-    let handle = match spawn(config.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("v6brickd: start on {}: {e}", config.addr);
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Ok(term) = term {
-        let shutdown = handle.shutdown_handle();
-        term.watch(move |sig| {
-            eprintln!("v6brickd: caught signal {sig}, draining");
-            shutdown.shutdown();
-        });
-    }
-    println!(
-        "v6brickd listening on {} (campaign seed {:#x}, {} shards, {} loop threads)",
-        handle.addr(),
-        handle.state().campaign_seed(),
-        handle.state().shard_count(),
-        config.loop_threads.max(1)
-    );
-    let state = std::sync::Arc::clone(handle.state());
-    handle.join();
-    let stats = serde_json::to_string(&state.stats_report()).unwrap_or_else(|_| "{}".to_string());
-    println!("{stats}");
-    ExitCode::SUCCESS
+fn main() {
+    std::process::exit(v6brick_ingest::daemon::run(
+        "v6brickd",
+        std::env::args().skip(1),
+    ));
 }

@@ -30,6 +30,8 @@
 //!   never-crashed one;
 //! * [`signal`] — SIGTERM/SIGINT → the same deadline-driven drain as
 //!   the wire `SHUTDOWN` command, via raw-syscall signalfd;
+//! * [`daemon`] — the one flag parser and main that `v6brickd` and
+//!   `repro serve` both run;
 //! * [`client`] — a blocking protocol client plus the non-blocking
 //!   connection driver the load generator multiplexes;
 //! * [`loadgen`] — a deterministic load generator that drives
@@ -48,6 +50,7 @@
 
 pub mod client;
 pub mod conn;
+pub mod daemon;
 pub mod loadgen;
 pub mod poll;
 pub mod recover;

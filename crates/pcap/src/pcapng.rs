@@ -253,19 +253,6 @@ pub fn from_bytes(buf: &[u8]) -> Result<Capture, PcapError> {
     Ok(packets.into_iter().collect())
 }
 
-/// Write a capture to any `io::Write` as pcapng.
-pub fn write_pcapng<W: std::io::Write>(capture: &Capture, mut w: W) -> Result<(), PcapError> {
-    w.write_all(&to_bytes(capture))?;
-    Ok(())
-}
-
-/// Read a pcapng stream.
-pub fn read_pcapng<R: std::io::Read>(mut r: R) -> Result<Capture, PcapError> {
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    from_bytes(&buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

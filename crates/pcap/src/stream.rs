@@ -105,11 +105,6 @@ impl StreamDecoder {
         self.frames
     }
 
-    /// Total bytes accepted so far (consumed plus pending).
-    pub fn bytes_fed(&self) -> u64 {
-        self.consumed + self.buf.len() as u64
-    }
-
     /// Feed one chunk, emitting every frame it completes to `sink` in
     /// stream order. After an error the decoder is poisoned and refuses
     /// further input (the error is sticky by design: a network server

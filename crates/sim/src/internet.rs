@@ -24,7 +24,7 @@ use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv4, ipv6, tcp, udp, Run};
 
 /// How a destination domain behaves: which address families it serves, and
-/// how chatty its responses are.
+/// whether its IPv6 server answers.
 #[derive(Debug, Clone)]
 pub struct DomainProfile {
     /// Name.
@@ -33,8 +33,6 @@ pub struct DomainProfile {
     pub a: Option<Ipv4Addr>,
     /// IPv6 presence — the paper's "AAAA readiness" (Table 7).
     pub aaaa: Option<Ipv6Addr>,
-    /// Server response bytes per request byte (the cloud's verbosity).
-    pub response_scale: u32,
     /// The paper's §7 caveat: "having an IPv6 address does not guarantee
     /// the destination is reachable". When false, the AAAA record exists
     /// but every IPv6 packet toward the server is silently dropped.
@@ -50,7 +48,6 @@ impl DomainProfile {
             name,
             a: Some(a),
             aaaa: Some(aaaa),
-            response_scale: 4,
             reachable_v6: true,
         }
     }
@@ -63,7 +60,6 @@ impl DomainProfile {
             name,
             a: Some(a),
             aaaa: None,
-            response_scale: 4,
             reachable_v6: true,
         }
     }
@@ -72,12 +68,6 @@ impl DomainProfile {
     /// over IPv6 (the paper's §7 reachability caveat).
     pub fn with_v6_unreachable(mut self) -> DomainProfile {
         self.reachable_v6 = false;
-        self
-    }
-
-    /// Override the response verbosity.
-    pub fn with_scale(mut self, scale: u32) -> DomainProfile {
-        self.response_scale = scale;
         self
     }
 }
@@ -361,8 +351,8 @@ impl Internet {
             return Some(reply(123, &[], Run::new(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
-        let scale = self.zones.get(name)?.response_scale;
-        let len = (payload.len() as u32 * scale).clamp(16, 8192) as usize;
+        self.zones.get(name)?;
+        let len = (payload.len() as u32 * RESPONSE_SCALE).clamp(16, 8192) as usize;
         Some(reply(dst_port, &[], Run::new(0x5a, len)))
     }
 
@@ -425,7 +415,7 @@ impl Internet {
         let seg = tcp::Packet::new_checked(l4).ok()?;
         // Unroutable/unknown destination: silence (packets to nowhere).
         let name = self.domain_for(server)?;
-        let scale = self.zones.get(name)?.response_scale;
+        self.zones.get(name)?;
         let flags = seg.flags();
         let data_len = seg.payload().len();
         let header = |seq, ack, flags, window| tcp::Repr {
@@ -453,7 +443,7 @@ impl Internet {
         } else if data_len > 0 {
             // Cap the response segment well inside the IPv6 payload-length
             // field; clients chase volume with multiple request segments.
-            let len = (data_len as u32 * scale).clamp(64, 48 * 1024) as usize;
+            let len = (data_len as u32 * RESPONSE_SCALE).clamp(64, 48 * 1024) as usize;
             let ack = seg.seq().wrapping_add(data_len as u32);
             let flags = tcp::Flags::PSH | tcp::Flags::ACK;
             (header(seg.ack(), ack, flags, 0xffff), len)
@@ -488,6 +478,9 @@ fn second_level(name: &str) -> &str {
 /// The byte cloud servers fill TCP responses with (the TLS
 /// application-data content type).
 const RESPONSE_FILL: u8 = 0x17;
+
+/// Server response bytes per request byte: every cloud's verbosity.
+const RESPONSE_SCALE: u32 = 4;
 
 /// The IP layers a reply travels in: native IPv4, or IPv6 re-wrapped in
 /// the 6in4 tunnel back to the router.

@@ -354,10 +354,23 @@ fn determinism_same_suite_twice() {
 fn verdicts_are_seed_invariant() {
     // Different RNG seeds change boot jitter and temporary addresses but
     // never the measured feature set or the functionality verdicts.
-    use v6brick::experiments::scenario::run_with_profiles_seeded;
+    use v6brick::core::analysis::PassId;
+    use v6brick::experiments::scenario::{run_scoped, EXPERIMENT_DURATION};
     let profiles = v6brick::devices::registry::build();
-    let a = run_with_profiles_seeded(NetworkConfig::Ipv6Only, &profiles, 0x1111_0000);
-    let b = run_with_profiles_seeded(NetworkConfig::Ipv6Only, &profiles, 0x2222_0000);
+    let a = run_scoped(
+        NetworkConfig::Ipv6Only,
+        &profiles,
+        0x1111_0000,
+        EXPERIMENT_DURATION,
+        &PassId::ALL,
+    );
+    let b = run_scoped(
+        NetworkConfig::Ipv6Only,
+        &profiles,
+        0x2222_0000,
+        EXPERIMENT_DURATION,
+        &PassId::ALL,
+    );
     assert_eq!(
         a.functional, b.functional,
         "functionality is a device property"
