@@ -50,11 +50,6 @@ pub const BORDER_ROUTER_MAC: Mac = Mac::new(0x02, 0x52, 0x54, 0x00, 0xb0, 0x01);
 /// The 802.15.4 PAN identifier of the home's one mesh.
 pub const MESH_PAN_ID: u16 = 0x6b42;
 
-/// The Thread-style mesh-local ULA prefix (fd6b:4200::/64). Only the
-/// border router numbers an interface from it; leaf traffic that leaves
-/// the mesh uses addresses from the routed LAN /64.
-pub const MESH_ULA_PREFIX: Ipv6Addr = Ipv6Addr::new(0xfd6b, 0x4200, 0, 0, 0, 0, 0, 0);
-
 /// One CSMA backoff slot (the 802.15.4 aUnitBackoffPeriod: 20 symbols at
 /// 62.5 ksymbol/s).
 pub const MESH_SLOT_US: u64 = 320;
