@@ -314,6 +314,15 @@ impl IotDevice {
 
     /// All currently assigned IPv6 addresses (diagnostics).
     pub fn v6_addresses(&self) -> Vec<Ipv6Addr> {
+        self.v6_slots()
+            .into_iter()
+            .flatten()
+            .chain(self.announced_extra.iter().copied())
+            .collect()
+    }
+
+    /// The single-address slots, in [`IotDevice::v6_addresses`] order.
+    fn v6_slots(&self) -> [Option<Ipv6Addr>; 5] {
         [
             self.lla,
             self.eui_gua,
@@ -321,10 +330,6 @@ impl IotDevice {
             self.ula,
             self.stateful_addr,
         ]
-        .into_iter()
-        .flatten()
-        .chain(self.announced_extra.iter().copied())
-        .collect()
     }
 
     // --- address formation ------------------------------------------------
@@ -419,9 +424,9 @@ impl IotDevice {
         self.ula.or(self.lla)
     }
 
-    /// Any address that makes this IP "one of mine".
+    /// Any address that makes this IP "one of mine", checked in place.
     fn owns_v6(&self, a: Ipv6Addr) -> bool {
-        self.v6_addresses().contains(&a)
+        self.v6_slots().contains(&Some(a)) || self.announced_extra.contains(&a)
     }
 
     // --- frame emission helpers --------------------------------------------

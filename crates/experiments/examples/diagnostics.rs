@@ -98,11 +98,11 @@ fn main() {
     let d = |f: &dyn Fn(&v6brick_core::DeviceObservation) -> bool| {
         let dual = ids
             .iter()
-            .filter(|id| f(&suite.dual_observation(id)))
+            .filter(|id| f(suite.dual_observation(id)))
             .count() as i64;
         let v6 = ids
             .iter()
-            .filter(|id| f(&suite.v6only_observation(id)))
+            .filter(|id| f(suite.v6only_observation(id)))
             .count() as i64;
         dual - v6
     };

@@ -226,7 +226,7 @@ pub fn eui64_funnel(suite: &ExperimentSuite) -> eui64::Eui64Funnel {
     for p in &suite.profiles {
         analysis
             .devices
-            .insert(p.id.clone(), suite.v6_and_dual_observation(&p.id));
+            .insert(p.id.clone(), suite.v6_and_dual_observation(&p.id).clone());
     }
     let macs: Vec<(String, Mac)> = suite
         .profiles

@@ -14,14 +14,15 @@ use std::net::{IpAddr, Ipv4Addr};
 use v6brick_core::ports::ScanResult;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::stack::IotDevice;
+use v6brick_fleet::run_indexed;
 use v6brick_net::ipv6::mcast;
 use v6brick_net::parse::{ParsedPacket, L4};
 use v6brick_net::{icmpv6, tcp, Mac};
 use v6brick_sim::event::SimTime;
-use v6brick_sim::host::{Effects, Host};
+use v6brick_sim::host::{Effects, Host, HostId};
 use v6brick_sim::internet::Internet;
 use v6brick_sim::wire;
-use v6brick_sim::{Router, RouterConfig, SimulationBuilder};
+use v6brick_sim::{Router, RouterConfig, Simulation, SimulationBuilder};
 
 /// Which ports to probe.
 #[derive(Debug, Clone)]
@@ -81,6 +82,7 @@ pub struct DeviceScan {
 }
 
 /// The scanning host.
+#[derive(Clone)]
 struct Scanner {
     mac: Mac,
     addr4: Ipv4Addr,
@@ -264,6 +266,10 @@ impl Host for Scanner {
         }
     }
 
+    fn fork(&self) -> Option<Box<dyn Host>> {
+        Some(Box::new(self.clone()))
+    }
+
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -272,14 +278,32 @@ impl Host for Scanner {
     }
 }
 
-/// Run the scan over the given devices, in one simulation. Two phases,
-/// like the paper:
+/// Run the scan over the given devices. Two phases, like the paper:
 ///
 /// 1. a short dual-stack settling window in which devices boot and
 ///    configure addresses, with the scanner on the LAN but silent;
 /// 2. target harvesting from the router's neighbor table and DHCPv4
 ///    leases, then the scanner's all-nodes ping and SYN/UDP sweeps.
+///
+/// The home settles once; the sweep then runs on every available core,
+/// each extra core on a fork of the settled home. The results do not
+/// depend on the core count.
 pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, DeviceScan> {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    sweep(profiles, plan, workers)
+}
+
+/// [`scan`] with the sweep dealt over `workers` shards (capped at the
+/// number of devices harvested). Whole devices are dealt round-robin in
+/// harvest order, all of a device's addresses to one shard; every shard
+/// after the first sweeps its own fork of the settled home. A device
+/// answers a probe the same whenever it arrives, so the results do not
+/// depend on `workers`.
+fn sweep(
+    profiles: &[DeviceProfile],
+    plan: &ScanPlan,
+    workers: usize,
+) -> BTreeMap<String, DeviceScan> {
     // Phase 1: boot the devices in a dual-stack network.
     let zones = crate::scenario::build_zones(profiles);
     let internet = Internet::new(zones);
@@ -310,52 +334,70 @@ pub fn scan(profiles: &[DeviceProfile], plan: &ScanPlan) -> BTreeMap<String, Dev
         profiles.iter().map(|p| (p.mac, p.id.clone())).collect();
     targets.retain(|(_, m)| device_macs.contains_key(m));
 
-    // Phase 2: hand the targets to the scanner and sweep.
+    // Phase 2: deal the devices to shards and sweep them in parallel.
+    let mut dealt: BTreeMap<Mac, usize> = BTreeMap::new();
+    for (_, mac) in &targets {
+        let next = dealt.len();
+        dealt.entry(*mac).or_insert(next);
+    }
+    let shards = workers.min(dealt.len()).max(1);
+    let mut shard_targets = vec![Vec::new(); shards];
+    for &(ip, mac) in &targets {
+        shard_targets[dealt[&mac] % shards].push((ip, mac));
+    }
+    let forks: Vec<Simulation> = (1..shards)
+        .map(|_| sim.fork().expect("every port-scan host forks"))
+        .collect();
+
+    // Fold per-address results into per-device results via MAC.
+    let mut owner: BTreeMap<IpAddr, &String> = BTreeMap::new();
+    for (ip, mac) in &targets {
+        owner.entry(*ip).or_insert(&device_macs[mac]);
+    }
+    let devices = profiles
+        .iter()
+        .map(|p| (p.id.clone(), DeviceScan::default()))
+        .collect();
+    run_indexed(
+        std::iter::once(sim).chain(forks).zip(shard_targets),
+        shards,
+        |(mut sim, targets)| {
+            scanner_mut(&mut sim, sid).targets = targets;
+            sweep_shard(&mut sim, sid)
+        },
+        devices,
+        |out: &mut BTreeMap<String, DeviceScan>, _, shard| {
+            for (ip, result) in shard {
+                let Some(id) = owner.get(&ip) else { continue };
+                let entry = out.get_mut(*id).expect("device entry");
+                let family = match ip {
+                    IpAddr::V4(_) => &mut entry.v4,
+                    IpAddr::V6(_) => &mut entry.v6,
+                };
+                family.open_tcp.extend(result.open_tcp);
+                family.open_udp.extend(result.open_udp);
+            }
+        },
+    )
+}
+
+fn scanner_mut(sim: &mut Simulation, sid: HostId) -> &mut Scanner {
     sim.host_mut(sid)
         .as_any_mut()
         .downcast_mut::<Scanner>()
         .expect("scanner host")
-        .targets = targets;
-    // Scan duration scales with the plan size.
-    let probes = (plan.tcp.len() + plan.udp.len()) * profiles.len() * 2;
-    let secs = 70 + (probes / SCAN_BATCH / 45) as u64 + 5;
-    sim.run_until(SimTime::from_secs(secs));
+}
 
-    let scanner = sim
-        .host(sid)
-        .as_any()
-        .downcast_ref::<Scanner>()
-        .expect("scanner host");
-    assert!(scanner.done, "scan did not finish within its window");
-
-    // Fold per-address results into per-device results via MAC.
-    let mut out: BTreeMap<String, DeviceScan> = BTreeMap::new();
-    for p in profiles {
-        out.insert(p.id.clone(), DeviceScan::default());
+/// Run one shard a second at a time until its scanner has sent its last
+/// probe, then one second more for the last replies; returns what the
+/// scanner found, per address. `run_until` peeks before it pops, so the
+/// steps order no event differently from one long run.
+fn sweep_shard(sim: &mut Simulation, sid: HostId) -> BTreeMap<IpAddr, ScanResult> {
+    while !scanner_mut(sim, sid).done {
+        sim.run_until(sim.now() + SimTime::from_secs(1));
     }
-    for (ip, result) in &scanner.results {
-        let mac = scanner
-            .targets
-            .iter()
-            .find(|(t, _)| t == ip)
-            .map(|(_, m)| *m);
-        let Some(mac) = mac else { continue };
-        let Some(id) = device_macs.get(&mac) else {
-            continue;
-        };
-        let entry = out.get_mut(id).expect("device entry");
-        match ip {
-            IpAddr::V4(_) => {
-                entry.v4.open_tcp.extend(&result.open_tcp);
-                entry.v4.open_udp.extend(&result.open_udp);
-            }
-            IpAddr::V6(_) => {
-                entry.v6.open_tcp.extend(&result.open_tcp);
-                entry.v6.open_udp.extend(&result.open_udp);
-            }
-        }
-    }
-    out
+    sim.run_until(sim.now() + SimTime::from_secs(1));
+    std::mem::take(&mut scanner_mut(sim, sid).results)
 }
 
 #[cfg(test)]
@@ -388,6 +430,36 @@ mod tests {
         assert!(cam.v4.open_tcp.contains(&80));
         // Amcrest has an IPv6 address but serves nothing on it.
         assert!(cam.v6.open_tcp.is_empty());
+    }
+
+    #[test]
+    fn sweep_results_do_not_depend_on_the_worker_count() {
+        let profiles: Vec<DeviceProfile> = [
+            "samsung_fridge",
+            "amcrest_cam",
+            "microseven_cam",
+            "yi_camera",
+            "roku_tv",
+            "wemo_plug",
+            "tplink_kasa_plug",
+            "hue_hub",
+        ]
+        .into_iter()
+        .map(registry::by_id)
+        .collect();
+        let plan = ScanPlan::quick();
+        let serial = format!("{:?}", sweep(&profiles, &plan, 1));
+        assert!(
+            serial.contains("37993"),
+            "the fridge's v6-only port: {serial}"
+        );
+        for workers in [2, 3, 8] {
+            assert_eq!(
+                format!("{:?}", sweep(&profiles, &plan, workers)),
+                serial,
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -570,15 +570,20 @@ mod tests {
         let profiles = registry::build();
         let zones = build_zones(&profiles);
         assert!(zones.len() > 1000, "zones: {}", zones.len());
+        // A domain several devices register keeps its first registration,
+        // in registry order; a hard-coded endpoint registers as ready.
+        let mut first_ready: HashMap<&Name, bool> = HashMap::new();
         for p in &profiles {
             for d in &p.app.destinations {
-                let prof = zones.get(&d.domain).expect("domain registered");
-                // AAAA readiness is consistent for non-shared domains;
-                // shared ones keep their first registration.
-                if d.domain.as_str().contains(".example") || d.aaaa_ready {
-                    let _ = prof;
-                }
+                first_ready.entry(&d.domain).or_insert(d.aaaa_ready);
             }
+            if let Some(h) = &p.app.hardcoded_v6_endpoint {
+                first_ready.entry(h).or_insert(true);
+            }
+        }
+        for (domain, ready) in first_ready {
+            let prof = zones.get(domain).expect("domain registered");
+            assert_eq!(prof.aaaa.is_some(), ready, "AAAA record of {domain:?}");
         }
         assert!(zones.get(&ntp_anycast()).is_some());
         assert!(zones.get(&Phone::canary_domain()).is_some());

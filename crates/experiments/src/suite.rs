@@ -9,8 +9,8 @@
 
 use crate::config::NetworkConfig;
 use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::{LazyLock, OnceLock};
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::DeviceProfile;
@@ -20,6 +20,24 @@ use v6brick_fleet::run_indexed;
 /// One more than the highest `NetworkConfig` discriminant — the size of
 /// the config-indexed run lookup table.
 const CONFIG_SLOTS: usize = NetworkConfig::Ipv6OnlyEnterprise as usize + 1;
+
+/// The configurations each memoized union merges, by scope: the three
+/// IPv6-only runs (Table 3), the two dual-stack runs (Table 4), and all
+/// five IPv6-capable runs (Table 5).
+const SCOPES: [&[NetworkConfig]; 3] = [
+    &NetworkConfig::IPV6_ONLY,
+    &NetworkConfig::DUAL_STACK,
+    &[
+        NetworkConfig::Ipv6Only,
+        NetworkConfig::Ipv6OnlyRdnssOnly,
+        NetworkConfig::Ipv6OnlyStateful,
+        NetworkConfig::DualStack,
+        NetworkConfig::DualStackStateful,
+    ],
+];
+
+/// What a union reads for a device that no run in its scope observed.
+static NOT_OBSERVED: LazyLock<DeviceObservation> = LazyLock::new(DeviceObservation::default);
 
 /// All experiment runs plus the device registry they ran over.
 pub struct ExperimentSuite {
@@ -31,9 +49,10 @@ pub struct ExperimentSuite {
     /// Config-discriminant → position in `runs` (the table generators
     /// look runs up by config thousands of times).
     by_config: [Option<usize>; CONFIG_SLOTS],
-    /// Memoized scope-union observations (the table generators hit the
-    /// same unions hundreds of times), keyed scope → device id.
-    union_cache: Mutex<HashMap<u8, HashMap<String, DeviceObservation>>>,
+    /// Memoized scope unions, one map (device id → merged observation)
+    /// per [`SCOPES`] entry, built in one pass on first use: the table
+    /// generators read the same unions thousands of times.
+    unions: [OnceLock<HashMap<String, DeviceObservation>>; 3],
 }
 
 impl ExperimentSuite {
@@ -95,7 +114,7 @@ impl ExperimentSuite {
             profiles,
             runs,
             by_config,
-            union_cache: Mutex::new(HashMap::new()),
+            unions: Default::default(),
         }
     }
 
@@ -128,59 +147,37 @@ impl ExperimentSuite {
             .unwrap_or_else(|| panic!("unknown device {id}"))
     }
 
-    /// Merge a device's observations across a set of configurations
+    /// A device's observations merged across the runs of `SCOPES[scope]`
     /// (set-union semantics; byte counters summed).
-    pub fn union_observation(&self, id: &str, configs: &[NetworkConfig]) -> DeviceObservation {
-        let mut merged = DeviceObservation::default();
-        for c in configs {
-            let Some(run) = self.run_opt(*c) else {
-                continue;
-            };
-            let Some(o) = run.analysis.device(id) else {
-                continue;
-            };
-            merge_into(&mut merged, o);
-        }
-        merged
-    }
-
-    fn cached_union(&self, scope: u8, id: &str, configs: &[NetworkConfig]) -> DeviceObservation {
-        // Borrow-keyed lookup: cache hits (the overwhelming majority —
-        // the table generators re-request the same unions hundreds of
-        // times) allocate nothing; the id is cloned only on a miss.
-        if let Some(hit) = self
-            .union_cache
-            .lock()
-            .get(&scope)
-            .and_then(|per_id| per_id.get(id))
-        {
-            return hit.clone();
-        }
-        let merged = self.union_observation(id, configs);
-        self.union_cache
-            .lock()
-            .entry(scope)
-            .or_default()
-            .insert(id.to_string(), merged.clone());
-        merged
+    fn union(&self, scope: usize, id: &str) -> &DeviceObservation {
+        self.unions[scope]
+            .get_or_init(|| {
+                let mut merged: HashMap<String, DeviceObservation> = HashMap::new();
+                for run in SCOPES[scope].iter().filter_map(|c| self.run_opt(*c)) {
+                    for (id, o) in &run.analysis.devices {
+                        merge_into(merged.entry(id.clone()).or_default(), o);
+                    }
+                }
+                merged
+            })
+            .get(id)
+            .unwrap_or(&NOT_OBSERVED)
     }
 
     /// Union across the three IPv6-only configurations (Table 3 scope).
-    pub fn v6only_observation(&self, id: &str) -> DeviceObservation {
-        self.cached_union(0, id, &NetworkConfig::IPV6_ONLY)
+    pub fn v6only_observation(&self, id: &str) -> &DeviceObservation {
+        self.union(0, id)
     }
 
     /// Union across the two dual-stack configurations (Table 4 scope).
-    pub fn dual_observation(&self, id: &str) -> DeviceObservation {
-        self.cached_union(1, id, &NetworkConfig::DUAL_STACK)
+    pub fn dual_observation(&self, id: &str) -> &DeviceObservation {
+        self.union(1, id)
     }
 
     /// Union across all IPv6-capable configurations (Table 5 scope:
     /// "IPv6-only and dual-stack experiments").
-    pub fn v6_and_dual_observation(&self, id: &str) -> DeviceObservation {
-        let mut configs: Vec<NetworkConfig> = NetworkConfig::IPV6_ONLY.to_vec();
-        configs.extend(NetworkConfig::DUAL_STACK);
-        self.cached_union(2, id, &configs)
+    pub fn v6_and_dual_observation(&self, id: &str) -> &DeviceObservation {
+        self.union(2, id)
     }
 
     /// Functional in the given configuration?

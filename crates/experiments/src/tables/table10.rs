@@ -32,7 +32,7 @@ pub fn table10(suite: &ExperimentSuite) -> TextTable {
             y(suite.functional_v6only(&p.id)).to_string(),
             y(o.ndp_traffic).to_string(),
             y(o.has_v6_addr()).to_string(),
-            y(active_gua(&o)).to_string(),
+            y(active_gua(o)).to_string(),
             y(o.dns_over_v6()).to_string(),
             y(o.v6_internet_data()).to_string(),
         ]);

@@ -37,7 +37,7 @@ pub fn table12(suite: &ExperimentSuite) -> TextTable {
     row(&mut t, "# of Devices", &|_| true);
     row(&mut t, "IPv6 NDP Traffic", &|id| o(id).ndp_traffic);
     row(&mut t, "IPv6 Address", &|id| o(id).has_v6_addr());
-    row(&mut t, "GUA", &|id| active_gua(&o(id)));
+    row(&mut t, "GUA", &|id| active_gua(o(id)));
     row(&mut t, "AAAA DNS Request", &|id| {
         !o(id).aaaa_q_any().is_empty()
     });

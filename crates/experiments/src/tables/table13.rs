@@ -49,14 +49,14 @@ pub fn table13(suite: &ExperimentSuite) -> TextTable {
 
     let row = |t: &mut TextTable, label: &str, f: &dyn Fn(&DeviceObservation) -> usize| {
         let mut r = vec![label.to_string()];
-        let total: usize = suite.profiles.iter().map(|p| f(&o(&p.id))).sum();
+        let total: usize = suite.profiles.iter().map(|p| f(o(&p.id))).sum();
         r.push(total.to_string());
         for m in &mans {
             let n: usize = suite
                 .profiles
                 .iter()
                 .filter(|p| &p.manufacturer == m)
-                .map(|p| f(&o(&p.id)))
+                .map(|p| f(o(&p.id)))
                 .sum();
             r.push(n.to_string());
         }
@@ -65,7 +65,7 @@ pub fn table13(suite: &ExperimentSuite) -> TextTable {
                 .profiles
                 .iter()
                 .filter(|p| p.os == os)
-                .map(|p| f(&o(&p.id)))
+                .map(|p| f(o(&p.id)))
                 .sum();
             r.push(n.to_string());
         }

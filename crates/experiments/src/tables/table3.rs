@@ -45,7 +45,7 @@ pub fn table3(suite: &ExperimentSuite) -> TextTable {
     );
     t.count_row(
         "^ Global Unique Address",
-        &count_by_category(suite, |id| active_gua(&o(id))),
+        &count_by_category(suite, |id| active_gua(o(id))),
     );
     t.count_row(
         "- IPv6 Address but No IPv6 DNS",

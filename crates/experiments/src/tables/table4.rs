@@ -27,8 +27,8 @@ pub fn table4(suite: &ExperimentSuite) -> TextTable {
                 "%",
             ]);
     let mut delta = |label: &str, f: &dyn Fn(&DeviceObservation) -> bool| {
-        let dual = count_by_category(suite, |id| f(&suite.dual_observation(id)));
-        let v6 = count_by_category(suite, |id| f(&suite.v6only_observation(id)));
+        let dual = count_by_category(suite, |id| f(suite.dual_observation(id)));
+        let v6 = count_by_category(suite, |id| f(suite.v6only_observation(id)));
         let d: Vec<i64> = dual
             .iter()
             .zip(&v6)

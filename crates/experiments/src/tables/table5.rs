@@ -34,12 +34,12 @@ pub fn table5(suite: &ExperimentSuite) -> TextTable {
         "Stateful DHCPv6",
         &count_by_category(suite, |id| o(id).dhcpv6_stateful),
     );
-    t.count_row("GUA", &count_by_category(suite, |id| active_gua(&o(id))));
-    t.count_row("ULA", &count_by_category(suite, |id| has_ula(&o(id))));
-    t.count_row("LLA", &count_by_category(suite, |id| has_lla(&o(id))));
+    t.count_row("GUA", &count_by_category(suite, |id| active_gua(o(id))));
+    t.count_row("ULA", &count_by_category(suite, |id| has_ula(o(id))));
+    t.count_row("LLA", &count_by_category(suite, |id| has_lla(o(id))));
     t.count_row(
         "EUI-64 Addr",
-        &count_by_category(suite, |id| has_eui64_addr(&o(id))),
+        &count_by_category(suite, |id| has_eui64_addr(o(id))),
     );
     t.count_row(
         "DNS Over IPv6",
@@ -55,7 +55,7 @@ pub fn table5(suite: &ExperimentSuite) -> TextTable {
     );
     t.count_row(
         "IPv4-only AAAA Request",
-        &count_by_category(suite, |id| aaaa_v4_only(&o(id))),
+        &count_by_category(suite, |id| aaaa_v4_only(o(id))),
     );
     t.count_row(
         "AAAA Response",

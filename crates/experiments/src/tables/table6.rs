@@ -30,7 +30,7 @@ pub fn table6(suite: &ExperimentSuite) -> TextTable {
                     .profiles
                     .iter()
                     .filter(|p| p.category == *c)
-                    .map(|p| f(&o(&p.id)))
+                    .map(|p| f(o(&p.id)))
                     .sum()
             })
             .collect()

@@ -82,9 +82,9 @@ pub fn table8(suite: &ExperimentSuite) -> TextTable {
     });
     feature_row(&mut t, "IPv6 Address", &|id| o(id).has_v6_addr());
     feature_row(&mut t, "Stateful DHCPv6", &|id| o(id).dhcpv6_stateful);
-    feature_row(&mut t, "GUA", &|id| active_gua(&o(id)));
-    feature_row(&mut t, "ULA", &|id| has_ula(&o(id)));
-    feature_row(&mut t, "LLA", &|id| has_lla(&o(id)));
+    feature_row(&mut t, "GUA", &|id| active_gua(o(id)));
+    feature_row(&mut t, "ULA", &|id| has_ula(o(id)));
+    feature_row(&mut t, "LLA", &|id| has_lla(o(id)));
     feature_row(&mut t, "GUA EUI-64 Address", &|id| {
         o(id)
             .active_v6
@@ -98,7 +98,7 @@ pub fn table8(suite: &ExperimentSuite) -> TextTable {
     feature_row(&mut t, "AAAA Req (v4 or v6)", &|id| {
         !o(id).aaaa_q_any().is_empty()
     });
-    feature_row(&mut t, "IPv4-only AAAA Req", &|id| aaaa_v4_only(&o(id)));
+    feature_row(&mut t, "IPv4-only AAAA Req", &|id| aaaa_v4_only(o(id)));
     feature_row(&mut t, "EUI-64 Addr DNS Req", &|id| {
         o(id)
             .dns_src_v6

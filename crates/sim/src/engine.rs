@@ -120,8 +120,10 @@ impl SimulationBuilder {
         let mut internet = self.internet;
         router.set_faults(self.faults.clone());
         internet.set_faults(self.faults.clone());
+        let mut macs: Vec<(Mac, HostId)> = self.hosts.iter().map(|h| h.mac()).zip(0..).collect();
+        macs.sort_unstable();
         Simulation {
-            macs: self.hosts.iter().map(|h| h.mac()).collect(),
+            macs,
             clock: SimTime::ZERO,
             queue: EventQueue::new(),
             router,
@@ -151,8 +153,10 @@ pub struct Simulation {
     router: Router,
     internet: Internet,
     hosts: Vec<Box<dyn Host>>,
-    /// Each host's MAC, read once at build: the LAN's address filter.
-    macs: Vec<Mac>,
+    /// Every host's MAC beside its id, read once at build and sorted:
+    /// the LAN's address filter. The hosts holding one MAC sit together,
+    /// in host order.
+    macs: Vec<(Mac, HostId)>,
     rng: StdRng,
     /// Dedicated stream for loss/corruption decisions — never shared
     /// with host/router behaviour.
@@ -364,8 +368,10 @@ impl Simulation {
             && (repr.dst == addrs::TUNNEL_REMOTE_IPV4 || repr.src == addrs::TUNNEL_REMOTE_IPV4)
     }
 
-    /// Deliver one LAN frame: tap it, then hand it to every other host
-    /// whose MAC filter accepts it (and the router).
+    /// Deliver one LAN frame: tap it, then hand it to the router if it is
+    /// addressed there, and to the other hosts in host order: every one
+    /// of them for a multicast (broadcast included), the ones holding
+    /// the destination MAC for a unicast.
     fn deliver_lan(&mut self, from: usize, frame: &[u8]) {
         use rand::Rng;
         // Loss and corruption draw from the dedicated fault stream only,
@@ -409,16 +415,30 @@ impl Simulation {
             self.router.on_frame(self.clock, frame, &mut fx);
             Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
         }
-        for i in 0..self.hosts.len() {
-            if i == from {
-                continue;
+        if dst.is_multicast() {
+            for i in (0..self.hosts.len()).filter(|&i| i != from) {
+                self.deliver_to(i, frame);
             }
-            if frame_addressed_to(dst, self.macs[i]) {
-                let mut fx = Effects::new(&mut self.rng);
-                self.hosts[i].on_frame(self.clock, frame, &mut fx);
-                Self::apply(&mut self.queue, self.clock, i, fx);
+        } else {
+            // Only the holders of `dst`: a lookup, not a walk of the LAN.
+            let mut at = self.macs.partition_point(|&(mac, _)| mac < dst);
+            while let Some(&(mac, i)) = self.macs.get(at) {
+                if mac != dst {
+                    break;
+                }
+                at += 1;
+                if i != from {
+                    self.deliver_to(i, frame);
+                }
             }
         }
+    }
+
+    /// Hand `frame` to host `i` and schedule what it does about it.
+    fn deliver_to(&mut self, i: HostId, frame: &[u8]) {
+        let mut fx = Effects::new(&mut self.rng);
+        self.hosts[i].on_frame(self.clock, frame, &mut fx);
+        Self::apply(&mut self.queue, self.clock, i, fx);
     }
 
     /// Schedule the side effects a callback produced.
@@ -483,6 +503,7 @@ mod tests {
     use crate::internet::ZoneDb;
     use crate::router::RouterConfig;
     use std::any::Any;
+    use std::sync::{Arc, Mutex};
     use v6brick_net::ethernet::{EtherType, Repr as EthRepr};
     use v6brick_net::Mac;
 
@@ -872,6 +893,129 @@ mod tests {
         assert_eq!(drops(&spelled, Run::default(), true), 1);
         assert_eq!(drops(&head, run, false), 0);
         assert_eq!(drops(&spelled, Run::default(), false), 0);
+    }
+
+    /// A host that sends `outbox` at start and logs its id in a log the
+    /// whole LAN shares, for every frame it is handed.
+    #[derive(Clone)]
+    struct Listener {
+        id: HostId,
+        mac: Mac,
+        outbox: Option<Vec<u8>>,
+        log: Arc<Mutex<Vec<HostId>>>,
+    }
+
+    impl Host for Listener {
+        fn mac(&self) -> Mac {
+            self.mac
+        }
+        fn on_start(&mut self, _now: SimTime, fx: &mut Effects) {
+            if let Some(frame) = self.outbox.take() {
+                fx.send_frame(frame);
+            }
+        }
+        fn on_frame(&mut self, _now: SimTime, _frame: &[u8], _fx: &mut Effects) {
+            self.log.lock().unwrap().push(self.id);
+        }
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _fx: &mut Effects) {}
+        fn fork(&self) -> Option<Box<dyn Host>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn lan_mac(last: u8) -> Mac {
+        Mac::new(2, 0, 0, 0, 0, last)
+    }
+
+    fn frame_to(dst: Mac) -> Vec<u8> {
+        EthRepr {
+            src: lan_mac(0xee),
+            dst,
+            ethertype: EtherType::Other(0x9999),
+        }
+        .build(b"ping")
+    }
+
+    /// Listeners with `macs`, in host order; `sender` sends one frame to
+    /// `dst` at start. Returns the simulation and the LAN's log.
+    fn listeners(
+        macs: &[Mac],
+        sender: Option<(HostId, Mac)>,
+    ) -> (Simulation, Arc<Mutex<Vec<HostId>>>) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut b = SimulationBuilder::new(
+            Router::new(RouterConfig::ipv4_only()),
+            Internet::new(ZoneDb::new()),
+        );
+        for (id, &mac) in macs.iter().enumerate() {
+            b.add_host(Box::new(Listener {
+                id,
+                mac,
+                outbox: sender
+                    .filter(|&(s, _)| s == id)
+                    .map(|(_, dst)| frame_to(dst)),
+                log: Arc::clone(&log),
+            }));
+        }
+        (b.build(), log)
+    }
+
+    #[test]
+    fn unicast_reaches_every_holder_of_its_mac_in_host_order_but_not_the_sender() {
+        // Hosts 1, 3 and 4 share a MAC that sorts after host 0's and
+        // before host 2's; host 4 sends to it.
+        let (a, b, c) = (lan_mac(5), lan_mac(3), lan_mac(9));
+        let (mut sim, log) = listeners(&[b, a, c, a, a], Some((4, a)));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*log.lock().unwrap(), [1, 3]);
+        assert_eq!(sim.frames_delivered, 1);
+    }
+
+    #[test]
+    fn multicast_reaches_every_host_but_the_sender_in_host_order() {
+        let macs = [lan_mac(9), lan_mac(1), lan_mac(5), lan_mac(1)];
+        for dst in [Mac::BROADCAST, Mac::new(0x33, 0x33, 0, 0, 0, 1)] {
+            let (mut sim, log) = listeners(&macs, Some((1, dst)));
+            sim.run_until(SimTime::from_secs(1));
+            assert_eq!(*log.lock().unwrap(), [0, 2, 3], "to {dst:?}");
+        }
+    }
+
+    #[test]
+    fn unicast_to_an_unknown_mac_reaches_no_host() {
+        // Below, between and above the MACs on the LAN.
+        for last in [1, 4, 9] {
+            let (mut sim, log) = listeners(&[lan_mac(3), lan_mac(5)], None);
+            sim.inject_frame(frame_to(lan_mac(last)));
+            sim.run_until(SimTime::from_secs(1));
+            assert!(log.lock().unwrap().is_empty(), "to {last}");
+            assert_eq!(sim.capture().len(), 1);
+            assert_eq!(sim.frames_delivered, 1);
+        }
+    }
+
+    #[test]
+    fn a_fork_keeps_the_mac_index() {
+        let (a, b) = (lan_mac(7), lan_mac(2));
+        let (mut sim, log) = listeners(&[a, b, a], None);
+        sim.run_until(SimTime::from_secs(1));
+        let mut fork = sim.fork().expect("listeners fork");
+        for dst in [a, b] {
+            fork.inject_frame(frame_to(dst));
+        }
+        fork.run_until(SimTime::from_secs(2));
+        assert_eq!(std::mem::take(&mut *log.lock().unwrap()), [0, 2, 1]);
+        for dst in [a, b] {
+            sim.inject_frame(frame_to(dst));
+        }
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(*log.lock().unwrap(), [0, 2, 1]);
     }
 
     #[test]

@@ -17,6 +17,7 @@ use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 use v6brick_net::dns::{MessageView, Name, Rcode, Rdata, RecordType, Section, Writer};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::Ipv6AddrExt;
@@ -137,13 +138,19 @@ impl ZoneDb {
     }
 }
 
+/// The zone database with its reverse maps, so a packet's destination
+/// identifies its domain. Fixed once built, so forks share one copy.
+#[derive(Debug)]
+struct Zones {
+    db: ZoneDb,
+    by_v4: HashMap<Ipv4Addr, Name>,
+    by_v6: HashMap<Ipv6Addr, Name>,
+}
+
 /// The Internet entity: resolvers + remote servers + the 6in4 far end.
 #[derive(Debug, Clone)]
 pub struct Internet {
-    zones: ZoneDb,
-    /// Reverse maps so a packet's destination identifies its domain.
-    by_v4: HashMap<Ipv4Addr, Name>,
-    by_v6: HashMap<Ipv6Addr, Name>,
+    zones: Arc<Zones>,
     /// Fault schedule (zone-level DNS timeout/SERVFAIL windows).
     faults: FaultPlan,
     /// The SOA every negative answer carries in its authority section.
@@ -174,9 +181,11 @@ impl Internet {
             }
         }
         Internet {
-            zones,
-            by_v4,
-            by_v6,
+            zones: Arc::new(Zones {
+                db: zones,
+                by_v4,
+                by_v6,
+            }),
             faults: FaultPlan::new(),
             soa: Rdata::Soa {
                 mname: Name::new("ns1.invalid").unwrap(),
@@ -271,8 +280,8 @@ impl Internet {
     ) -> Option<(Vec<u8>, Run)> {
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
-        if let Some(name) = self.by_v6.get(&ip.dst) {
-            if let Some(p) = self.zones.get(name) {
+        if let Some(name) = self.zones.by_v6.get(&ip.dst) {
+            if let Some(p) = self.zones.db.get(name) {
                 if !p.reachable_v6 {
                     return None;
                 }
@@ -287,7 +296,7 @@ impl Internet {
                 // connectivity probes of §5.4.1's "misc" EUI-64 uses).
                 let known = ip.dst == addrs::DNS6_PRIMARY
                     || ip.dst == addrs::DNS6_SECONDARY
-                    || self.by_v6.contains_key(&ip.dst);
+                    || self.zones.by_v6.contains_key(&ip.dst);
                 if !known {
                     return None;
                 }
@@ -345,13 +354,14 @@ impl Internet {
             let answer = self.answer(now, &query)?;
             return Some(reply(53, &answer, Run::default()));
         }
-        let name = self.domain_for(server)?;
+        if !self.serves(server) {
+            return None;
+        }
         // NTP on any known server address.
         if dst_port == 123 {
             return Some(reply(123, &[], Run::new(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
-        self.zones.get(name)?;
         let len = (payload.len() as u32 * RESPONSE_SCALE).clamp(16, 8192) as usize;
         Some(reply(dst_port, &[], Run::new(0x5a, len)))
     }
@@ -377,7 +387,7 @@ impl Internet {
             }
             None => {}
         }
-        let (rcode, rdata) = match self.zones.get(name.as_str()) {
+        let (rcode, rdata) = match self.zones.db.get(name.as_str()) {
             None => (Rcode::NxDomain, None),
             Some(profile) => (
                 Rcode::NoError,
@@ -414,8 +424,9 @@ impl Internet {
     fn handle_tcp(&mut self, path: ReplyPath, server: IpAddr, l4: &[u8]) -> Option<(Vec<u8>, Run)> {
         let seg = tcp::Packet::new_checked(l4).ok()?;
         // Unroutable/unknown destination: silence (packets to nowhere).
-        let name = self.domain_for(server)?;
-        self.zones.get(name)?;
+        if !self.serves(server) {
+            return None;
+        }
         let flags = seg.flags();
         let data_len = seg.payload().len();
         let header = |seq, ack, flags, window| tcp::Repr {
@@ -458,10 +469,11 @@ impl Internet {
         )
     }
 
-    fn domain_for(&self, ip: IpAddr) -> Option<&Name> {
+    /// Is `ip` the server address of a registered domain?
+    fn serves(&self, ip: IpAddr) -> bool {
         match ip {
-            IpAddr::V4(a) => self.by_v4.get(&a),
-            IpAddr::V6(a) => self.by_v6.get(&a),
+            IpAddr::V4(a) => self.zones.by_v4.contains_key(&a),
+            IpAddr::V6(a) => self.zones.by_v6.contains_key(&a),
         }
     }
 }

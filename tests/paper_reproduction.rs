@@ -53,7 +53,7 @@ fn table3_category_breakdown() {
         vec![2, 5, 6, 11, 0, 11, 16]
     );
     assert_eq!(
-        tables::count_by_category(s, |id| tables::active_gua(&o(id))),
+        tables::count_by_category(s, |id| tables::active_gua(o(id))),
         vec![1, 2, 6, 5, 0, 3, 10]
     );
     assert_eq!(
@@ -99,8 +99,8 @@ fn table4_deltas() {
     let s = suite();
     let ids: Vec<&str> = s.device_ids().collect();
     let delta = |f: &dyn Fn(&v6brick::core::DeviceObservation) -> bool| {
-        let dual = ids.iter().filter(|id| f(&s.dual_observation(id))).count() as i64;
-        let v6 = ids.iter().filter(|id| f(&s.v6only_observation(id))).count() as i64;
+        let dual = ids.iter().filter(|id| f(s.dual_observation(id))).count() as i64;
+        let v6 = ids.iter().filter(|id| f(s.v6only_observation(id))).count() as i64;
         dual - v6
     };
     assert_eq!(
