@@ -8,7 +8,7 @@
 //! 802.15.4 capture restores the mapping: each IPHC datagram names its
 //! sender by extended (EUI-64) address, and the embedded `ff:fe` marker
 //! recovers the leaf MAC, yielding IPv6 address → device bindings that
-//! [`PassSet`](crate::analysis::PassSet) consults whenever MAC
+//! [`StreamingAnalyzer`](crate::analysis::StreamingAnalyzer) consults whenever MAC
 //! attribution fails.
 //!
 //! This walk genuinely exercises the decompression pipeline — 802.15.4

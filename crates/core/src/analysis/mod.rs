@@ -1,5 +1,5 @@
 //! The composable analysis pipeline: one [`AnalyzerPass`] per measurement
-//! concern, composed by a [`PassSet`].
+//! concern, composed by a [`StreamingAnalyzer`].
 //!
 //! The §5 observables decompose into six passes — [`addressing`]
 //! (address assignment and use), [`ndp_dad`] (NDP presence and DAD
@@ -36,6 +36,7 @@ use v6brick_net::dns::{MessageView, Name, NameText};
 use v6brick_net::ipv6::{Cidr, Ipv6AddrExt};
 use v6brick_net::parse::{self, Net, ParsedPacket, L4};
 use v6brick_net::{tls, Mac};
+use v6brick_pcap::FrameSink;
 
 /// Stable identifier for one analyzer pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -78,17 +79,10 @@ impl PassId {
         }
     }
 
-    /// Inverse of [`PassId::label`]: resolve a label back to its pass.
-    /// This is the parsing path for CLI flags and wire headers (the
-    /// enum serializes but deliberately does not deserialize — inputs
-    /// arrive as labels).
-    pub fn from_label(label: &str) -> Option<PassId> {
-        PassId::ALL.into_iter().find(|p| p.label() == label)
-    }
-
-    /// Passes this pass reads shared state from. [`PassSet::with_passes`]
-    /// closes over these, so enabling `Traffic` always enables `Dns` (the
-    /// destination-domain attribution reads the DNS answer map).
+    /// Passes this pass reads shared state from.
+    /// [`StreamingAnalyzer::with_passes`] closes over these, so enabling
+    /// `Traffic` always enables `Dns` (the destination-domain attribution
+    /// reads the DNS answer map).
     pub fn deps(self) -> &'static [PassId] {
         match self {
             PassId::Traffic | PassId::Eui64 => &[PassId::Dns],
@@ -270,7 +264,7 @@ impl DataFrame {
 #[derive(Debug)]
 pub struct SharedState {
     /// One observation per registered device, indexed like the device
-    /// list handed to [`PassSet::with_passes`].
+    /// list handed to [`StreamingAnalyzer::with_passes`].
     pub obs: Vec<DeviceObservation>,
     /// The global DNS answer map: IP → last name that resolved to it.
     pub ip_to_name: BTreeMap<IpAddr, Name>,
@@ -363,8 +357,9 @@ pub struct PassMetrics {
     /// Frames dispatched to the pass.
     pub frames: u64,
     /// Wall-clock nanoseconds spent inside the pass. Only collected
-    /// after [`PassSet::enable_metrics`] — timing costs two `Instant`
-    /// reads per pass per frame, which the fleet hot path must not pay.
+    /// after [`StreamingAnalyzer::enable_metrics`] — timing costs two
+    /// `Instant` reads per pass per frame, which the fleet hot path must
+    /// not pay.
     pub nanos: u64,
 }
 
@@ -383,15 +378,21 @@ impl std::fmt::Debug for PassEntry {
     }
 }
 
-/// A composed set of analyzer passes sharing one frame walk.
+/// The incremental analysis state machine: a composed set of analyzer
+/// passes sharing one frame walk.
 ///
-/// Feed frames (raw or parsed) in capture order, then [`PassSet::finish`]
-/// to obtain the [`ExperimentAnalysis`]. With every pass enabled the
-/// output is byte-identical (via serde) to the pre-decomposition
-/// monolithic analyzer — the streaming-equivalence and property tests pin
-/// this.
+/// Construct with the device MAC → label map and the LAN prefix, [`feed`]
+/// every tapped frame in capture order, then [`finish`] to obtain the
+/// [`ExperimentAnalysis`]. Feeding frame-by-frame from the live tap is
+/// byte-equivalent (via serde) to buffering the whole capture and calling
+/// [`crate::observe::analyze`], and with every pass enabled the output is
+/// byte-identical to the pre-decomposition monolithic analyzer — the
+/// streaming-equivalence and property tests pin both.
+///
+/// [`feed`]: StreamingAnalyzer::feed
+/// [`finish`]: StreamingAnalyzer::finish
 #[derive(Debug)]
-pub struct PassSet {
+pub struct StreamingAnalyzer {
     devices: Vec<(Mac, String)>,
     lan_prefix: Cidr,
     mac_index: HashMap<Mac, usize>,
@@ -409,15 +410,28 @@ pub struct PassSet {
     metrics_enabled: bool,
 }
 
-impl PassSet {
-    /// Compose the passes in `ids` (plus their [`PassId::deps`] closure),
-    /// instantiated in canonical [`PassId::ALL`] order.
+impl StreamingAnalyzer {
+    /// A fresh analyzer running every pass.
     ///
     /// `lan_prefix` is the routed /64: IPv6 peers inside it (or
     /// non-global) count as local, everything else as Internet. `devices`
     /// maps MAC → label; frames from other MACs (router, phones) only
     /// contribute to the global DNS answer map.
-    pub fn with_passes(devices: &[(Mac, String)], lan_prefix: Cidr, ids: &[PassId]) -> PassSet {
+    pub fn new(devices: &[(Mac, String)], lan_prefix: Cidr) -> StreamingAnalyzer {
+        Self::with_passes(devices, lan_prefix, &PassId::ALL)
+    }
+
+    /// An analyzer running only the passes in `ids` plus their
+    /// [`PassId::deps`] closure, instantiated in canonical
+    /// [`PassId::ALL`] order. The fields those passes own come out
+    /// byte-identical to a full run; everything else stays at its
+    /// default. See [`StreamingAnalyzer::new`] for the `devices` /
+    /// `lan_prefix` contract.
+    pub fn with_passes(
+        devices: &[(Mac, String)],
+        lan_prefix: Cidr,
+        ids: &[PassId],
+    ) -> StreamingAnalyzer {
         let mut enabled: BTreeSet<PassId> = ids.iter().copied().collect();
         loop {
             let before = enabled.len();
@@ -436,7 +450,7 @@ impl PassSet {
                 metrics: PassMetrics::default(),
             })
             .collect();
-        PassSet {
+        StreamingAnalyzer {
             devices: devices.to_vec(),
             lan_prefix,
             mac_index: devices
@@ -458,13 +472,8 @@ impl PassSet {
         }
     }
 
-    /// Every pass — the full pre-decomposition semantics.
-    pub fn full(devices: &[(Mac, String)], lan_prefix: Cidr) -> PassSet {
-        Self::with_passes(devices, lan_prefix, &PassId::ALL)
-    }
-
-    /// The passes that will run, in execution order (deps included).
-    pub fn enabled(&self) -> Vec<PassId> {
+    /// The passes this analyzer runs, in execution order (deps included).
+    pub fn enabled_passes(&self) -> Vec<PassId> {
         self.passes.iter().map(|e| e.id).collect()
     }
 
@@ -475,7 +484,7 @@ impl PassSet {
     }
 
     /// Per-pass execution counters, in execution order.
-    pub fn metrics(&self) -> Vec<(PassId, PassMetrics)> {
+    pub fn pass_metrics(&self) -> Vec<(PassId, PassMetrics)> {
         self.passes.iter().map(|e| (e.id, e.metrics)).collect()
     }
 
@@ -502,8 +511,8 @@ impl PassSet {
         self.mesh_bindings.len()
     }
 
-    /// Frames handed to [`PassSet::feed`] so far (parseable or not) — the
-    /// equivalent of the buffered pipeline's capture length.
+    /// Frames handed to [`StreamingAnalyzer::feed`] so far (parseable or
+    /// not) — the equivalent of the buffered pipeline's capture length.
     pub fn frames_fed(&self) -> u64 {
         self.fed
     }
@@ -514,8 +523,8 @@ impl PassSet {
     }
 
     /// Consume one raw frame. Unparseable frames count toward
-    /// [`PassSet::frames_fed`] and [`PassSet::parse_errors`] but
-    /// contribute nothing else.
+    /// [`StreamingAnalyzer::frames_fed`] and
+    /// [`StreamingAnalyzer::parse_errors`] but contribute nothing else.
     pub fn feed(&mut self, timestamp_us: u64, frame: &[u8]) {
         self.fed += 1;
         match parse::parse_lenient(frame) {
@@ -525,7 +534,7 @@ impl PassSet {
     }
 
     /// Consume one already-parsed frame.
-    pub fn feed_parsed(&mut self, ts: u64, p: &ParsedPacket) {
+    fn feed_parsed(&mut self, ts: u64, p: &ParsedPacket) {
         self.frames += 1;
         let mut from = self.mac_index.get(&p.eth.src).copied();
         let mut to = self.mac_index.get(&p.eth.dst).copied();
@@ -572,8 +581,8 @@ impl PassSet {
     }
 
     /// Finalize: key the per-device observations by label and let each
-    /// pass move its private results over. Consumes the set — the state
-    /// *is* the result.
+    /// pass move its private results over. Consumes the analyzer — the
+    /// state *is* the result.
     pub fn finish(self) -> ExperimentAnalysis {
         let mut analysis = ExperimentAnalysis {
             devices: self
@@ -593,6 +602,16 @@ impl PassSet {
             entry.pass.finish_into(&mut analysis);
         }
         analysis
+    }
+}
+
+impl FrameSink for StreamingAnalyzer {
+    fn on_frame(&mut self, timestamp_us: u64, frame: &[u8]) {
+        self.feed(timestamp_us, frame);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+        self
     }
 }
 

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::{IpAddr, Ipv6Addr};
 use v6brick_net::dns::Name;
-use v6brick_net::ipv6::{AddressKind, Ipv6AddrExt};
+use v6brick_net::ipv6::Ipv6AddrExt;
 
 /// Everything the pipeline measured about one device.
 ///
@@ -95,9 +95,31 @@ impl DeviceObservation {
         !self.active_v6.is_empty() || self.announced_v6.iter().any(|a| !a.is_unspecified())
     }
 
-    /// Active addresses of a given kind.
-    pub fn active_of(&self, kind: AddressKind) -> impl Iterator<Item = &Ipv6Addr> {
-        self.active_v6.iter().filter(move |a| a.kind() == kind)
+    /// Active GUA (sourced traffic from a global address)?
+    pub fn active_gua(&self) -> bool {
+        self.active_v6.iter().any(|a| a.is_global_unicast())
+    }
+
+    /// Assigned any ULA?
+    pub fn has_ula(&self) -> bool {
+        self.all_addrs().iter().any(|a| a.is_unique_local())
+    }
+
+    /// Assigned any LLA?
+    pub fn has_lla(&self) -> bool {
+        self.all_addrs().iter().any(|a| a.is_link_local())
+    }
+
+    /// Holds an active EUI-64 address: an (inherently link-used) EUI-64 LLA,
+    /// or an EUI-64 global that sourced traffic.
+    pub fn has_eui64_addr(&self) -> bool {
+        self.all_addrs()
+            .iter()
+            .any(|a| a.is_link_local() && a.is_eui64())
+            || self
+                .active_v6
+                .iter()
+                .any(|a| !a.is_link_local() && a.is_eui64())
     }
 
     /// Every assigned-or-active address.
@@ -105,9 +127,14 @@ impl DeviceObservation {
         self.announced_v6.union(&self.active_v6).copied().collect()
     }
 
-    /// Did the device send AAAA queries over IPv6 transport?
+    /// Did the device send DNS queries (A or AAAA) over IPv6 transport?
     pub fn dns_over_v6(&self) -> bool {
         !self.aaaa_q_v6.is_empty() || !self.a_q_v6.is_empty()
+    }
+
+    /// Any v4-only AAAA query name?
+    pub fn aaaa_v4_only(&self) -> bool {
+        self.aaaa_q_v4.difference(&self.aaaa_q_v6).next().is_some()
     }
 
     /// All AAAA query names, either transport.

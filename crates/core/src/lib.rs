@@ -11,12 +11,14 @@
 //! assert that the *measured* values land on the paper's numbers.
 //!
 //! * [`analysis`] — the composable analyzer-pass pipeline: one
-//!   [`analysis::AnalyzerPass`] per concern, composed by an
-//!   [`analysis::PassSet`].
+//!   [`analysis::AnalyzerPass`] per concern, composed by the
+//!   [`StreamingAnalyzer`].
 //! * [`flows`] — 5-tuple flow reassembly with per-direction accounting.
-//! * [`observe`] — the single-pass capture walker producing one
-//!   [`observe::DeviceObservation`] per device MAC (a thin facade over
-//!   the full pass set).
+//! * [`funnel`] — the Table 3 / Fig. 2 readiness funnel: one
+//!   [`funnel::Stage`] per row, each with its own predicate.
+//! * [`observe`] — the capture-to-observations front door: one
+//!   [`observe::DeviceObservation`] per device MAC, from a live tap
+//!   ([`StreamingAnalyzer`]) or a buffered capture ([`analyze`]).
 //! * [`party`] — first / support / third party classification (§5.4).
 //! * [`transitions`] — per-domain IP-version transition analysis between
 //!   experiment configurations (Table 9).
@@ -34,6 +36,7 @@ pub mod analysis;
 pub mod eui64;
 pub mod exposure;
 pub mod flows;
+pub mod funnel;
 pub mod observe;
 pub mod outage;
 pub mod party;
@@ -42,7 +45,7 @@ pub mod ports;
 pub mod transitions;
 
 pub use analysis::mesh::{bindings_from_mesh_capture, MeshBindings};
-pub use analysis::{AnalyzerPass, PassId, PassMetrics, PassSet};
+pub use analysis::{AnalyzerPass, PassId, PassMetrics};
 pub use exposure::{ExposureReport, HomeScanOutcome};
 pub use observe::{analyze, DeviceObservation, ExperimentAnalysis, StreamingAnalyzer};
 pub use outage::{OutageClass, OutageReport, SwitchRecord};

@@ -1,19 +1,20 @@
-//! The single-pass analyzer facade: one [`DeviceObservation`] per device.
+//! The classic capture-to-observations entry points: one
+//! [`DeviceObservation`] per device.
 //!
-//! This is the measurement core's classic entry point. It attributes
-//! every frame by source (or destination) MAC, tracks NDP behaviour,
-//! address assignment and usage, DAD compliance, DHCPv4/DHCPv6 exchanges,
-//! DNS transactions per transport family, SNI extraction, and data
-//! volumes split by family and by local-versus-Internet scope — exactly
-//! the observables §5 reports.
+//! This is the measurement core's front door. It attributes every frame
+//! by source (or destination) MAC, tracks NDP behaviour, address
+//! assignment and usage, DAD compliance, DHCPv4/DHCPv6 exchanges, DNS
+//! transactions per transport family, SNI extraction, and data volumes
+//! split by family and by local-versus-Internet scope — exactly the
+//! observables §5 reports.
 //!
-//! Since the pass decomposition, the actual analysis lives in
-//! [`crate::analysis`]: one [`AnalyzerPass`](crate::analysis::AnalyzerPass)
-//! per concern, composed by a [`PassSet`]. [`StreamingAnalyzer`] is a
-//! thin wrapper over the *full* set, byte-equivalent (via serde) to the
-//! pre-decomposition monolith — the streaming-equivalence and property
-//! tests pin this. Callers that need only a subset of the observables
-//! (the fleet population path) construct a narrower set with
+//! The analysis itself lives in [`crate::analysis`]: one
+//! [`AnalyzerPass`](crate::analysis::AnalyzerPass) per concern, composed
+//! by the [`StreamingAnalyzer`] re-exported here. [`StreamingAnalyzer::new`]
+//! runs every pass, byte-equivalent (via serde) to the pre-decomposition
+//! monolith — the streaming-equivalence and property tests pin this.
+//! Callers that need only a subset of the observables (the fleet
+//! population path) construct a narrower one with
 //! [`StreamingAnalyzer::with_passes`].
 //!
 //! The state machine is incremental: frames are consumed one at a time
@@ -23,122 +24,11 @@
 //! `O(frames)` byte buffer. [`analyze`] keeps the classic buffered entry
 //! point as a thin wrapper over the same machine.
 
-use crate::analysis::{PassId, PassMetrics, PassSet};
 use v6brick_net::ipv6::Cidr;
-use v6brick_net::parse::ParsedPacket;
 use v6brick_net::Mac;
-use v6brick_pcap::{Capture, FrameSink};
+use v6brick_pcap::Capture;
 
-pub use crate::analysis::{DeviceObservation, ExperimentAnalysis};
-
-/// The incremental analysis state machine.
-///
-/// Construct with the device MAC → label map and the LAN prefix, [`feed`]
-/// every tapped frame in capture order, then [`finish`] to obtain the
-/// [`ExperimentAnalysis`]. Feeding frame-by-frame from the live tap is
-/// byte-equivalent (via serde) to buffering the whole capture and calling
-/// [`analyze`] — the equivalence tests pin this.
-///
-/// [`feed`]: StreamingAnalyzer::feed
-/// [`finish`]: StreamingAnalyzer::finish
-#[derive(Debug)]
-pub struct StreamingAnalyzer {
-    set: PassSet,
-}
-
-impl StreamingAnalyzer {
-    /// A fresh analyzer running every pass.
-    ///
-    /// `lan_prefix` is the routed /64: IPv6 peers inside it (or
-    /// non-global) count as local, everything else as Internet. `devices`
-    /// maps MAC → label; frames from other MACs (router, phones) only
-    /// contribute to the global DNS answer map.
-    pub fn new(devices: &[(Mac, String)], lan_prefix: Cidr) -> StreamingAnalyzer {
-        StreamingAnalyzer {
-            set: PassSet::full(devices, lan_prefix),
-        }
-    }
-
-    /// An analyzer running only the given passes (plus their
-    /// dependencies). The fields those passes own come out byte-identical
-    /// to a full run; everything else stays at its default.
-    pub fn with_passes(
-        devices: &[(Mac, String)],
-        lan_prefix: Cidr,
-        passes: &[PassId],
-    ) -> StreamingAnalyzer {
-        StreamingAnalyzer {
-            set: PassSet::with_passes(devices, lan_prefix, passes),
-        }
-    }
-
-    /// The passes this analyzer runs, in execution order.
-    pub fn enabled_passes(&self) -> Vec<PassId> {
-        self.set.enabled()
-    }
-
-    /// Bind an IPv6 address to the device owning `mac`, for mesh homes
-    /// where a border router erased the leaf's link-layer identity (see
-    /// [`PassSet::add_mesh_binding`]). Returns `false` when `mac` is not
-    /// a registered device.
-    pub fn add_mesh_binding(&mut self, addr: std::net::Ipv6Addr, mac: Mac) -> bool {
-        self.set.add_mesh_binding(addr, mac)
-    }
-
-    /// Number of mesh address bindings installed.
-    pub fn mesh_binding_count(&self) -> usize {
-        self.set.mesh_binding_count()
-    }
-
-    /// Collect per-pass wall-clock timings from now on (off by default).
-    pub fn enable_metrics(&mut self) {
-        self.set.enable_metrics();
-    }
-
-    /// Per-pass execution counters, in execution order.
-    pub fn pass_metrics(&self) -> Vec<(PassId, PassMetrics)> {
-        self.set.metrics()
-    }
-
-    /// Frames handed to [`StreamingAnalyzer::feed`] so far (parseable or
-    /// not) — the equivalent of the buffered pipeline's capture length.
-    pub fn frames_fed(&self) -> u64 {
-        self.set.frames_fed()
-    }
-
-    /// Frames that failed lenient parsing so far.
-    pub fn parse_errors(&self) -> u64 {
-        self.set.parse_errors()
-    }
-
-    /// Consume one raw frame. Unparseable frames count toward
-    /// [`StreamingAnalyzer::frames_fed`] and
-    /// [`StreamingAnalyzer::parse_errors`] but contribute nothing else.
-    pub fn feed(&mut self, timestamp_us: u64, frame: &[u8]) {
-        self.set.feed(timestamp_us, frame);
-    }
-
-    /// Consume one already-parsed frame.
-    pub fn feed_parsed(&mut self, ts: u64, p: &ParsedPacket) {
-        self.set.feed_parsed(ts, p);
-    }
-
-    /// Finalize: key the per-device observations by label and hand the
-    /// flow table over. Consumes the analyzer — the state *is* the result.
-    pub fn finish(self) -> ExperimentAnalysis {
-        self.set.finish()
-    }
-}
-
-impl FrameSink for StreamingAnalyzer {
-    fn on_frame(&mut self, timestamp_us: u64, frame: &[u8]) {
-        self.feed(timestamp_us, frame);
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-}
+pub use crate::analysis::{DeviceObservation, ExperimentAnalysis, StreamingAnalyzer};
 
 /// Walk a buffered capture once and produce per-device observations.
 ///

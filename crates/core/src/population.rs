@@ -16,10 +16,10 @@
 //! [`merge`]: PopulationReport::merge
 
 use crate::analysis::PassId;
+use crate::funnel::Stage;
 use crate::observe::DeviceObservation;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use v6brick_net::ipv6::Ipv6AddrExt;
 
 /// The analyzer passes whose fields a [`PopulationReport`] actually
 /// reads: funnel and behaviour marginals (`addressing`, `ndp_dad`,
@@ -35,45 +35,62 @@ pub const POPULATION_PASSES: &[PassId] = &[
     PassId::Traffic,
 ];
 
-/// The Table 3 feature funnel, as population marginals: how far down
-/// the IPv6 adoption funnel each device got.
+/// The Table 3 feature funnel, as population marginals: how many
+/// devices reached each [`Stage`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FunnelCounts {
-    /// Emitted any NDP traffic.
+    /// Reached [`Stage::NdpTraffic`].
     pub ndp_traffic: u64,
-    /// Assigned (announced or used) an IPv6 address.
+    /// Reached [`Stage::V6Addr`].
     pub v6_addr: u64,
-    /// Sourced traffic from a global unicast address.
+    /// Reached [`Stage::ActiveGua`].
     pub active_gua: u64,
-    /// Issued AAAA queries over IPv6 transport.
+    /// Reached [`Stage::AaaaQueryV6`].
     pub aaaa_q_v6: u64,
-    /// Got a positive AAAA answer over IPv6 transport.
+    /// Reached [`Stage::AaaaAnswerV6`].
     pub aaaa_pos_v6: u64,
-    /// Exchanged TCP/UDP data with an Internet host over IPv6.
+    /// Reached [`Stage::V6InternetData`].
     pub v6_internet_data: u64,
-    /// Passed the §4.1 functionality check.
+    /// Reached [`Stage::Functional`].
     pub functional: u64,
 }
 
 impl FunnelCounts {
+    /// Devices that reached `stage`.
+    pub fn count(&self, stage: Stage) -> u64 {
+        match stage {
+            Stage::NdpTraffic => self.ndp_traffic,
+            Stage::V6Addr => self.v6_addr,
+            Stage::ActiveGua => self.active_gua,
+            Stage::AaaaQueryV6 => self.aaaa_q_v6,
+            Stage::AaaaAnswerV6 => self.aaaa_pos_v6,
+            Stage::V6InternetData => self.v6_internet_data,
+            Stage::Functional => self.functional,
+        }
+    }
+
+    fn count_mut(&mut self, stage: Stage) -> &mut u64 {
+        match stage {
+            Stage::NdpTraffic => &mut self.ndp_traffic,
+            Stage::V6Addr => &mut self.v6_addr,
+            Stage::ActiveGua => &mut self.active_gua,
+            Stage::AaaaQueryV6 => &mut self.aaaa_q_v6,
+            Stage::AaaaAnswerV6 => &mut self.aaaa_pos_v6,
+            Stage::V6InternetData => &mut self.v6_internet_data,
+            Stage::Functional => &mut self.functional,
+        }
+    }
+
     fn absorb(&mut self, o: &DeviceObservation, functional: bool) {
-        self.ndp_traffic += o.ndp_traffic as u64;
-        self.v6_addr += o.has_v6_addr() as u64;
-        self.active_gua += o.active_v6.iter().any(|a| a.is_global_unicast()) as u64;
-        self.aaaa_q_v6 += !o.aaaa_q_v6.is_empty() as u64;
-        self.aaaa_pos_v6 += !o.aaaa_pos_v6.is_empty() as u64;
-        self.v6_internet_data += o.v6_internet_data() as u64;
-        self.functional += functional as u64;
+        for stage in Stage::ALL {
+            *self.count_mut(stage) += stage.reached(o, functional) as u64;
+        }
     }
 
     fn merge(&mut self, other: &FunnelCounts) {
-        self.ndp_traffic += other.ndp_traffic;
-        self.v6_addr += other.v6_addr;
-        self.active_gua += other.active_gua;
-        self.aaaa_q_v6 += other.aaaa_q_v6;
-        self.aaaa_pos_v6 += other.aaaa_pos_v6;
-        self.v6_internet_data += other.v6_internet_data;
-        self.functional += other.functional;
+        for stage in Stage::ALL {
+            *self.count_mut(stage) += other.count(stage);
+        }
     }
 }
 
@@ -108,20 +125,13 @@ pub struct BehaviorCounts {
 impl BehaviorCounts {
     fn absorb(&mut self, o: &DeviceObservation) {
         self.dhcpv6_stateful += o.dhcpv6_stateful as u64;
-        self.ula += o.all_addrs().iter().any(|a| a.is_unique_local()) as u64;
-        self.lla += o.all_addrs().iter().any(|a| a.is_link_local()) as u64;
-        let eui64 = o
-            .all_addrs()
-            .iter()
-            .any(|a| a.is_link_local() && a.is_eui64())
-            || o.active_v6
-                .iter()
-                .any(|a| !a.is_link_local() && a.is_eui64());
-        self.eui64_addr += eui64 as u64;
+        self.ula += o.has_ula() as u64;
+        self.lla += o.has_lla() as u64;
+        self.eui64_addr += o.has_eui64_addr() as u64;
         self.dns_over_v6 += o.dns_over_v6() as u64;
         self.a_only_v6 += !o.a_only_v6_names().is_empty() as u64;
         self.aaaa_any += !o.aaaa_q_any().is_empty() as u64;
-        self.aaaa_v4_only += o.aaaa_q_v4.difference(&o.aaaa_q_v6).next().is_some() as u64;
+        self.aaaa_v4_only += o.aaaa_v4_only() as u64;
         self.aaaa_pos_any += !o.aaaa_pos_any().is_empty() as u64;
         self.aaaa_neg += !o.aaaa_neg.is_empty() as u64;
         self.dhcpv4_used += o.dhcpv4_used as u64;

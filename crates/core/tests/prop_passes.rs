@@ -3,7 +3,7 @@
 //!
 //! The decomposition of `observe` into `core::analysis` passes must be
 //! invisible: for ANY frame interleaving — valid protocol exchanges,
-//! garbage, truncations, unattributable MACs — the full `PassSet`
+//! garbage, truncations, unattributable MACs — the full `StreamingAnalyzer`
 //! produces the byte-identical `ExperimentAnalysis` (via serde_json)
 //! that the monolithic analyzer produced before the refactor. The
 //! oracle below is that monolith's `feed_parsed`, copied verbatim from

@@ -9,6 +9,8 @@
 use crate::render::TextTable;
 use crate::scenario::{self, ExperimentRun};
 use crate::NetworkConfig;
+use v6brick_core::funnel::Stage;
+use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::registry;
 
 /// Run the enterprise experiment over the full registry.
@@ -25,59 +27,34 @@ pub fn report() -> TextTable {
         "Extension (paper §7): enterprise IPv6-only (DHCPv6 without SLAAC) vs consumer baseline",
     )
     .headers(["Metric", "Consumer IPv6-only", "Enterprise (A=0)"]);
-    let count = |run: &ExperimentRun, f: &dyn Fn(&v6brick_core::DeviceObservation) -> bool| {
-        run.analysis.count(|o| f(o)).to_string()
+    // Devices of a run satisfying `f`, given each one's observations
+    // and functionality verdict.
+    let count = |run: &ExperimentRun, f: &dyn Fn(&DeviceObservation, bool) -> bool| {
+        run.analysis
+            .devices
+            .iter()
+            .filter(|(id, o)| f(o, run.functional.get(*id) == Some(&true)))
+            .count()
+            .to_string()
     };
-    use v6brick_net::ipv6::Ipv6AddrExt;
-    t.row([
-        "NDP traffic".to_string(),
-        count(&baseline, &|o| o.ndp_traffic),
-        count(&enterprise, &|o| o.ndp_traffic),
-    ]);
-    t.row([
-        "Any IPv6 address".to_string(),
-        count(&baseline, &|o| o.has_v6_addr()),
-        count(&enterprise, &|o| o.has_v6_addr()),
-    ]);
-    t.row([
-        "Global address (active)".to_string(),
-        count(&baseline, &|o| {
-            o.active_v6.iter().any(|a| a.is_global_unicast())
-        }),
-        count(&enterprise, &|o| {
-            o.active_v6.iter().any(|a| a.is_global_unicast())
-        }),
-    ]);
-    t.row([
-        "Stateful DHCPv6 exchange".to_string(),
-        count(&baseline, &|o| o.dhcpv6_stateful),
-        count(&enterprise, &|o| o.dhcpv6_stateful),
-    ]);
-    t.row([
-        "DNS over IPv6".to_string(),
-        count(&baseline, &|o| o.dns_over_v6()),
-        count(&enterprise, &|o| o.dns_over_v6()),
-    ]);
-    t.row([
-        "Internet IPv6 data".to_string(),
-        count(&baseline, &|o| o.v6_internet_data()),
-        count(&enterprise, &|o| o.v6_internet_data()),
-    ]);
-    t.row([
-        "Functional".to_string(),
-        baseline
-            .functional
-            .values()
-            .filter(|f| **f)
-            .count()
-            .to_string(),
-        enterprise
-            .functional
-            .values()
-            .filter(|f| **f)
-            .count()
-            .to_string(),
-    ]);
+    let mut row = |label: &str, f: &dyn Fn(&DeviceObservation, bool) -> bool| {
+        t.row([
+            label.to_string(),
+            count(&baseline, f),
+            count(&enterprise, f),
+        ]);
+    };
+    row("NDP traffic", &|o, f| Stage::NdpTraffic.reached(o, f));
+    row("Any IPv6 address", &|o, f| Stage::V6Addr.reached(o, f));
+    row("Global address (active)", &|o, f| {
+        Stage::ActiveGua.reached(o, f)
+    });
+    row("Stateful DHCPv6 exchange", &|o, _| o.dhcpv6_stateful);
+    row("DNS over IPv6", &|o, _| o.dns_over_v6());
+    row("Internet IPv6 data", &|o, f| {
+        Stage::V6InternetData.reached(o, f)
+    });
+    row("Functional", &|o, f| Stage::Functional.reached(o, f));
     t
 }
 
@@ -85,7 +62,6 @@ pub fn report() -> TextTable {
 mod tests {
     use super::*;
     use v6brick_devices::profile::DeviceProfile;
-    use v6brick_net::ipv6::Ipv6AddrExt;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
         ids.iter().map(|id| registry::by_id(id)).collect()
@@ -101,7 +77,7 @@ mod tests {
         let o = run.analysis.device("echo_plus").unwrap();
         assert!(o.ndp_traffic, "it still solicits routers");
         assert!(
-            !o.active_v6.iter().any(|a| a.is_global_unicast()),
+            !o.active_gua(),
             "no SLAAC => no active GUA: {:?}",
             o.active_v6
         );
@@ -120,11 +96,7 @@ mod tests {
         let o = run.analysis.device("homepod_mini").unwrap();
         assert!(o.dhcpv6_stateful, "solicited DHCPv6");
         assert!(!o.dhcpv6_addrs.is_empty(), "received an IA_NA address");
-        assert!(
-            o.active_v6.iter().any(|a| a.is_global_unicast()),
-            "uses the DHCPv6 address: {:?}",
-            o.active_v6
-        );
+        assert!(o.active_gua(), "uses the DHCPv6 address: {:?}", o.active_v6);
     }
 
     #[test]
@@ -142,10 +114,7 @@ mod tests {
         ];
         let base = scenario::run_with_profiles(NetworkConfig::Ipv6Only, &profiles(&ids));
         let ent = scenario::run_with_profiles(NetworkConfig::Ipv6OnlyEnterprise, &profiles(&ids));
-        let gua = |run: &ExperimentRun| {
-            run.analysis
-                .count(|o| o.active_v6.iter().any(|a| a.is_global_unicast()))
-        };
+        let gua = |run: &ExperimentRun| run.analysis.count(|o| o.active_gua());
         assert!(gua(&ent) <= gua(&base));
         // And the Google devices — functional in consumer IPv6-only but
         // without DHCPv6 support — brick entirely.

@@ -3,14 +3,15 @@
 
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
-use crate::tables;
 use std::collections::BTreeMap;
 use v6brick_core::analysis::PassId;
 use v6brick_core::eui64;
+use v6brick_core::funnel::Stage;
+use v6brick_core::population::POPULATION_PASSES;
 use v6brick_net::Mac;
 
 /// Analyzer passes [`figure2`] reads (the full readiness funnel).
-pub const FIGURE2_PASSES: &[PassId] = tables::FUNNEL_PASSES;
+pub const FIGURE2_PASSES: &[PassId] = POPULATION_PASSES;
 
 /// Analyzer passes [`figure3`] reads (address and AAAA-query counts).
 pub const FIGURE3_PASSES: &[PassId] = &[PassId::Addressing, PassId::Dns];
@@ -28,57 +29,38 @@ pub const FIGURE5_PASSES: &[PassId] = &[
     PassId::Eui64,
 ];
 
+/// `n` as a percentage of the suite's devices.
+fn percent_of_devices(suite: &ExperimentSuite, n: usize) -> f64 {
+    100.0 * n as f64 / suite.profiles.len().max(1) as f64
+}
+
 /// Figure 2: the IPv6-only feature funnel (the nested-circle chart's
 /// underlying percentages).
 pub fn figure2(suite: &ExperimentSuite) -> TextTable {
-    let o = |id: &str| suite.v6only_observation(id);
-    let mut t = TextTable::new(
-        "Figure 2: IPv6-only experiments — the readiness funnel (percent of 93 devices)",
-    )
+    let mut t = TextTable::new(format!(
+        "Figure 2: IPv6-only experiments — the readiness funnel (percent of {} devices)",
+        suite.profiles.len()
+    ))
     .headers(["Ring (outer to inner)", "Devices", "%"]);
-    let rows: Vec<(&str, usize)> = vec![
-        (
-            "IPv6 NDP traffic",
-            suite.device_ids().filter(|id| o(id).ndp_traffic).count(),
-        ),
-        (
-            "IPv6 address",
-            suite.device_ids().filter(|id| o(id).has_v6_addr()).count(),
-        ),
-        (
-            "IPv6 DNS (AAAA request)",
-            suite
-                .device_ids()
-                .filter(|id| !o(id).aaaa_q_v6.is_empty())
-                .count(),
-        ),
-        (
-            "AAAA response",
-            suite
-                .device_ids()
-                .filter(|id| !o(id).aaaa_pos_v6.is_empty())
-                .count(),
-        ),
-        (
-            "Internet data communication",
-            suite
-                .device_ids()
-                .filter(|id| o(id).v6_internet_data())
-                .count(),
-        ),
-        (
-            "Functional",
-            suite
-                .device_ids()
-                .filter(|id| suite.functional_v6only(id))
-                .count(),
-        ),
-    ];
-    for (label, n) in rows {
+    for stage in Stage::ALL {
+        let label = match stage {
+            Stage::NdpTraffic => "IPv6 NDP traffic",
+            Stage::V6Addr => "IPv6 address",
+            // The chart draws no ring for global addresses.
+            Stage::ActiveGua => continue,
+            Stage::AaaaQueryV6 => "IPv6 DNS (AAAA request)",
+            Stage::AaaaAnswerV6 => "AAAA response",
+            Stage::V6InternetData => "Internet data communication",
+            Stage::Functional => "Functional",
+        };
+        let n = suite
+            .device_ids()
+            .filter(|id| suite.reached_v6only(id, stage))
+            .count();
         t.row([
             label.to_string(),
             n.to_string(),
-            format!("{:.1}%", 100.0 * n as f64 / 93.0),
+            format!("{:.1}%", percent_of_devices(suite, n)),
         ]);
     }
     t
@@ -179,7 +161,7 @@ pub fn figure5(suite: &ExperimentSuite) -> TextTable {
         format!(
             "{} devices ({:.1}%)",
             funnel.assign,
-            100.0 * funnel.assign as f64 / 93.0
+            percent_of_devices(suite, funnel.assign)
         ),
     ]);
     t.row([
@@ -187,7 +169,7 @@ pub fn figure5(suite: &ExperimentSuite) -> TextTable {
         format!(
             "{} devices ({:.1}%)",
             funnel.use_any,
-            100.0 * funnel.use_any as f64 / 93.0
+            percent_of_devices(suite, funnel.use_any)
         ),
     ]);
     t.row([
@@ -262,4 +244,46 @@ pub fn category_volume_fractions(suite: &ExperimentSuite) -> BTreeMap<&'static s
         );
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetworkConfig;
+    use v6brick_devices::registry;
+
+    #[test]
+    fn percentages_are_over_the_suites_own_devices() {
+        let profiles = ["google_home_mini", "echo_show_5", "aqara_hub"]
+            .iter()
+            .map(|id| registry::by_id(id))
+            .collect();
+        let suite = ExperimentSuite::run_configs_scoped(
+            profiles,
+            &[NetworkConfig::Ipv6Only],
+            1,
+            &PassId::ALL,
+        );
+        let pct = |n: &str| format!("{:.1}%", 100.0 * n.parse::<f64>().unwrap() / 3.0);
+
+        let fig2 = figure2(&suite);
+        assert!(
+            fig2.title.ends_with("(percent of 3 devices)"),
+            "{}",
+            fig2.title
+        );
+        for row in &fig2.rows {
+            assert_eq!(row[2], pct(&row[1]), "{row:?}");
+        }
+        let count = |label: &str| &fig2.rows.iter().find(|r| r[0] == label).unwrap()[1];
+        assert_eq!(count("IPv6 NDP traffic"), "3");
+        assert_eq!(count("Functional"), "1", "only the Google Home Mini works");
+
+        let fig5 = figure5(&suite);
+        for row in &fig5.rows[..2] {
+            let (n, rest) = row[1].split_once(" devices (").unwrap();
+            assert_eq!(rest, format!("{})", pct(n)), "{row:?}");
+        }
+        assert_ne!(fig5.rows[0][1], "0 devices (0.0%)");
+    }
 }

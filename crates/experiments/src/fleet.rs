@@ -26,6 +26,7 @@ use crate::scenario::{self, ZoneCache};
 use std::collections::BTreeMap;
 use std::path::Path;
 use v6brick_core::analysis::PassId;
+use v6brick_core::funnel::Stage;
 use v6brick_core::observe::DeviceObservation;
 use v6brick_core::population::{HomeFailure, PopulationReport};
 use v6brick_fleet::seed::fold_bytes;
@@ -364,17 +365,18 @@ pub fn render(report: &PopulationReport) -> String {
             100.0 * outcome.functional as f64 / outcome.devices.max(1) as f64
         );
     }
-    let f = &report.funnel;
     let _ = writeln!(out, "\nIPv6 funnel (Table 3 marginals, % of all devices):");
-    for (name, n) in [
-        ("NDP traffic", f.ndp_traffic),
-        ("IPv6 address", f.v6_addr),
-        ("Active GUA", f.active_gua),
-        ("AAAA over v6", f.aaaa_q_v6),
-        ("AAAA answered", f.aaaa_pos_v6),
-        ("v6 Internet data", f.v6_internet_data),
-        ("Functional", f.functional),
-    ] {
+    for stage in Stage::ALL {
+        let name = match stage {
+            Stage::NdpTraffic => "NDP traffic",
+            Stage::V6Addr => "IPv6 address",
+            Stage::ActiveGua => "Active GUA",
+            Stage::AaaaQueryV6 => "AAAA over v6",
+            Stage::AaaaAnswerV6 => "AAAA answered",
+            Stage::V6InternetData => "v6 Internet data",
+            Stage::Functional => "Functional",
+        };
+        let n = report.funnel.count(stage);
         let _ = writeln!(out, "  {name:<18} {n:>6}  {:>5.1}%", pct(n));
     }
     let b = &report.behavior;

@@ -590,6 +590,44 @@ mod tests {
     }
 
     #[test]
+    fn first_registration_of_a_shared_domain_wins() {
+        // Two profiles register one domain with opposite AAAA readiness,
+        // a third hard-codes an endpoint of that name, and a fourth does
+        // both itself.
+        let shared = Name::new("shared.zones.example").unwrap();
+        let with_shared = |id: &str, ready: bool| {
+            let mut p = registry::by_id(id);
+            let mut d = p.app.destinations[0].clone();
+            d.domain = shared.clone();
+            d.aaaa_ready = ready;
+            p.app.destinations.push(d);
+            p
+        };
+        let ready = with_shared("google_home_mini", true);
+        let v4_only = with_shared("echo_show_5", false);
+        let mut hardcoded = registry::by_id("aqara_hub");
+        hardcoded.app.hardcoded_v6_endpoint = Some(shared.clone());
+        let mut both = with_shared("nest_camera", false);
+        both.app.hardcoded_v6_endpoint = Some(shared.clone());
+
+        let mut cache = ZoneCache::new();
+        for (order, first_ready) in [
+            (vec![&ready, &v4_only], true),
+            (vec![&v4_only, &ready], false),
+            (vec![&hardcoded, &v4_only], true),
+            (vec![&v4_only, &hardcoded], false),
+            // A profile's destinations register before its endpoint.
+            (vec![&both], false),
+        ] {
+            let ids: Vec<&str> = order.iter().map(|p| p.id.as_str()).collect();
+            for zones in [build_zones(&order), cache.zones_for(&order)] {
+                let prof = zones.get(&shared).expect("shared domain registered");
+                assert_eq!(prof.aaaa.is_some(), first_ready, "{ids:?}");
+            }
+        }
+    }
+
+    #[test]
     fn functional_device_works_in_ipv6_only() {
         let run = run_with_profiles(NetworkConfig::Ipv6Only, &profiles(&["google_home_mini"]));
         assert!(run.phones_ok, "phones must verify the v6-only network");

@@ -12,6 +12,7 @@ use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{LazyLock, OnceLock};
 use v6brick_core::analysis::PassId;
+use v6brick_core::funnel::Stage;
 use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
@@ -194,6 +195,13 @@ impl ExperimentSuite {
         NetworkConfig::IPV6_ONLY
             .iter()
             .any(|c| self.run_opt(*c).is_some() && self.functional_in(id, *c))
+    }
+
+    /// Did the device reach `stage` of the IPv6-only funnel? Table 3's
+    /// scope: the [`ExperimentSuite::v6only_observation`] union and the
+    /// [`ExperimentSuite::functional_v6only`] verdict.
+    pub fn reached_v6only(&self, id: &str, stage: Stage) -> bool {
+        stage.reached(self.v6only_observation(id), self.functional_v6only(id))
     }
 
     /// The functional device ids under the first configuration in the

@@ -4,9 +4,10 @@
 //!
 //! Each module declares the analyzer passes its generator reads
 //! (`PASSES`, e.g. [`table3::PASSES`]) so callers — the `repro` binary in
-//! particular — can compose the union of exactly the passes an artifact
-//! needs via [`v6brick_core::analysis::PassSet`] instead of paying for
-//! the full pipeline. The generator functions are re-exported here, so
+//! particular — can run a
+//! [`StreamingAnalyzer`](v6brick_core::StreamingAnalyzer) with the union
+//! of exactly the passes an artifact needs instead of paying for the
+//! full pipeline. The generator functions are re-exported here, so
 //! `tables::table3(&suite)` keeps compiling unchanged alongside
 //! `tables::table3::PASSES`.
 
@@ -42,18 +43,7 @@ pub use variants::variants;
 
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
-use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::Category;
-use v6brick_net::ipv6::Ipv6AddrExt;
-
-/// The full adoption funnel: addressing, NDP, DNS, and traffic — what
-/// the Table 3/4-style feature tables read.
-pub const FUNNEL_PASSES: &[PassId] = &[
-    PassId::Addressing,
-    PassId::NdpDad,
-    PassId::Dns,
-    PassId::Traffic,
-];
 
 /// Addressing + DNS + traffic (no NDP row).
 pub const FEATURE_PASSES: &[PassId] = &[PassId::Addressing, PassId::Dns, PassId::Traffic];
@@ -102,37 +92,4 @@ pub fn count_by_category(
                 .count()
         })
         .collect()
-}
-
-// --- shared measurement predicates -----------------------------------------
-
-/// Active GUA (sourced traffic from a global address)?
-pub fn active_gua(o: &DeviceObservation) -> bool {
-    o.active_v6.iter().any(|a| a.is_global_unicast())
-}
-
-/// Holds an active EUI-64 address: an (inherently link-used) EUI-64 LLA,
-/// or an EUI-64 global that sourced traffic.
-pub fn has_eui64_addr(o: &DeviceObservation) -> bool {
-    o.all_addrs()
-        .iter()
-        .any(|a| a.is_link_local() && a.is_eui64())
-        || o.active_v6
-            .iter()
-            .any(|a| !a.is_link_local() && a.is_eui64())
-}
-
-/// Assigned any ULA?
-pub fn has_ula(o: &DeviceObservation) -> bool {
-    o.all_addrs().iter().any(|a| a.is_unique_local())
-}
-
-/// Assigned any LLA?
-pub fn has_lla(o: &DeviceObservation) -> bool {
-    o.all_addrs().iter().any(|a| a.is_link_local())
-}
-
-/// Any v4-only AAAA query name?
-pub fn aaaa_v4_only(o: &DeviceObservation) -> bool {
-    o.aaaa_q_v4.difference(&o.aaaa_q_v6).next().is_some()
 }

@@ -1,13 +1,13 @@
 //! Table 10: the measured per-device feature flags (the paper's
 //! appendix inventory), from the captures.
 
-use super::{active_gua, FUNNEL_PASSES};
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
+use v6brick_core::population::POPULATION_PASSES;
 
 /// Analyzer passes this generator reads.
-pub const PASSES: &[PassId] = FUNNEL_PASSES;
+pub const PASSES: &[PassId] = POPULATION_PASSES;
 
 /// Table 10: the measured per-device feature flags (the paper's
 /// appendix inventory), from the captures.
@@ -32,7 +32,7 @@ pub fn table10(suite: &ExperimentSuite) -> TextTable {
             y(suite.functional_v6only(&p.id)).to_string(),
             y(o.ndp_traffic).to_string(),
             y(o.has_v6_addr()).to_string(),
-            y(active_gua(o)).to_string(),
+            y(o.active_gua()).to_string(),
             y(o.dns_over_v6()).to_string(),
             y(o.v6_internet_data()).to_string(),
         ]);

@@ -1,12 +1,12 @@
 //! Table 12: feature support by purchase year.
 
-use super::{active_gua, FUNNEL_PASSES};
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
+use v6brick_core::population::POPULATION_PASSES;
 
 /// Analyzer passes this generator reads.
-pub const PASSES: &[PassId] = FUNNEL_PASSES;
+pub const PASSES: &[PassId] = POPULATION_PASSES;
 
 /// Table 12: feature support by purchase year.
 pub fn table12(suite: &ExperimentSuite) -> TextTable {
@@ -37,7 +37,7 @@ pub fn table12(suite: &ExperimentSuite) -> TextTable {
     row(&mut t, "# of Devices", &|_| true);
     row(&mut t, "IPv6 NDP Traffic", &|id| o(id).ndp_traffic);
     row(&mut t, "IPv6 Address", &|id| o(id).has_v6_addr());
-    row(&mut t, "GUA", &|id| active_gua(o(id)));
+    row(&mut t, "GUA", &|id| o(id).active_gua());
     row(&mut t, "AAAA DNS Request", &|id| {
         !o(id).aaaa_q_any().is_empty()
     });

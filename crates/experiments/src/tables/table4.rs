@@ -1,13 +1,14 @@
 //! Table 4: per-category deltas, dual-stack minus IPv6-only.
 
-use super::{active_gua, count_by_category, FUNNEL_PASSES};
+use super::count_by_category;
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::DeviceObservation;
+use v6brick_core::population::POPULATION_PASSES;
 
 /// Analyzer passes this generator reads.
-pub const PASSES: &[PassId] = FUNNEL_PASSES;
+pub const PASSES: &[PassId] = POPULATION_PASSES;
 
 /// Table 4: per-category deltas, dual-stack minus IPv6-only.
 pub fn table4(suite: &ExperimentSuite) -> TextTable {
@@ -38,7 +39,7 @@ pub fn table4(suite: &ExperimentSuite) -> TextTable {
     };
     delta("IPv6 NDP Traffic", &|o| o.ndp_traffic);
     delta("IPv6 Address", &|o| o.has_v6_addr());
-    delta("^ Global Unique Address", &active_gua);
+    delta("^ Global Unique Address", &|o| o.active_gua());
     delta("AAAA DNS Request", &|o| !o.aaaa_q_any().is_empty());
     delta("^ AAAA DNS Response", &|o| !o.aaaa_pos_any().is_empty());
     delta("Internet TCP/UDP Data Comm.", &|o| o.v6_internet_data());

@@ -1,6 +1,6 @@
 //! Table 5: feature support, IPv6-only and dual-stack experiments united.
 
-use super::{aaaa_v4_only, active_gua, count_by_category, has_eui64_addr, has_lla, has_ula};
+use super::count_by_category;
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
@@ -34,12 +34,12 @@ pub fn table5(suite: &ExperimentSuite) -> TextTable {
         "Stateful DHCPv6",
         &count_by_category(suite, |id| o(id).dhcpv6_stateful),
     );
-    t.count_row("GUA", &count_by_category(suite, |id| active_gua(o(id))));
-    t.count_row("ULA", &count_by_category(suite, |id| has_ula(o(id))));
-    t.count_row("LLA", &count_by_category(suite, |id| has_lla(o(id))));
+    t.count_row("GUA", &count_by_category(suite, |id| o(id).active_gua()));
+    t.count_row("ULA", &count_by_category(suite, |id| o(id).has_ula()));
+    t.count_row("LLA", &count_by_category(suite, |id| o(id).has_lla()));
     t.count_row(
         "EUI-64 Addr",
-        &count_by_category(suite, |id| has_eui64_addr(o(id))),
+        &count_by_category(suite, |id| o(id).has_eui64_addr()),
     );
     t.count_row(
         "DNS Over IPv6",
@@ -55,7 +55,7 @@ pub fn table5(suite: &ExperimentSuite) -> TextTable {
     );
     t.count_row(
         "IPv4-only AAAA Request",
-        &count_by_category(suite, |id| aaaa_v4_only(o(id))),
+        &count_by_category(suite, |id| o(id).aaaa_v4_only()),
     );
     t.count_row(
         "AAAA Response",

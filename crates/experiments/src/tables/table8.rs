@@ -1,7 +1,6 @@
 //! Table 8: feature support by manufacturer/platform (≥3 devices) and OS
 //! (≥2 devices).
 
-use super::{aaaa_v4_only, active_gua, has_lla, has_ula};
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
@@ -82,9 +81,9 @@ pub fn table8(suite: &ExperimentSuite) -> TextTable {
     });
     feature_row(&mut t, "IPv6 Address", &|id| o(id).has_v6_addr());
     feature_row(&mut t, "Stateful DHCPv6", &|id| o(id).dhcpv6_stateful);
-    feature_row(&mut t, "GUA", &|id| active_gua(o(id)));
-    feature_row(&mut t, "ULA", &|id| has_ula(o(id)));
-    feature_row(&mut t, "LLA", &|id| has_lla(o(id)));
+    feature_row(&mut t, "GUA", &|id| o(id).active_gua());
+    feature_row(&mut t, "ULA", &|id| o(id).has_ula());
+    feature_row(&mut t, "LLA", &|id| o(id).has_lla());
     feature_row(&mut t, "GUA EUI-64 Address", &|id| {
         o(id)
             .active_v6
@@ -98,7 +97,7 @@ pub fn table8(suite: &ExperimentSuite) -> TextTable {
     feature_row(&mut t, "AAAA Req (v4 or v6)", &|id| {
         !o(id).aaaa_q_any().is_empty()
     });
-    feature_row(&mut t, "IPv4-only AAAA Req", &|id| aaaa_v4_only(o(id)));
+    feature_row(&mut t, "IPv4-only AAAA Req", &|id| o(id).aaaa_v4_only());
     feature_row(&mut t, "EUI-64 Addr DNS Req", &|id| {
         o(id)
             .dns_src_v6

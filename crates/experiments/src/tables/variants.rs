@@ -1,15 +1,15 @@
 //! Side-by-side comparison of the three IPv6-only variants (the paper
 //! discusses these differences in §5.2.1 but never tabulates them).
 
-use super::FUNNEL_PASSES;
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use crate::NetworkConfig;
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::DeviceObservation;
+use v6brick_core::population::POPULATION_PASSES;
 
 /// Analyzer passes this generator reads.
-pub const PASSES: &[PassId] = FUNNEL_PASSES;
+pub const PASSES: &[PassId] = POPULATION_PASSES;
 
 /// Side-by-side comparison of the three IPv6-only variants (the paper
 /// discusses these differences in §5.2.1 but never tabulates them).

@@ -56,11 +56,6 @@ impl Mac {
         !self.is_multicast()
     }
 
-    /// True if the locally-administered (U/L) bit is set.
-    pub const fn is_local(&self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
     /// The 24-bit Organizationally Unique Identifier, which identifies the
     /// manufacturer — the paper notes EUI-64 addresses therefore leak the
     /// vendor as well as the device identity.

@@ -9,10 +9,8 @@
 //! * classic pcap ([`mod@format`]) serialization, byte-compatible with
 //!   tcpdump/wireshark (linktype 1, microsecond resolution, both
 //!   endiannesses and the nanosecond variant accepted on read);
-//! * typed packet [`filter`]s and capture [`stats`].
+//! * capture [`stats`].
 
-pub mod bpf;
-pub mod filter;
 pub mod format;
 pub mod pcapng;
 pub mod stats;

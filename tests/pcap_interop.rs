@@ -141,33 +141,23 @@ fn capture_statistics_are_plausible() {
 
 #[test]
 fn filters_select_expected_traffic() {
-    use v6brick::net::ipv4::Protocol;
-    use v6brick::pcap::filter::{Filter, IpVersion};
+    use v6brick::net::parse::Net;
+    use v6brick::net::{ParsedPacket, L4};
     let (capture, macs) = household();
+    let mac_of = |id: &str| macs.iter().find(|(_, d)| d == id).unwrap().0;
+    let is_v6 = |p: &ParsedPacket| matches!(p.net, Net::Ipv6(_));
 
-    let dns6 = Filter::new()
-        .ip_version(IpVersion::V6)
-        .protocol(Protocol::Udp)
-        .port(53);
-    let dns6_count = capture.parsed().filter(|(_, p)| dns6.matches(p)).count();
+    // tcpdump's `ip6 and udp port 53`.
+    let dns6 = |p: &ParsedPacket| is_v6(p) && matches!(p.l4, L4::Udp { .. }) && p.involves_port(53);
+    let dns6_count = capture.parsed().filter(|(_, p)| dns6(p)).count();
     assert!(dns6_count > 0, "v6 DNS present in dual-stack");
 
     // Per-device attribution: the Echo's MAC appears as a source.
-    let echo_mac = macs.iter().find(|(_, id)| id == "echo_show_5").unwrap().0;
-    let from_echo = Filter::new().src_mac(echo_mac);
-    assert!(capture.parsed().any(|(_, p)| from_echo.matches(&p)));
+    let echo_mac = mac_of("echo_show_5");
+    assert!(capture.parsed().any(|(_, p)| p.eth.src == echo_mac));
 
     // An Aqara hub never talks DNS over v6.
-    let aqara_mac = macs.iter().find(|(_, id)| id == "aqara_hub").unwrap().0;
-    let aqara_dns6 = Filter::new()
-        .ip_version(IpVersion::V6)
-        .port(53)
-        .src_mac(aqara_mac);
-    assert_eq!(
-        capture
-            .parsed()
-            .filter(|(_, p)| aqara_dns6.matches(p))
-            .count(),
-        0
-    );
+    let aqara_mac = mac_of("aqara_hub");
+    let aqara_dns6 = |p: &ParsedPacket| is_v6(p) && p.involves_port(53) && p.eth.src == aqara_mac;
+    assert_eq!(capture.parsed().filter(|(_, p)| aqara_dns6(p)).count(), 0);
 }
