@@ -10,6 +10,10 @@
 //! 6in4 in both directions, DNS over IPv4 and IPv6, ICMPv6 echo, and
 //! ≥12 KB uploads answered by ~48 KB replies; `coverage` asserts that,
 //! so a pin can never silently stop exercising a frame emitter.
+//!
+//! One more pin runs the dual-stack home with a LAN-corruption window
+//! over its first telemetry round: a corrupted upload is forwarded as
+//! the tap saw it, flipped byte included, not as its sender queued it.
 
 use std::any::Any;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -21,7 +25,7 @@ use v6brick::net::ethernet::{EtherType, Frame};
 use v6brick::net::ipv4::{self, Protocol};
 use v6brick::net::ipv6::{self, Ipv6AddrExt};
 use v6brick::net::{tcp, udp};
-use v6brick::sim::{addrs, FrameSink, Internet, Router, SimTime, SimulationBuilder};
+use v6brick::sim::{addrs, FaultPlan, FrameSink, Internet, Router, SimTime, SimulationBuilder};
 
 /// The pinned window: long enough for bulk telemetry and its replies.
 const WINDOW: SimTime = SimTime::from_secs(120);
@@ -40,6 +44,9 @@ struct Coverage {
     echo6: u64,
     uploads_12k: u64,
     replies_40k: u64,
+    /// Uploads of ≥12 KB whose TCP checksum fails, corrupted on the
+    /// LAN: over IPv4, then over IPv6.
+    corrupt_uploads_12k: [u64; 2],
 }
 
 impl Coverage {
@@ -53,6 +60,13 @@ impl Coverage {
         self.echo6 += o.echo6;
         self.uploads_12k += o.uploads_12k;
         self.replies_40k += o.replies_40k;
+        for (n, o) in self
+            .corrupt_uploads_12k
+            .iter_mut()
+            .zip(o.corrupt_uploads_12k)
+        {
+            *n += o;
+        }
     }
 
     /// Classify one frame with zero-copy views (a full parse would copy
@@ -75,7 +89,10 @@ impl Coverage {
                 if routed(ip.src()) && from_router {
                     self.nat44_in += 1;
                 }
-                self.transport(ip.protocol(), ip.payload(), false);
+                let (src, dst) = (ip.src(), ip.dst());
+                self.transport(ip.protocol(), ip.payload(), false, |t| {
+                    t.verify_checksum_v4(src, dst)
+                });
             }
             EtherType::Ipv6 => {
                 let Ok(ip) = ipv6::Packet::new_checked(eth.payload()) else {
@@ -89,13 +106,23 @@ impl Coverage {
                 if routed(ip.src()) && from_router {
                     self.tunnel_in += 1;
                 }
-                self.transport(ip.next_header(), ip.payload(), true);
+                let (src, dst) = (ip.src(), ip.dst());
+                self.transport(ip.next_header(), ip.payload(), true, |t| {
+                    t.verify_checksum_v6(src, dst)
+                });
             }
             _ => {}
         }
     }
 
-    fn transport(&mut self, proto: Protocol, l4: &[u8], v6: bool) {
+    /// Count one transport segment; `intact` verifies a TCP checksum.
+    fn transport(
+        &mut self,
+        proto: Protocol,
+        l4: &[u8],
+        v6: bool,
+        intact: impl Fn(&tcp::Packet<&[u8]>) -> bool,
+    ) {
         match proto {
             Protocol::Udp => {
                 if let Ok(u) = udp::Packet::new_checked(l4) {
@@ -109,6 +136,9 @@ impl Coverage {
                     let len = t.payload().len();
                     if len >= 12_000 && t.dst_port() == 443 {
                         self.uploads_12k += 1;
+                        if !intact(&t) {
+                            self.corrupt_uploads_12k[usize::from(v6)] += 1;
+                        }
                     }
                     if len >= 40_000 && t.src_port() == 443 {
                         self.replies_40k += 1;
@@ -171,6 +201,12 @@ impl FrameSink for DigestSink {
 /// suite builds it (devices in registry order, then the two phones,
 /// seeded `BASE_SEED ^ config`), and digest its LAN capture.
 fn digest(config: NetworkConfig) -> DigestSink {
+    digest_faulted(config, FaultPlan::new(), WINDOW).0
+}
+
+/// [`digest`] under `faults`, run to `window`; also the number of
+/// frames the corruption injector flipped a byte in.
+fn digest_faulted(config: NetworkConfig, faults: FaultPlan, window: SimTime) -> (DigestSink, u64) {
     let profiles = registry::shared();
     let mut b = SimulationBuilder::new(
         Router::new(config.router_config()),
@@ -182,14 +218,20 @@ fn digest(config: NetworkConfig) -> DigestSink {
     b.add_host(Box::new(Phone::pixel7()));
     b.add_host(Box::new(Phone::iphone_x()));
     b.add_sink(Box::new(DigestSink::new()));
-    let mut sim = b.seed(BASE_SEED ^ config as u64).capture(false).build();
-    sim.run_until(WINDOW);
-    *sim.take_sinks()
+    let mut sim = b
+        .seed(BASE_SEED ^ config as u64)
+        .capture(false)
+        .faults(faults)
+        .build();
+    sim.run_until(window);
+    let sink = *sim
+        .take_sinks()
         .pop()
         .expect("the digest sink was attached")
         .into_any()
         .downcast::<DigestSink>()
-        .expect("the only sink is the digest")
+        .expect("the only sink is the digest");
+    (sink, sim.frames_corrupted)
 }
 
 /// Digest all six configurations, three per thread.
@@ -263,5 +305,36 @@ fn table2_capture_digests_are_pinned() {
     assert!(
         covered.iter().all(|&n| n > 0),
         "the pinned window lost a traffic class: {total:?}"
+    );
+}
+
+/// The LAN-corruption window of [`corrupted_telemetry_round_is_pinned`]:
+/// every device's first telemetry round (its tick 48) falls inside it.
+const CORRUPT_FROM: SimTime = SimTime::from_secs(78);
+const CORRUPT_TO: SimTime = SimTime::from_secs(90);
+const CORRUPT_PER_MILLE: u32 = 200;
+/// The home runs a little past the window, so replies to the last
+/// corrupted uploads are tapped too.
+const CORRUPT_WINDOW: SimTime = SimTime::from_secs(95);
+
+/// (frames tapped, digest, frames corrupted) of the dual-stack home
+/// with [`CORRUPT_FROM`]..[`CORRUPT_TO`] corrupted.
+const PINNED_CORRUPT: (u64, u64, u64) = (31_605, 0x316f713a16faa974, 2_452);
+
+#[test]
+fn corrupted_telemetry_round_is_pinned() {
+    let plan = FaultPlan::new().lan_corrupt(CORRUPT_FROM, CORRUPT_TO, CORRUPT_PER_MILLE);
+    let (d, corrupted) = digest_faulted(NetworkConfig::DualStack, plan, CORRUPT_WINDOW);
+    assert_eq!(
+        (d.frames, d.hash, corrupted),
+        PINNED_CORRUPT,
+        "captured bytes changed: {} frames, digest {:#018x}, {corrupted} corrupted",
+        d.frames,
+        d.hash
+    );
+    let c = &d.coverage;
+    assert!(
+        c.corrupt_uploads_12k.iter().all(|&n| n > 0),
+        "the window must corrupt uploads over both families: {c:?}"
     );
 }
