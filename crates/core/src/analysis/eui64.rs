@@ -67,8 +67,8 @@ impl AnalyzerPass for Eui64Pass {
                             && !ctx.lan_prefix.contains(peer6)
                         {
                             if let L4::Tcp { .. } = &p.l4 {
-                                if let Some(sni) = ctx.caches.sni(p).cloned() {
-                                    ctx.state.obs[d.idx].domains_from_eui64.insert(sni);
+                                if let Some(sni) = ctx.caches.sni(p) {
+                                    note_name(&mut ctx.state.obs[d.idx].domains_from_eui64, sni);
                                 }
                             }
                         }

@@ -275,7 +275,7 @@ pub struct SharedState {
 #[derive(Debug, Default)]
 pub struct FrameCaches<'a> {
     dns: Option<Option<MessageView<'a>>>,
-    sni: Option<Option<Name>>,
+    sni: Option<Option<NameText>>,
 }
 
 impl<'a> FrameCaches<'a> {
@@ -290,11 +290,13 @@ impl<'a> FrameCaches<'a> {
         })
     }
 
-    /// The TLS SNI carried in the frame's TCP payload (memoized).
-    pub fn sni(&mut self, p: &ParsedPacket) -> Option<&Name> {
+    /// The TLS SNI carried in the frame's TCP payload, decoded into a
+    /// stack [`NameText`] (memoized): a pass notes it with `note_name`,
+    /// which allocates only for a set that lacks it.
+    pub fn sni(&mut self, p: &ParsedPacket) -> Option<&NameText> {
         self.sni
             .get_or_insert_with(|| match &p.l4 {
-                L4::Tcp { payload, .. } => tls::parse_sni(payload).ok(),
+                L4::Tcp { payload, .. } => tls::sni_text(payload).ok(),
                 _ => None,
             })
             .as_ref()

@@ -3,7 +3,7 @@
 //! addresses, and destination domains attributed through the DNS answer
 //! map and TLS SNI — the Fig. 3/4 traffic observables.
 
-use super::{note_owned, v6_peer_is_local, AnalyzerPass, PassId, SharedFrameCtx};
+use super::{note_name, note_owned, v6_peer_is_local, AnalyzerPass, PassId, SharedFrameCtx};
 use std::net::IpAddr;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::parse::{ParsedPacket, L4};
@@ -60,17 +60,17 @@ impl AnalyzerPass for TrafficPass {
         // SNI extraction from client-to-server TLS.
         if d.outbound {
             if let L4::Tcp { .. } = &p.l4 {
-                if let Some(sni) = ctx.caches.sni(p).cloned() {
+                if let Some(sni) = ctx.caches.sni(p) {
                     let o = &mut ctx.state.obs[d.idx];
-                    o.sni_domains.insert(sni.clone());
+                    note_name(&mut o.sni_domains, sni);
                     match d.peer_ip {
                         IpAddr::V6(peer6)
                             if peer6.is_global_unicast() && !ctx.lan_prefix.contains(peer6) =>
                         {
-                            o.domains_v6.insert(sni);
+                            note_name(&mut o.domains_v6, sni);
                         }
                         IpAddr::V4(peer4) if !peer4.is_private() => {
-                            o.domains_v4.insert(sni);
+                            note_name(&mut o.domains_v4, sni);
                         }
                         _ => {}
                     }

@@ -694,7 +694,8 @@ fn build_frame(op: &Op) -> Vec<u8> {
         } => {
             let src = dev_addr(*dev, *tail, *eui);
             let dst = peer_addr(*peer_tail, true);
-            let hello = tls::client_hello(&name_pool(*name), 64);
+            let (head, padding) = tls::client_hello(&name_pool(*name), 64);
+            let hello = padding.spell(&head, &mut Vec::new()).to_vec();
             let seg = tcp::Repr {
                 src_port: 50443,
                 dst_port: 443,

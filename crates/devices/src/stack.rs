@@ -18,7 +18,7 @@ use v6brick_net::dns::{Message, MessageView, Name, RecordType, Writer};
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
-use v6brick_net::{dhcpv4, dhcpv6, icmpv6, tcp, tls, Mac};
+use v6brick_net::{dhcpv4, dhcpv6, icmpv6, tcp, tls, Mac, Run};
 use v6brick_sim::addrs as well_known;
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::{Effects, Host};
@@ -1077,7 +1077,8 @@ impl IotDevice {
         );
     }
 
-    fn send_on_conn(&mut self, local: u16, payload: Vec<u8>, fx: &mut Effects) {
+    /// Send `payload` followed by `run` on connection `local`.
+    fn send_on_conn(&mut self, local: u16, payload: Vec<u8>, run: Run, fx: &mut Effects) {
         let Some(conn) = self.conns.get_mut(&local) else {
             return;
         };
@@ -1090,26 +1091,23 @@ impl IotDevice {
             window: 0xffff,
             payload,
         };
-        conn.seq = conn.seq.wrapping_add(seg.payload.len() as u32);
+        conn.seq = conn
+            .seq
+            .wrapping_add((seg.payload.len() + run.len()) as u32);
         conn.last_tx_tick = self.tick;
-        match conn.remote {
+        let frame = match conn.remote {
             IpAddr::V6(dst) => {
                 let src = conn.src6.unwrap_or(dst); // src6 always set for v6
-                fx.send_frame(wire::tcp6_frame(
-                    self.profile.mac,
-                    self.router6(),
-                    src,
-                    dst,
-                    &seg,
-                ));
+                wire::tcp6_frame_with_run(self.profile.mac, self.router6(), src, dst, &seg, run)
             }
             IpAddr::V4(dst) => {
                 let (Some(src), Some(gw)) = (self.v4_addr, self.gateway_mac) else {
                     return;
                 };
-                fx.send_frame(wire::tcp4_frame(self.profile.mac, gw, src, dst, &seg));
+                wire::tcp4_frame_with_run(self.profile.mac, gw, src, dst, &seg, run)
             }
-        }
+        };
+        fx.send_frame_with_run(frame, run);
     }
 
     fn telemetry_round(&mut self, fx: &mut Effects) {
@@ -1169,8 +1167,8 @@ impl IotDevice {
             while remaining > 0 {
                 let chunk = remaining.min(12_000);
                 remaining -= chunk;
-                let payload = tls::client_hello(&domain, chunk);
-                self.send_on_conn(port, payload, fx);
+                let (hello, padding) = tls::client_hello(&domain, chunk);
+                self.send_on_conn(port, hello, padding, fx);
             }
         }
     }
@@ -1732,8 +1730,8 @@ impl IotDevice {
                     let port = *dst_port;
                     let was_v6 = conn.remote.is_ipv6();
                     let domain = conn.domain.clone();
-                    let hello = tls::client_hello(&domain, 200);
-                    self.send_on_conn(port, hello, fx);
+                    let (hello, padding) = tls::client_hello(&domain, 200);
+                    self.send_on_conn(port, hello, padding, fx);
                     // A completed v6 handshake for a fallen-back domain
                     // means the v6 path recovered: the racing probe wins
                     // and the IPv4 leg is dropped (Table 9's switch back).
@@ -1753,8 +1751,9 @@ impl IotDevice {
                     conn.ack = seq.wrapping_add(payload.len() as u32);
                     conn.got_response = true;
                     conn.last_rx_tick = self.tick;
-                    let domain = conn.domain.clone();
-                    self.connected.insert(domain);
+                    if !self.connected.contains(&conn.domain) {
+                        self.connected.insert(conn.domain.clone());
+                    }
                 } else if flags.contains(tcp::Flags::RST) {
                     let port = *dst_port;
                     self.conns.remove(&port);

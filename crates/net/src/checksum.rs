@@ -1,12 +1,14 @@
 //! RFC 1071 Internet checksum, including the IPv4 and IPv6 pseudo-headers
 //! used by UDP, TCP, ICMPv4, and ICMPv6.
 
+use crate::run::Run;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Ones-complement sum accumulator.
 ///
 /// Data can be fed in pieces (pseudo-header, then header, then payload);
-/// each piece must be an even number of bytes except the last.
+/// each piece must be an even number of bytes except the last, or the
+/// last before a [`Run`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Checksum {
     /// Sum of big-endian 16-bit words, carries not yet folded.
@@ -45,12 +47,20 @@ impl Checksum {
         self.sum += u64::from(u16::from_be_bytes(fold(acc).to_ne_bytes()));
     }
 
-    /// Fold `len` copies of `byte` into the sum without reading them:
-    /// `len / 2` words of `byte` twice, then `byte` zero-padded when `len`
-    /// is odd. Like [`Checksum::add`], only the final piece may be odd.
-    pub fn add_fill(&mut self, byte: u8, len: usize) {
-        let byte = u64::from(byte);
-        self.sum += byte * 0x0101 * (len / 2) as u64 + (byte << 8) * (len % 2) as u64;
+    /// Fold the bytes `run` spells into the sum without spelling them:
+    /// each stretch of one byte adds that byte as the high half of a
+    /// word at even offsets and as the low half at odd ones. `odd` says
+    /// whether the run follows an odd number of bytes, the last of which
+    /// [`Checksum::add`] zero-padded; the run's first byte then
+    /// completes that word. Nothing may be added after a run.
+    pub fn add_run(&mut self, run: Run, odd: bool) {
+        let mut odd = odd;
+        run.stretches(|byte, n| {
+            let (byte, high, low) = (u64::from(byte), n.div_ceil(2), n / 2);
+            let (high, low) = if odd { (low, high) } else { (high, low) };
+            self.sum += (byte << 8) * high as u64 + byte * low as u64;
+            odd ^= n % 2 == 1;
+        });
     }
 
     /// Fold a single big-endian 16-bit word into the sum.

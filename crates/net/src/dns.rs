@@ -490,6 +490,24 @@ impl NameText {
         bytes: [0; MAX_NAME_LEN],
     };
 
+    /// Validate and normalize `s` as [`Name::new`] does, into a stack
+    /// buffer.
+    pub fn new(s: &str) -> Result<NameText> {
+        let s = s.strip_suffix('.').unwrap_or(s);
+        let mut out = NameText::EMPTY;
+        if s.is_empty() {
+            return Ok(out);
+        }
+        if !valid_text(s.as_bytes()) {
+            return Err(Error::BadName);
+        }
+        let text = &mut out.bytes[..s.len()];
+        text.copy_from_slice(s.as_bytes());
+        text.make_ascii_lowercase();
+        out.len = s.len() as u8;
+        Ok(out)
+    }
+
     /// The text.
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.bytes[..usize::from(self.len)])

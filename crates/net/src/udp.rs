@@ -144,18 +144,8 @@ impl PseudoHeader {
             PseudoHeader::V4 { src, dst } => c.add_ipv4_pseudo(src, dst, protocol, len as u16),
             PseudoHeader::V6 { src, dst } => c.add_ipv6_pseudo(src, dst, protocol, len as u32),
         }
-        match segment.split_last() {
-            // The run's first byte completes the segment's last word.
-            Some((&last, even)) if segment.len() % 2 == 1 && !run.is_empty() => {
-                c.add(even);
-                c.add(&[last, run.byte()]);
-                c.add_fill(run.byte(), run.len() - 1);
-            }
-            _ => {
-                c.add(segment);
-                c.add_fill(run.byte(), run.len());
-            }
-        }
+        c.add(segment);
+        c.add_run(run, segment.len() % 2 == 1);
         c.finish()
     }
 }

@@ -173,6 +173,69 @@ fn arb_front() -> impl Strategy<Value = Vec<u8>> {
     })
 }
 
+/// The ClientHello `tls::client_hello` wrote before it ended in a run:
+/// the handshake record for `host`, then application-data records of
+/// at most 4,096 bytes of 0x5a, each behind a 5-byte record header,
+/// carrying `payload_len` less the handshake record's length.
+fn reference_client_hello(host: &[u8], payload_len: usize) -> Vec<u8> {
+    let mut ext_body = ((host.len() + 3) as u16).to_be_bytes().to_vec();
+    ext_body.push(0);
+    ext_body.extend_from_slice(&(host.len() as u16).to_be_bytes());
+    ext_body.extend_from_slice(host);
+    let mut extensions = 0u16.to_be_bytes().to_vec();
+    extensions.extend_from_slice(&(ext_body.len() as u16).to_be_bytes());
+    extensions.extend_from_slice(&ext_body);
+    let mut hello = vec![0x03, 0x03];
+    hello.extend_from_slice(&[0x11; 32]);
+    hello.push(0);
+    hello.extend_from_slice(&[0x00, 0x02, 0x13, 0x01, 0x01, 0x00]);
+    hello.extend_from_slice(&(extensions.len() as u16).to_be_bytes());
+    hello.extend_from_slice(&extensions);
+    let mut hs = vec![1];
+    hs.extend_from_slice(&(hello.len() as u32).to_be_bytes()[1..]);
+    hs.extend_from_slice(&hello);
+    let mut rec = vec![22, 0x03, 0x01];
+    rec.extend_from_slice(&(hs.len() as u16).to_be_bytes());
+    rec.extend_from_slice(&hs);
+    let mut remaining = payload_len.saturating_sub(rec.len());
+    while remaining > 0 {
+        let chunk = remaining.min(4096);
+        rec.extend_from_slice(&[23, 0x03, 0x03]);
+        rec.extend_from_slice(&(chunk as u16).to_be_bytes());
+        rec.resize(rec.len() + chunk, 0x5a);
+        remaining -= chunk;
+    }
+    rec
+}
+
+/// A run of either pattern, up to 62,000 bytes spelled: a fill of any
+/// byte, or TLS padding, either one possibly cut short.
+fn arb_run() -> impl Strategy<Value = Run> {
+    (any::<bool>(), any::<u8>(), 0usize..=62_000, any::<u16>()).prop_map(
+        |(padding, byte, n, cut)| {
+            let run = if padding {
+                Run::tls_padding(n)
+            } else {
+                Run::new(byte, n)
+            };
+            if cut % 4 == 0 {
+                run.cut(0, usize::from(cut) % (run.len() + 1))
+            } else {
+                run
+            }
+        },
+    )
+}
+
+/// Host bytes for a server_name extension: letters of both cases,
+/// digits, `-`, `_`, dots (so empty labels and trailing dots), and bytes
+/// no name may hold, up to past the 253-byte limit.
+fn arb_sni_host() -> impl Strategy<Value = Vec<u8>> {
+    const ALPHABET: &[u8] = b"aZq09-_...! \xc3";
+    proptest::collection::vec(0usize..ALPHABET.len(), 0..300)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
 /// A buffer of `header` garbage bytes ahead of `payload`: `emit` must
 /// write every header byte itself.
 fn dirty(header: usize, payload: &[u8]) -> Vec<u8> {
@@ -247,14 +310,41 @@ proptest! {
     }
 
     #[test]
-    fn add_fill_matches_add_over_the_spelled_run(prefix in 0usize..600, seed in any::<u64>(),
-                                                 byte in any::<u8>(), n in 0usize..=65_535) {
-        let head = bytes(seed, prefix & !1);
+    fn add_run_matches_add_over_the_spelled_run(prefix in 0usize..600, seed in any::<u64>(),
+                                                run in arb_run()) {
+        // Heads of both parities: an odd head's last byte shares a word
+        // with the run's first.
+        let head = bytes(seed, prefix);
         let mut c = checksum::Checksum::new();
         c.add(&head);
-        c.add_fill(byte, n);
-        let spelled = Run::new(byte, n).spell(&head, &mut Vec::new()).to_vec();
+        c.add_run(run, head.len() % 2 == 1);
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        prop_assert_eq!(spelled.len(), head.len() + run.len());
         prop_assert_eq!(c.finish(), reference_checksum(&[&spelled]));
+    }
+
+    #[test]
+    fn padding_runs_spell_client_hellos_padding(name in arb_name(), payload_len in 0usize..=13_000,
+                                                data in 0usize..=65_000) {
+        let (head, padding) = tls::client_hello(&name, payload_len);
+        let spelled = padding.spell(&head, &mut Vec::new()).to_vec();
+        prop_assert_eq!(spelled, reference_client_hello(name.as_str().as_bytes(), payload_len));
+        // The padding alone, at lengths no upload reaches.
+        let reference = reference_client_hello(b"", 0);
+        let padded = reference_client_hello(b"", reference.len() + data);
+        if padded.len() <= reference.len() + 65_535 {
+            let run = Run::tls_padding(data);
+            prop_assert_eq!(run.spell(&reference, &mut Vec::new()), &padded[..]);
+        }
+    }
+
+    #[test]
+    fn a_cut_run_spells_a_prefix(run in arb_run(), head in 0usize..64, end in 0usize..=70_000) {
+        let front = bytes(7, head);
+        let whole = run.spell(&front, &mut Vec::new()).to_vec();
+        let cut = run.cut(head, end);
+        prop_assert_eq!(cut.len(), end.saturating_sub(head).min(run.len()));
+        prop_assert_eq!(cut.spell(&front, &mut Vec::new()), &whole[..head + cut.len()]);
     }
 
     #[test]
@@ -515,14 +605,26 @@ proptest! {
 
     #[test]
     fn tls_sni_roundtrip(name in arb_name(), pad in 0usize..4096) {
-        let hello = tls::client_hello(&name, pad);
+        let (hello, padding) = tls::client_hello(&name, pad);
         prop_assert_eq!(tls::parse_sni(&hello).unwrap(), name);
-        prop_assert!(hello.len() >= pad);
+        prop_assert!(hello.len() + padding.len() >= pad);
+    }
+
+    #[test]
+    fn sni_text_accepts_and_normalises_what_parse_sni_does(host in arb_sni_host(),
+                                                           pad in 0usize..600, cut in any::<u16>()) {
+        let hello = reference_client_hello(&host, pad);
+        let owned = |t: dns::NameText| t.to_name();
+        prop_assert_eq!(tls::sni_text(&hello).map(owned), tls::parse_sni(&hello));
+        // Truncated hellos fail alike.
+        let short = &hello[..usize::from(cut) % (hello.len() + 1)];
+        prop_assert_eq!(tls::sni_text(short).map(owned), tls::parse_sni(short));
     }
 
     #[test]
     fn tls_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = tls::parse_sni(&data);
+        prop_assert_eq!(tls::sni_text(&data).map(|t| t.to_name()), tls::parse_sni(&data));
     }
 
     #[test]

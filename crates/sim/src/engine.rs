@@ -9,11 +9,16 @@
 //! incremental analyzer here so no frame is ever buffered or parsed
 //! twice).
 //!
-//! A queued frame may end in a [`Run`] (a bulk reply's payload of one
-//! repeated byte). The engine spells it out once per delivery, into one
-//! buffer it reuses, before the loss and corruption injectors, the tap,
-//! the router and the hosts read the frame, so every tapped and
-//! delivered byte is the frame's full bytes.
+//! A queued frame or packet may end in a [`Run`] (a bulk payload: a
+//! cloud reply's repeated byte, or a telemetry upload's TLS padding).
+//! The engine spells a LAN frame's run out once per delivery, into one
+//! buffer it reuses, before the loss and corruption injectors, the tap
+//! and the hosts read the frame, so every tapped and delivered byte is
+//! the frame's full bytes. The router reads only headers, so it is
+//! handed the frame as its sender queued it, run unspelled, unless the
+//! corruption injector flipped a byte in it. WAN packets travel
+//! unspelled: the router and the internet model read their headers and
+//! length fields alone.
 
 use crate::addrs;
 use crate::event::{EventKind, EventQueue, SimTime};
@@ -308,7 +313,8 @@ impl Simulation {
             match ev.kind {
                 EventKind::LanFrame { from, frame, run } => {
                     let mut spelled = std::mem::take(&mut self.spelled);
-                    self.deliver_lan(from, run.spell(&frame, &mut spelled));
+                    let queued = Queued { head: &frame, run };
+                    self.deliver_lan(from, queued, run.spell(&frame, &mut spelled));
                     self.spelled = spelled;
                 }
                 EventKind::Timer { host, token } => {
@@ -328,7 +334,7 @@ impl Simulation {
                     if self.tunnel_blocked(&packet, run) {
                         self.tunnel_drops += 1;
                     } else if to_internet {
-                        let packet = run.spell(&packet, &mut self.spelled);
+                        let packet = Queued { head: &packet, run };
                         if let Some((reply, run)) =
                             self.internet.handle_packet_at(self.clock, packet)
                         {
@@ -368,11 +374,12 @@ impl Simulation {
             && (repr.dst == addrs::TUNNEL_REMOTE_IPV4 || repr.src == addrs::TUNNEL_REMOTE_IPV4)
     }
 
-    /// Deliver one LAN frame: tap it, then hand it to the router if it is
+    /// Deliver one LAN frame, `frame` spelled out and `queued` as its
+    /// sender queued it: tap it, then hand it to the router if it is
     /// addressed there, and to the other hosts in host order: every one
     /// of them for a multicast (broadcast included), the ones holding
     /// the destination MAC for a unicast.
-    fn deliver_lan(&mut self, from: usize, frame: &[u8]) {
+    fn deliver_lan(&mut self, from: usize, queued: Queued, frame: &[u8]) {
         use rand::Rng;
         // Loss and corruption draw from the dedicated fault stream only,
         // and only while a knob is actually enabled — the behavioural RNG
@@ -396,7 +403,12 @@ impl Simulation {
             } else {
                 None
             };
-        let frame: &[u8] = corrupted.as_deref().unwrap_or(frame);
+        // A flipped byte may lie in the run, so a corrupted frame reaches
+        // the router spelled out.
+        let (frame, queued) = match corrupted.as_deref() {
+            Some(c) => (c, Queued::from(c)),
+            None => (frame, queued),
+        };
         let timestamp_us = self.clock.as_micros();
         if self.capture_enabled {
             self.capture.push(timestamp_us, frame);
@@ -412,7 +424,7 @@ impl Simulation {
 
         if from != ROUTER_SLOT && frame_addressed_to(dst, addrs::ROUTER_MAC) {
             let mut fx = Effects::new(&mut self.rng);
-            self.router.on_frame(self.clock, frame, &mut fx);
+            self.router.on_frame(self.clock, queued, &mut fx);
             Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
         }
         if dst.is_multicast() {
@@ -454,16 +466,16 @@ impl Simulation {
                 },
             );
         }
-        for (delay, token) in fx.timers {
+        for (delay, token) in std::mem::take(&mut fx.timers) {
             queue.push(now + delay, EventKind::Timer { host: slot, token });
         }
-        for packet in fx.wan {
+        for (i, packet) in std::mem::take(&mut fx.wan).into_iter().enumerate() {
             queue.push(
                 now + SimTime(addrs::WAN_DELAY_US),
                 EventKind::WanPacket {
                     to_internet: true,
                     packet,
-                    run: Run::default(),
+                    run: fx.wan_run(i),
                 },
             );
         }
@@ -504,7 +516,7 @@ mod tests {
     use crate::router::RouterConfig;
     use std::any::Any;
     use std::sync::{Arc, Mutex};
-    use v6brick_net::ethernet::{EtherType, Repr as EthRepr};
+    use v6brick_net::ethernet::{self, EtherType, Repr as EthRepr};
     use v6brick_net::Mac;
 
     /// A host that broadcasts one frame at start and counts what it hears.
@@ -893,6 +905,121 @@ mod tests {
         assert_eq!(drops(&spelled, Run::default(), true), 1);
         assert_eq!(drops(&head, run, false), 0);
         assert_eq!(drops(&spelled, Run::default(), false), 0);
+    }
+
+    const UPLOADER_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(192, 168, 1, 7);
+    const CLOUD_IP: std::net::Ipv4Addr = std::net::Ipv4Addr::new(198, 18, 0, 9);
+
+    /// A device's telemetry upload: a TCP segment to the cloud through
+    /// the router, a short head ending in 12 KB of TLS padding.
+    fn upload_frame() -> (Vec<u8>, Run) {
+        let seg = v6brick_net::tcp::Repr {
+            src_port: 40_000,
+            dst_port: 443,
+            seq: 1,
+            ack: 1,
+            flags: v6brick_net::tcp::Flags::PSH | v6brick_net::tcp::Flags::ACK,
+            window: 0xffff,
+            payload: b"hello".to_vec(),
+        };
+        let run = Run::tls_padding(12_000);
+        let frame = crate::wire::tcp4_frame_with_run(
+            lan_mac(7),
+            addrs::ROUTER_MAC,
+            UPLOADER_IP,
+            CLOUD_IP,
+            &seg,
+            run,
+        );
+        (frame, run)
+    }
+
+    /// A host that sends [`upload_frame`] at start.
+    struct Uploader;
+
+    impl Host for Uploader {
+        fn mac(&self) -> Mac {
+            lan_mac(7)
+        }
+        fn on_start(&mut self, _now: SimTime, fx: &mut Effects) {
+            let (frame, run) = upload_frame();
+            fx.send_frame_with_run(frame, run);
+        }
+        fn on_frame(&mut self, _now: SimTime, _frame: &[u8], _fx: &mut Effects) {}
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _fx: &mut Effects) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The IPv4 packet a fresh router sends to the WAN for `frame`.
+    fn routed(frame: &[u8]) -> Option<Vec<u8>> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut fx = Effects::new(&mut rng);
+        Router::new(RouterConfig::ipv4_only()).on_frame(SimTime::ZERO, frame, &mut fx);
+        fx.wan.pop()
+    }
+
+    /// Run the uploader under `faults` until the router has handled its
+    /// frame; return the simulation and the WAN packet the router queued,
+    /// if any, with its run.
+    fn upload(seed: u64, faults: FaultPlan) -> (Simulation, Option<(Vec<u8>, Run)>) {
+        let mut b = SimulationBuilder::new(
+            Router::new(RouterConfig::ipv4_only()),
+            Internet::new(ZoneDb::new()),
+        );
+        b.add_host(Box::new(Uploader));
+        let mut sim = b.seed(seed).faults(faults).build();
+        sim.run_until(SimTime(addrs::LAN_DELAY_US));
+        let wan = std::iter::from_fn(|| sim.queue.pop()).find_map(|e| match e.kind {
+            EventKind::WanPacket {
+                to_internet: true,
+                packet,
+                run,
+            } => Some((packet, run)),
+            _ => None,
+        });
+        (sim, wan)
+    }
+
+    #[test]
+    fn a_host_run_is_tapped_spelled_and_reaches_the_router_unspelled() {
+        let (head, run) = upload_frame();
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        let (sim, wan) = upload(0, FaultPlan::new());
+        assert_eq!(tapped(&sim), [&spelled[..]]);
+        let (packet, wan_run) = wan.expect("the router forwards the upload");
+        // NAT44 rewrote the headers and carried the padding unspelled.
+        assert_eq!(wan_run, run);
+        assert_eq!(packet.len(), head.len() - ethernet::HEADER_LEN);
+        let expected = routed(&spelled).expect("the spelled upload is forwarded");
+        assert_eq!(wan_run.spell(&packet, &mut Vec::new()), &expected[..]);
+    }
+
+    #[test]
+    fn a_corrupted_run_reaches_the_router_spelled() {
+        let (head, run) = upload_frame();
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        let corrupt = || FaultPlan::new().lan_corrupt(SimTime::ZERO, SimTime::from_secs(1), 1000);
+        let mut past_the_head = 0;
+        for seed in 0..8 {
+            let (sim, wan) = upload(seed, corrupt());
+            let tap = tapped(&sim)[0].to_vec();
+            let flipped = (0..tap.len()).find(|&i| tap[i] != spelled[i]).unwrap();
+            if flipped < head.len() {
+                continue;
+            }
+            past_the_head += 1;
+            // The router read the flipped byte: the packet it forwards is
+            // the corrupted frame's, written out whole.
+            let (packet, wan_run) = wan.expect("a payload flip is forwarded");
+            assert!(wan_run.is_empty());
+            assert_eq!(Some(packet), routed(&tap));
+        }
+        assert!(past_the_head > 0, "no seed flipped a byte of the run");
     }
 
     /// A host that sends `outbox` at start and logs its id in a log the

@@ -12,7 +12,7 @@
 use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
-use crate::wire::alloc;
+use crate::wire::{alloc, Queued};
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
@@ -229,22 +229,32 @@ impl Internet {
     }
 
     /// Handle one IPv4 packet arriving from the router's WAN interface
-    /// at virtual time `now`. Returns the IPv4 packet flowing back, if
-    /// any, with the [`Run`] it ends in: a server's bulk reply is one
-    /// repeated byte, emitted as a run behind the headers.
-    pub fn handle_packet_at(&mut self, now: SimTime, packet: &[u8]) -> Option<(Vec<u8>, Run)> {
-        let p = ipv4::Packet::new_checked(packet).ok()?;
+    /// at virtual time `now`: plain bytes, or bytes ending in a run (a
+    /// device's telemetry upload), whose length the servers read from
+    /// the length fields without spelling it. Returns the IPv4 packet
+    /// flowing back, if any, with the [`Run`] it ends in: a server's
+    /// bulk reply is one repeated byte, emitted as a run behind the
+    /// headers.
+    pub fn handle_packet_at<'a>(
+        &mut self,
+        now: SimTime,
+        packet: impl Into<Queued<'a>>,
+    ) -> Option<(Vec<u8>, Run)> {
+        let Queued { head, run } = packet.into();
+        let p = ipv4::Packet::new_checked_with_tail(head, run.len()).ok()?;
         let repr = ipv4::Repr::parse(&p);
+        let (l3, run) = (p.payload(), run.cut(head.len(), usize::from(p.total_len())));
         match repr.protocol {
             // 6in4: unwrap and process as IPv6, re-wrapping replies.
             Protocol::Ipv6 if repr.dst == addrs::TUNNEL_REMOTE_IPV4 => {
-                let inner = ipv6::Packet::new_checked(p.payload()).ok()?;
+                let inner = ipv6::Packet::new_checked_with_tail(l3, run.len()).ok()?;
                 let inner_repr = ipv6::Repr::parse(&inner);
                 if inner_repr.src.is_global_unicast() {
                     self.observed_v6_sources.insert(inner_repr.src);
                 }
                 if Some(inner_repr.dst) == self.scanner_addr {
-                    self.scanner_rx.push(p.payload().to_vec());
+                    self.scanner_rx
+                        .push(run.spell(l3, &mut Vec::new()).to_vec());
                     return None;
                 }
                 let path = ReplyPath::SixIn4 {
@@ -252,31 +262,42 @@ impl Internet {
                     src: inner_repr.dst,
                     dst: inner_repr.src,
                 };
-                self.handle_v6(now, path, &inner_repr, inner.payload())
+                let l4_run = run.cut(l3.len(), ipv6::HEADER_LEN + inner_repr.payload_len);
+                self.handle_v6(now, path, &inner_repr, inner.payload(), l4_run)
             }
-            _ => self.handle_v4(now, &repr, p.payload()),
+            _ => self.handle_v4(now, &repr, l3, run),
         }
     }
 
-    fn handle_v4(&mut self, now: SimTime, ip: &ipv4::Repr, l4: &[u8]) -> Option<(Vec<u8>, Run)> {
+    /// A native IPv4 packet whose L4 bytes are `l4` followed by `run`.
+    fn handle_v4(
+        &mut self,
+        now: SimTime,
+        ip: &ipv4::Repr,
+        l4: &[u8],
+        run: Run,
+    ) -> Option<(Vec<u8>, Run)> {
         let path = ReplyPath::V4 {
             src: ip.dst,
             dst: ip.src,
         };
         let server = IpAddr::V4(ip.dst);
         match ip.protocol {
-            Protocol::Udp => self.handle_udp(now, path, server, l4),
-            Protocol::Tcp => self.handle_tcp(path, server, l4),
+            Protocol::Udp => self.handle_udp(now, path, server, l4, run),
+            Protocol::Tcp => self.handle_tcp(path, server, l4, run),
             _ => None,
         }
     }
 
+    /// A decapsulated IPv6 packet whose L4 bytes are `l4` followed by
+    /// `run`.
     fn handle_v6(
         &mut self,
         now: SimTime,
         path: ReplyPath,
         ip: &ipv6::Repr,
         l4: &[u8],
+        run: Run,
     ) -> Option<(Vec<u8>, Run)> {
         // The §7 reachability extension: servers whose AAAA exists but
         // whose IPv6 path is dead swallow everything silently.
@@ -289,8 +310,8 @@ impl Internet {
         }
         let server = IpAddr::V6(ip.dst);
         match ip.next_header {
-            Protocol::Udp => self.handle_udp(now, path, server, l4),
-            Protocol::Tcp => self.handle_tcp(path, server, l4),
+            Protocol::Udp => self.handle_udp(now, path, server, l4, run),
+            Protocol::Tcp => self.handle_tcp(path, server, l4, run),
             Protocol::Icmpv6 => {
                 // Echo service on resolvers and known servers (the IoT
                 // connectivity probes of §5.4.1's "misc" EUI-64 uses).
@@ -322,15 +343,16 @@ impl Internet {
     }
 
     /// UDP service dispatch: the reply to a datagram addressed to
-    /// `server`, if it gets one.
+    /// `server`, `l4` followed by `run`, if it gets one.
     fn handle_udp(
         &mut self,
         now: SimTime,
         path: ReplyPath,
         server: IpAddr,
         l4: &[u8],
+        run: Run,
     ) -> Option<(Vec<u8>, Run)> {
-        let u = udp::Packet::new_checked(l4).ok()?;
+        let u = udp::Packet::new_checked_with_tail(l4, run.len()).ok()?;
         let (dst_port, payload) = (u.dst_port(), u.payload());
         let reply = |src_port, body, run| {
             path.packet(Protocol::Udp, udp::HEADER_LEN, body, run, |dgram, ph| {
@@ -362,7 +384,8 @@ impl Internet {
             return Some(reply(123, &[], Run::new(0x24, 48)));
         }
         // Generic UDP cloud service on a known server: scaled echo.
-        let len = (payload.len() as u32 * RESPONSE_SCALE).clamp(16, 8192) as usize;
+        let payload_len = usize::from(u.len()) - udp::HEADER_LEN;
+        let len = (payload_len as u32 * RESPONSE_SCALE).clamp(16, 8192) as usize;
         Some(reply(dst_port, &[], Run::new(0x5a, len)))
     }
 
@@ -420,15 +443,21 @@ impl Internet {
     }
 
     /// Semi-stateless server-side TCP: the reply to a segment addressed
-    /// to `server`, read in place.
-    fn handle_tcp(&mut self, path: ReplyPath, server: IpAddr, l4: &[u8]) -> Option<(Vec<u8>, Run)> {
+    /// to `server`, `l4` followed by `data_run`, read in place.
+    fn handle_tcp(
+        &mut self,
+        path: ReplyPath,
+        server: IpAddr,
+        l4: &[u8],
+        data_run: Run,
+    ) -> Option<(Vec<u8>, Run)> {
         let seg = tcp::Packet::new_checked(l4).ok()?;
         // Unroutable/unknown destination: silence (packets to nowhere).
         if !self.serves(server) {
             return None;
         }
         let flags = seg.flags();
-        let data_len = seg.payload().len();
+        let data_len = seg.payload().len() + data_run.len();
         let header = |seq, ack, flags, window| tcp::Repr {
             src_port: seg.dst_port(),
             dst_port: seg.src_port(),

@@ -190,7 +190,8 @@ impl BorderRouter {
     }
 
     /// Drive one leaf callback and translate its effects: timers are
-    /// re-tagged with the leaf index, frames cross the border.
+    /// re-tagged with the leaf index, frames cross the border, spelled
+    /// out first when they end in a run (compression reads every byte).
     fn with_leaf(
         &mut self,
         idx: usize,
@@ -198,17 +199,19 @@ impl BorderRouter {
         fx: &mut Effects,
         f: impl FnOnce(&mut dyn Host, &mut Effects),
     ) {
-        let (frames, timers) = {
+        let (frames, runs, timers) = {
             let mut inner = Effects::new(&mut *fx.rng);
             f(self.leaves[idx].as_mut(), &mut inner);
-            (inner.frames, inner.timers)
+            (inner.frames, inner.runs, inner.timers)
         };
         for (delay, token) in timers {
             debug_assert!(token < 1 << TOKEN_SHIFT, "leaf token collides with mux");
             fx.set_timer(delay, ((idx as u64) << TOKEN_SHIFT) | token);
         }
-        for frame in frames {
-            self.leaf_outbound(idx, now, &frame, fx);
+        let mut spelled = Vec::new();
+        for (i, frame) in frames.iter().enumerate() {
+            let frame = runs.get(i).spell(frame, &mut spelled);
+            self.leaf_outbound(idx, now, frame, fx);
         }
     }
 

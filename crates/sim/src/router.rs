@@ -206,16 +206,22 @@ impl Router {
         }
     }
 
-    /// A LAN frame addressed to (or multicast past) the router.
-    pub fn on_frame(&mut self, now: SimTime, frame: &[u8], fx: &mut Effects) {
+    /// A LAN frame addressed to (or multicast past) the router: plain
+    /// bytes, or bytes ending in a run. Every header the router reads
+    /// lies before the run; NAT44 and the 6in4 tunnel carry the run,
+    /// cut to the packet's length fields, onto the WAN unspelled. The
+    /// messages the router answers itself (ARP, DHCP, NDP) are read
+    /// from the bytes before the run; no host ends one in a run.
+    pub fn on_frame<'a>(&mut self, now: SimTime, frame: impl Into<Queued<'a>>, fx: &mut Effects) {
+        let Queued { head: frame, run } = frame.into();
         let Ok(eth) = v6brick_net::ethernet::Frame::new_checked(frame) else {
             return;
         };
         let src_mac = eth.src();
         match eth.ethertype() {
             EtherType::Arp => self.handle_arp(src_mac, eth.payload(), fx),
-            EtherType::Ipv4 => self.handle_ipv4(src_mac, eth.payload(), fx),
-            EtherType::Ipv6 => self.handle_ipv6(now, src_mac, eth.payload(), fx),
+            EtherType::Ipv4 => self.handle_ipv4(src_mac, eth.payload(), run, fx),
+            EtherType::Ipv6 => self.handle_ipv6(now, src_mac, eth.payload(), run, fx),
             EtherType::Other(_) => {}
         }
     }
@@ -310,21 +316,26 @@ impl Router {
         }
     }
 
-    fn handle_ipv4(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
+    /// An IPv4 packet from the LAN, `payload` followed by `run`.
+    fn handle_ipv4(&mut self, src_mac: Mac, payload: &[u8], run: Run, fx: &mut Effects) {
         if !self.config.ipv4 {
             return;
         }
-        let Ok(p) = ipv4::Packet::new_checked(payload) else {
+        let Ok(p) = ipv4::Packet::new_checked_with_tail(payload, run.len()) else {
             return;
         };
         let repr = ipv4::Repr::parse(&p);
+        let (l4, run) = (
+            p.payload(),
+            run.cut(payload.len(), usize::from(p.total_len())),
+        );
         if repr.src != Ipv4Addr::UNSPECIFIED {
             self.arp_table.insert(repr.src, src_mac);
         }
 
         // DHCPv4 service.
         if repr.protocol == Protocol::Udp {
-            if let Ok(u) = udp::Packet::new_checked(p.payload()) {
+            if let Ok(u) = udp::Packet::new_checked_with_tail(l4, run.len()) {
                 if u.dst_port() == 67 {
                     self.handle_dhcpv4(src_mac, u.payload(), fx);
                     return;
@@ -344,9 +355,7 @@ impl Router {
         }
 
         // Outbound: NAT and forward to the WAN.
-        let Some((src_port, _dst_port, proto)) =
-            extract_ports_v4(&repr, p.payload(), Run::default())
-        else {
+        let Some((src_port, _dst_port, proto)) = extract_ports_v4(&repr, l4, run) else {
             self.dropped += 1;
             return;
         };
@@ -361,15 +370,15 @@ impl Router {
                 p
             }
         };
-        let (packet, _) = rewrite_v4(
+        let (packet, run) = rewrite_v4(
             0,
             &repr,
-            p.payload(),
-            Run::default(),
+            l4,
+            run,
             Some((addrs::ROUTER_WAN_IPV4, wan_port)),
             None,
         );
-        fx.send_wan(packet);
+        fx.send_wan(packet, run);
     }
 
     fn handle_dhcpv4(&mut self, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
@@ -405,11 +414,20 @@ impl Router {
         ));
     }
 
-    fn handle_ipv6(&mut self, now: SimTime, src_mac: Mac, payload: &[u8], fx: &mut Effects) {
-        let Ok(p) = ipv6::Packet::new_checked(payload) else {
+    /// An IPv6 packet from the LAN, `payload` followed by `run`.
+    fn handle_ipv6(
+        &mut self,
+        now: SimTime,
+        src_mac: Mac,
+        payload: &[u8],
+        run: Run,
+        fx: &mut Effects,
+    ) {
+        let Ok(p) = ipv6::Packet::new_checked_with_tail(payload, run.len()) else {
             return;
         };
         let repr = ipv6::Repr::parse(&p);
+        let l4_run = run.cut(payload.len(), ipv6::HEADER_LEN + repr.payload_len);
         // Learn neighbors from any unicast source (the kernel does this
         // from NDP; we also learn from data traffic like `ip -6 neigh`
         // effectively does on a busy LAN).
@@ -438,22 +456,22 @@ impl Router {
                             icmpv6::Repr::EchoReply { .. } | icmpv6::Repr::DstUnreachable { .. }
                         )
                     {
-                        self.route_v6(&repr, payload, fx);
+                        self.route_v6(&repr, payload, run, fx);
                     } else {
                         self.handle_icmpv6(now, src_mac, &repr, &msg, fx);
                     }
                 }
             }
             Protocol::Udp => {
-                if let Ok(u) = udp::Packet::new_checked(p.payload()) {
+                if let Ok(u) = udp::Packet::new_checked_with_tail(p.payload(), l4_run.len()) {
                     if u.dst_port() == 547 {
                         self.handle_dhcpv6(now, src_mac, repr.src, u.payload(), fx);
                         return;
                     }
                 }
-                self.route_v6(&repr, payload, fx);
+                self.route_v6(&repr, payload, run, fx);
             }
-            _ => self.route_v6(&repr, payload, fx),
+            _ => self.route_v6(&repr, payload, run, fx),
         }
     }
 
@@ -593,9 +611,10 @@ impl Router {
         a
     }
 
-    /// Route a unicast IPv6 packet: on-link stays switched; off-link GUAs
-    /// go through the tunnel. ULAs and LLAs are never routed off-link.
-    fn route_v6(&mut self, repr: &ipv6::Repr, full_packet: &[u8], fx: &mut Effects) {
+    /// Route a unicast IPv6 packet, `full_packet` followed by `run`:
+    /// on-link stays switched; off-link GUAs go through the tunnel, run
+    /// and all. ULAs and LLAs are never routed off-link.
+    fn route_v6(&mut self, repr: &ipv6::Repr, full_packet: &[u8], run: Run, fx: &mut Effects) {
         if repr.dst.is_multicast() || repr.dst == addrs::ROUTER_LLA || repr.dst == addrs::ROUTER_GUA
         {
             return;
@@ -614,21 +633,23 @@ impl Router {
         }
         // An outbound flow opens a stateful pinhole for its return
         // traffic, whatever the firewall policy.
-        if let Ok(p6) = ipv6::Packet::new_checked(full_packet) {
-            if let Some((proto, src_port, dst_port)) = flow_v6(repr, p6.payload(), Run::default()) {
+        if let Ok(p6) = ipv6::Packet::new_checked_with_tail(full_packet, run.len()) {
+            let l4_run = run.cut(full_packet.len(), ipv6::HEADER_LEN + repr.payload_len);
+            if let Some((proto, src_port, dst_port)) = flow_v6(repr, p6.payload(), l4_run) {
                 self.v6_flows
                     .insert((repr.src, repr.dst, proto, src_port, dst_port));
             }
         }
-        let encap = ipv4::Repr {
+        let mut encap = alloc(ipv4::HEADER_LEN, full_packet);
+        ipv4::Repr {
             src: addrs::ROUTER_WAN_IPV4,
             dst: addrs::TUNNEL_REMOTE_IPV4,
             protocol: Protocol::Ipv6,
             ttl: 64,
-            payload_len: full_packet.len(),
+            payload_len: full_packet.len() + run.len(),
         }
-        .build(full_packet);
-        fx.send_wan(encap);
+        .emit(&mut encap);
+        fx.send_wan(encap, run);
     }
 
     /// Does the WAN firewall policy let this decapsulated inbound IPv6

@@ -4,9 +4,10 @@
 //! Every frame is one allocation sized once: `alloc` copies the payload
 //! into place, then each header is emitted into the front of the
 //! buffer, innermost first, so the transport checksum is summed once, in
-//! place, over bytes that are never moved again. Payloads of one
-//! repeated byte are not written at all: they travel as a [`Run`] behind
-//! the headers, and the engine spells them out where they are read.
+//! place, over bytes that are never moved again. Bulk payloads (one
+//! repeated byte, or TLS padding) are not written at all: they travel as
+//! a [`Run`] behind the headers, and the engine spells them out where
+//! they are read.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::ethernet::{self, EtherType, Frame};
@@ -63,9 +64,10 @@ pub(crate) fn emit_eth(frame: &mut [u8], src: Mac, dst: Mac, ethertype: EtherTyp
 }
 
 /// Emit the Ethernet and IPv4 headers (TTL 64) in front of the
-/// `protocol` payload already at `frame[ETH + 20..]`.
+/// `protocol` payload already at `frame[ETH + 20..]`, which `run` ends.
 fn emit_eth_ipv4(
     frame: &mut [u8],
+    run: Run,
     src_mac: Mac,
     dst_mac: Mac,
     src: Ipv4Addr,
@@ -77,16 +79,18 @@ fn emit_eth_ipv4(
         dst,
         protocol,
         ttl: 64,
-        payload_len: frame.len() - ETH_V4,
+        payload_len: frame.len() - ETH_V4 + run.len(),
     }
     .emit(&mut frame[ETH..]);
     emit_eth(frame, src_mac, dst_mac, EtherType::Ipv4);
 }
 
 /// Emit the Ethernet and IPv6 headers in front of the `next_header`
-/// payload already at `frame[ETH + 40..]`.
+/// payload already at `frame[ETH + 40..]`, which `run` ends.
+#[allow(clippy::too_many_arguments)]
 fn emit_eth_ipv6(
     frame: &mut [u8],
+    run: Run,
     src_mac: Mac,
     dst_mac: Mac,
     src: Ipv6Addr,
@@ -99,7 +103,7 @@ fn emit_eth_ipv6(
         dst,
         next_header,
         hop_limit,
-        payload_len: frame.len() - ETH_V6,
+        payload_len: frame.len() - ETH_V6 + run.len(),
     }
     .emit(&mut frame[ETH..]);
     emit_eth(frame, src_mac, dst_mac, EtherType::Ipv6);
@@ -133,7 +137,15 @@ pub fn udp4_frame(
         Run::default(),
         PseudoHeader::V4 { src, dst },
     );
-    emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp);
+    emit_eth_ipv4(
+        &mut f,
+        Run::default(),
+        src_mac,
+        dst_mac,
+        src,
+        dst,
+        Protocol::Udp,
+    );
     f
 }
 
@@ -158,7 +170,16 @@ pub fn udp6_frame(
         Run::default(),
         PseudoHeader::V6 { src, dst },
     );
-    emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Udp, 64);
+    emit_eth_ipv6(
+        &mut f,
+        Run::default(),
+        src_mac,
+        dst_mac,
+        src,
+        dst,
+        Protocol::Udp,
+        64,
+    );
     f
 }
 
@@ -170,13 +191,23 @@ pub fn tcp4_frame(
     dst: Ipv4Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
+    tcp4_frame_with_run(src_mac, dst_mac, src, dst, seg, Run::default())
+}
+
+/// A TCP-in-IPv4-in-Ethernet frame whose payload is `seg.payload`
+/// followed by `run`: send it with
+/// [`Effects::send_frame_with_run`](crate::host::Effects::send_frame_with_run).
+pub fn tcp4_frame_with_run(
+    src_mac: Mac,
+    dst_mac: Mac,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    seg: &tcp::Repr,
+    run: Run,
+) -> Vec<u8> {
     let mut f = alloc(ETH_V4 + tcp::HEADER_LEN, &seg.payload);
-    seg.emit(
-        &mut f[ETH_V4..],
-        Run::default(),
-        PseudoHeader::V4 { src, dst },
-    );
-    emit_eth_ipv4(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp);
+    seg.emit(&mut f[ETH_V4..], run, PseudoHeader::V4 { src, dst });
+    emit_eth_ipv4(&mut f, run, src_mac, dst_mac, src, dst, Protocol::Tcp);
     f
 }
 
@@ -188,13 +219,22 @@ pub fn tcp6_frame(
     dst: Ipv6Addr,
     seg: &tcp::Repr,
 ) -> Vec<u8> {
+    tcp6_frame_with_run(src_mac, dst_mac, src, dst, seg, Run::default())
+}
+
+/// A TCP-in-IPv6-in-Ethernet frame whose payload is `seg.payload`
+/// followed by `run`, as [`tcp4_frame_with_run`] builds.
+pub fn tcp6_frame_with_run(
+    src_mac: Mac,
+    dst_mac: Mac,
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    seg: &tcp::Repr,
+    run: Run,
+) -> Vec<u8> {
     let mut f = alloc(ETH_V6 + tcp::HEADER_LEN, &seg.payload);
-    seg.emit(
-        &mut f[ETH_V6..],
-        Run::default(),
-        PseudoHeader::V6 { src, dst },
-    );
-    emit_eth_ipv6(&mut f, src_mac, dst_mac, src, dst, Protocol::Tcp, 64);
+    seg.emit(&mut f[ETH_V6..], run, PseudoHeader::V6 { src, dst });
+    emit_eth_ipv6(&mut f, run, src_mac, dst_mac, src, dst, Protocol::Tcp, 64);
     f
 }
 
@@ -211,6 +251,7 @@ pub fn icmpv6_frame(
     let mut f = alloc(ETH_V6, &msg.build(src, dst));
     emit_eth_ipv6(
         &mut f,
+        Run::default(),
         src_mac,
         dst_mac,
         src,

@@ -12,15 +12,19 @@
 //! repeated byte, kept as `(byte, len)`). The router forwards the run
 //! unspelled, through NAT44 and through 6in4 decapsulation alike, and
 //! the frame it sends must spell out to the frame the spelled-out reply
-//! gives.
+//! gives. A device's telemetry upload ends in a run of TLS padding, which
+//! the router carries to the WAN unspelled, through NAT44 and 6in4
+//! encapsulation alike: the packet it sends must spell out to the packet
+//! the spelled-out upload gives.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use v6brick_net::dns::Name;
 use v6brick_net::ethernet::{self, EtherType};
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{checksum, ipv4, ipv6, tcp, udp, Mac, Run};
+use v6brick_net::{checksum, ipv4, ipv6, tcp, tls, udp, Mac, Run};
 use v6brick_sim::event::SimTime;
 use v6brick_sim::host::Effects;
 use v6brick_sim::wire::{self, Queued};
@@ -172,6 +176,32 @@ fn inbound_run(router: &mut Router, head: &[u8], run: Run) -> (Vec<Vec<u8>>, usi
         .map(|(i, f)| fx.run(i).spell(f, &mut Vec::new()).to_vec())
         .collect();
     (frames, written)
+}
+
+/// Hand the router one LAN frame, `head` followed by `run`; return what
+/// it sends to the WAN, each packet's run spelled out, and how many
+/// bytes it wrote itself.
+fn outbound_run(router: &mut Router, head: &[u8], run: Run) -> (Vec<Vec<u8>>, usize) {
+    let mut rng = StdRng::seed_from_u64(1);
+    let mut fx = Effects::new(&mut rng);
+    router.on_frame(SimTime::ZERO, Queued { head, run }, &mut fx);
+    let written = fx.wan.iter().map(Vec::len).sum();
+    let packets = fx
+        .wan
+        .iter()
+        .enumerate()
+        .map(|(i, p)| fx.wan_run(i).spell(p, &mut Vec::new()).to_vec())
+        .collect();
+    (packets, written)
+}
+
+/// A telemetry segment's payload as a device queues it: the ClientHello
+/// for a name `name_len` letters longer than `.example`, and the padding
+/// that brings it to `size` bytes (none when the hello alone is that
+/// long).
+fn upload(name_len: usize, size: usize) -> (Vec<u8>, Run) {
+    let name = "a".repeat(name_len) + ".example";
+    tls::client_hello(&Name::new(&name).unwrap(), size)
 }
 
 /// A transport header for a reply whose whole payload is `run`, emitted
@@ -342,5 +372,48 @@ proptest! {
         let l4 = dgram(remote_port, lan_port).build(PseudoHeader::V4 { src: REMOTE, dst: LAN_IP });
         let expected = to_client(&ipv4_packet(REMOTE, LAN_IP, ipv4::Protocol::Udp, ttl, &l4));
         prop_assert_eq!(inbound(&mut router, &packet), vec![expected]);
+    }
+
+    #[test]
+    fn nat44_carries_an_uploads_padding_to_the_spelled_out_packet(
+            lan_port in 1024u16..=65535, remote_port in 1u16..=65535,
+            seq in any::<u32>(), ack in any::<u32>(),
+            name_len in 1usize..=40, size in 0usize..=12_000) {
+        let mut router = Router::new(RouterConfig::dual_stack());
+        let (hello, padding) = upload(name_len, size);
+        let seg = tcp::Repr {
+            src_port: lan_port, dst_port: remote_port, seq, ack,
+            flags: tcp::Flags::PSH | tcp::Flags::ACK, window: 0xffff, payload: hello,
+        };
+        let head = wire::tcp4_frame_with_run(CLIENT_MAC, addrs::ROUTER_MAC, LAN_IP, REMOTE, &seg, padding);
+
+        let spelled = outbound(&mut router.clone(), padding.spell(&head, &mut Vec::new()));
+        let (packets, written) = outbound_run(&mut router, &head, padding);
+        prop_assert_eq!(spelled.len(), 1);
+        prop_assert_eq!(packets, spelled);
+        // The router wrote the headers and the ClientHello only.
+        prop_assert_eq!(written, head.len() - ethernet::HEADER_LEN);
+    }
+
+    #[test]
+    fn sixin4_carries_an_uploads_padding_to_the_spelled_out_packet(
+            dev_port in 1024u16..=65535, remote_port in 1u16..=65535,
+            seq in any::<u32>(), ack in any::<u32>(),
+            name_len in 1usize..=40, size in 0usize..=12_000) {
+        let mut router = Router::new(RouterConfig::ipv6_only());
+        let dev: Ipv6Addr = "2001:db8:10:1::42".parse().unwrap();
+        let remote: Ipv6Addr = "2001:db8:ffff::9".parse().unwrap();
+        let (hello, padding) = upload(name_len, size);
+        let seg = tcp::Repr {
+            src_port: dev_port, dst_port: remote_port, seq, ack,
+            flags: tcp::Flags::PSH | tcp::Flags::ACK, window: 0xffff, payload: hello,
+        };
+        let head = wire::tcp6_frame_with_run(CLIENT_MAC, addrs::ROUTER_MAC, dev, remote, &seg, padding);
+
+        let spelled = outbound(&mut router.clone(), padding.spell(&head, &mut Vec::new()));
+        let (packets, written) = outbound_run(&mut router, &head, padding);
+        prop_assert_eq!(spelled.len(), 1);
+        prop_assert_eq!(packets, spelled);
+        prop_assert_eq!(written, ipv4::HEADER_LEN + head.len() - ethernet::HEADER_LEN);
     }
 }
