@@ -122,20 +122,6 @@ impl Capture {
             .filter_map(|p| p.parse().map(|pp| (p.timestamp_us, pp)))
     }
 
-    /// Keep only frames matching `pred`.
-    pub fn filter(&self, mut pred: impl FnMut(&ParsedPacket) -> bool) -> Capture {
-        // The match count is bounded by the source length; one exact-ish
-        // allocation beats the doubling growth of a bare collect.
-        let mut packets = Vec::with_capacity(self.packets.len());
-        packets.extend(
-            self.packets
-                .iter()
-                .filter(|p| p.parse().map(|pp| pred(&pp)).unwrap_or(false))
-                .cloned(),
-        );
-        Capture { packets }
-    }
-
     /// Append every frame of `other` and restore timestamp order.
     pub fn merge(&mut self, other: &Capture) {
         self.packets.reserve(other.packets.len());
@@ -197,14 +183,5 @@ mod tests {
         a.merge(&b);
         let ts: Vec<u64> = a.iter().map(|p| p.timestamp_us).collect();
         assert_eq!(ts, vec![5, 10]);
-    }
-
-    #[test]
-    fn filter_by_parsed_content() {
-        let mut c = Capture::new();
-        c.push(0, &frame(EtherType::Other(0x1111)));
-        c.push(1, &frame(EtherType::Other(0x2222)));
-        let only = c.filter(|p| p.eth.ethertype == EtherType::Other(0x2222));
-        assert_eq!(only.len(), 1);
     }
 }

@@ -1,15 +1,31 @@
 //! Scenario: you are deciding whether *your* smart home can survive an
 //! IPv6-only ISP. Pick the devices you own, run them through the
 //! IPv6-only and dual-stack experiments, and get a per-device verdict
-//! with the root cause for every failure — the paper's RQ1 as a tool.
+//! with every Table 3 stage it reached or missed on IPv6-only — the
+//! paper's RQ1 as a tool. The stages are not nested: a gateway can send
+//! IPv6 data to a hard-coded endpoint without ever asking for AAAA.
 //!
 //! ```sh
 //! cargo run --release --example ipv6_readiness_audit -- echo_show_5 nest_camera apple_tv hue_hub
 //! ```
 //! (With no arguments, a representative mixed household is audited.)
 
+use v6brick::core::funnel::Stage;
 use v6brick::devices::registry;
 use v6brick::experiments::{scenario, NetworkConfig};
+
+/// This report's name for each Table 3 stage.
+fn label(stage: Stage) -> &'static str {
+    match stage {
+        Stage::NdpTraffic => "NDP traffic",
+        Stage::V6Addr => "IPv6 address",
+        Stage::ActiveGua => "active global address",
+        Stage::AaaaQueryV6 => "AAAA query over IPv6",
+        Stage::AaaaAnswerV6 => "AAAA answer over IPv6",
+        Stage::V6InternetData => "IPv6 Internet data",
+        Stage::Functional => "functional",
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -59,38 +75,33 @@ fn main() {
         if works_v6 {
             println!("  VERDICT: works on IPv6-only — safe to drop IPv4.");
         } else if works_dual {
-            // Diagnose why the IPv6-only run failed.
-            let reason = if !o.ndp_traffic {
-                "no IPv6 stack at all (no NDP traffic observed)".to_string()
-            } else if !o.has_v6_addr() {
-                "IPv6 probing but no address ever configured".to_string()
-            } else if o.aaaa_q_v6.is_empty() {
-                "cannot resolve names over IPv6 (no AAAA queries on v6 transport)".to_string()
-            } else if o.aaaa_pos_v6.is_empty() {
-                format!(
-                    "its destinations lack AAAA records ({} negative answers)",
-                    o.aaaa_neg.len()
-                )
-            } else {
-                let missing: Vec<String> = p
-                    .required_destinations()
-                    .filter(|d| o.aaaa_neg.contains(&d.domain) || !d.aaaa_ready)
-                    .map(|d| d.domain.to_string())
-                    .collect();
-                format!(
-                    "required cloud endpoints are IPv4-only: {}",
-                    missing.join(", ")
-                )
-            };
             println!("  VERDICT: needs IPv4 — works dual-stack, bricks IPv6-only.");
-            println!("  ROOT CAUSE: {reason}");
         } else {
             println!("  VERDICT: did not complete its cloud rendezvous in either run.");
         }
-        if o.v6_internet_data() {
+        println!("  IPv6-only, stage by stage (Table 3):");
+        for stage in Stage::ALL {
+            let mark = if stage.reached(o, works_v6) {
+                "reached"
+            } else {
+                "missed "
+            };
+            let volume = if stage == Stage::V6InternetData && o.v6_internet_data() {
+                format!(" ({} KiB)", o.v6_internet_bytes / 1024)
+            } else {
+                String::new()
+            };
+            println!("    {mark}  {}{volume}", label(stage));
+        }
+        let v4_only: Vec<String> = p
+            .required_destinations()
+            .filter(|d| o.aaaa_neg.contains(&d.domain) || !d.aaaa_ready)
+            .map(|d| d.domain.to_string())
+            .collect();
+        if !works_v6 && !v4_only.is_empty() {
             println!(
-                "  NOTE: already moves {} KiB over IPv6 when it can.",
-                o.v6_internet_bytes / 1024
+                "  IPv4-only required cloud endpoints: {}",
+                v4_only.join(", ")
             );
         }
         println!();

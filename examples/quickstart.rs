@@ -5,6 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use v6brick::core::funnel::Stage;
 use v6brick::experiments::{tables, ExperimentSuite, NetworkConfig};
 
 fn main() {
@@ -23,23 +24,24 @@ fn main() {
         println!("  - {} ({})", p.name, p.category.label());
     }
 
-    // The measured funnel for this single run.
-    let run = &suite.runs()[0];
-    let count =
-        |f: &dyn Fn(&v6brick::core::DeviceObservation) -> bool| run.analysis.count(|o| f(o));
+    // The measured funnel for this single run, counted per Table 3 stage.
+    let count = |stage| {
+        suite
+            .device_ids()
+            .filter(|id| suite.reached_v6only(id, stage))
+            .count()
+    };
     println!("\nThe readiness funnel (one IPv6-only run):");
-    println!("  NDP traffic:        {}", count(&|o| o.ndp_traffic));
-    println!("  IPv6 address:       {}", count(&|o| o.has_v6_addr()));
-    println!(
-        "  AAAA queries (v6):  {}",
-        count(&|o| !o.aaaa_q_v6.is_empty())
-    );
-    println!(
-        "  AAAA answers:       {}",
-        count(&|o| !o.aaaa_pos_v6.is_empty())
-    );
-    println!("  Internet v6 data:   {}", count(&|o| o.v6_internet_data()));
-    println!("  Functional:         {}", functional.len());
+    for (label, stage) in [
+        ("NDP traffic:", Stage::NdpTraffic),
+        ("IPv6 address:", Stage::V6Addr),
+        ("AAAA queries (v6):", Stage::AaaaQueryV6),
+        ("AAAA answers:", Stage::AaaaAnswerV6),
+        ("Internet v6 data:", Stage::V6InternetData),
+        ("Functional:", Stage::Functional),
+    ] {
+        println!("  {label:<20}{}", count(stage));
+    }
 
     println!("\nFull per-category breakdown:\n");
     // A single-config suite supports Table 3's IPv6-only scope.
