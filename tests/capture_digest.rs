@@ -14,6 +14,11 @@
 //! One more pin runs the dual-stack home with a LAN-corruption window
 //! over its first telemetry round: a corrupted upload is forwarded as
 //! the tap saw it, flipped byte included, not as its sender queued it.
+//!
+//! The last pin covers the mesh link layer: five leaves behind a 6LoWPAN
+//! border router, with both the LAN capture and the 802.15.4 capture
+//! pinned. Its window carries datagrams too large for one 6LoWPAN
+//! datagram across the border in both directions.
 
 use std::any::Any;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -24,8 +29,12 @@ use v6brick::experiments::{scenario, NetworkConfig};
 use v6brick::net::ethernet::{EtherType, Frame};
 use v6brick::net::ipv4::{self, Protocol};
 use v6brick::net::ipv6::{self, Ipv6AddrExt};
+use v6brick::net::sixlowpan;
 use v6brick::net::{tcp, udp};
-use v6brick::sim::{addrs, FaultPlan, FrameSink, Internet, Router, SimTime, SimulationBuilder};
+use v6brick::pcap::{format, Capture};
+use v6brick::sim::{
+    addrs, BorderRouter, FaultPlan, FrameSink, Host, Internet, Router, SimTime, SimulationBuilder,
+};
 
 /// The pinned window: long enough for bulk telemetry and its replies.
 const WINDOW: SimTime = SimTime::from_secs(120);
@@ -336,5 +345,91 @@ fn corrupted_telemetry_round_is_pinned() {
     assert!(
         c.corrupt_uploads_12k.iter().all(|&n| n > 0),
         "the window must corrupt uploads over both families: {c:?}"
+    );
+}
+
+/// The leaves of [`mesh_home_captures_are_pinned`], behind one border
+/// router.
+const MESH_LEAVES: [&str; 5] = [
+    "google_home_mini",
+    "echo_show_5",
+    "nest_camera",
+    "homepod_mini",
+    "aqara_hub",
+];
+/// The border router's seed, which is also the simulation's.
+const MESH_SEED: u64 = 0x6e53;
+const MESH_WINDOW: SimTime = SimTime::from_secs(150);
+
+/// FNV-1a over a capture's classic pcap bytes.
+fn pcap_digest(capture: &Capture) -> (usize, u64) {
+    let bytes = format::to_bytes(capture);
+    let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    (bytes.len(), hash)
+}
+
+/// LAN frames to or from the border router whose IPv6 payload exceeds
+/// what any 6LoWPAN datagram can carry once compressed.
+fn oversized_crossings(lan: &Capture) -> usize {
+    lan.iter()
+        .filter(|p| {
+            let Ok(eth) = Frame::new_checked(&p.data[..]) else {
+                return false;
+            };
+            let crosses =
+                eth.src() == addrs::BORDER_ROUTER_MAC || eth.dst() == addrs::BORDER_ROUTER_MAC;
+            crosses
+                && eth.ethertype() == EtherType::Ipv6
+                && ipv6::Packet::new_checked(eth.payload())
+                    .is_ok_and(|ip| ip.payload().len() > sixlowpan::MAX_DATAGRAM + 8)
+        })
+        .count()
+}
+
+/// ((LAN pcap bytes, FNV-1a), (mesh pcap bytes, FNV-1a), oversized
+/// LAN frames across the border) of the mesh home at [`MESH_WINDOW`].
+const PINNED_MESH: ((usize, u64), (usize, u64), usize) = (
+    (45_397_492, 0x099c_23df_05c3_d9f4),
+    (217_846, 0x0307_340f_18ac_9e41),
+    1_612,
+);
+
+#[test]
+fn mesh_home_captures_are_pinned() {
+    let profiles: Vec<_> = MESH_LEAVES.iter().map(|id| registry::by_id(id)).collect();
+    let config = NetworkConfig::Ipv6Only;
+    let mut b = SimulationBuilder::new(
+        Router::new(config.router_config()),
+        Internet::new(scenario::build_zones(&profiles)),
+    );
+    let leaves = profiles
+        .iter()
+        .map(|p| Box::new(IotDevice::new(p.clone())) as Box<dyn Host>)
+        .collect();
+    let br = b.add_host(Box::new(BorderRouter::new(MESH_SEED, leaves)));
+    let mut sim = b.seed(MESH_SEED).build();
+    sim.run_until(MESH_WINDOW);
+    let lan = sim.take_capture();
+    let mesh = sim
+        .host_mut(br)
+        .as_any_mut()
+        .downcast_mut::<BorderRouter>()
+        .expect("host is the border router")
+        .take_mesh_capture();
+    let got = (
+        pcap_digest(&lan),
+        pcap_digest(&mesh),
+        oversized_crossings(&lan),
+    );
+    assert_eq!(
+        got, PINNED_MESH,
+        "mesh home bytes changed: LAN {} bytes {:#018x}, mesh {} bytes {:#018x}, {} oversized crossings",
+        got.0 .0, got.0 .1, got.1 .0, got.1 .1, got.2
+    );
+    assert!(
+        got.2 > 0,
+        "the window must carry oversized datagrams across the border"
     );
 }
