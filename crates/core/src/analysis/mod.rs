@@ -29,10 +29,11 @@ pub mod types;
 pub use types::{DeviceObservation, ExperimentAnalysis};
 
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv6Addr};
 use std::time::Instant;
 use v6brick_net::dns::{MessageView, Name, NameText};
+use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv6::{Cidr, Ipv6AddrExt};
 use v6brick_net::parse::{self, Net, ParsedPacket, L4};
 use v6brick_net::{tls, Mac};
@@ -267,7 +268,9 @@ pub struct SharedState {
     /// list handed to [`StreamingAnalyzer::with_passes`].
     pub obs: Vec<DeviceObservation>,
     /// The global DNS answer map: IP → last name that resolved to it.
-    pub ip_to_name: BTreeMap<IpAddr, Name>,
+    /// Hashed while frames stream (std's keyed hasher: its keys come
+    /// from captured bytes), then ordered by [`StreamingAnalyzer::finish`].
+    pub ip_to_name: HashMap<IpAddr, Name>,
 }
 
 /// Lazily-computed per-frame derivations shared between passes, each
@@ -397,7 +400,9 @@ impl std::fmt::Debug for PassEntry {
 pub struct StreamingAnalyzer {
     devices: Vec<(Mac, String)>,
     lan_prefix: Cidr,
-    mac_index: HashMap<Mac, usize>,
+    /// Device MAC → index, built from the device list the caller hands
+    /// over, so it hashes with [`FxHashMap`]'s unkeyed hasher.
+    mac_index: FxHashMap<Mac, usize>,
     /// IPv6 address → device index, consulted only when MAC attribution
     /// fails — the mesh case, where every leaf frame carries the border
     /// router's MAC. Empty (and therefore free) for Ethernet-only homes.
@@ -463,7 +468,7 @@ impl StreamingAnalyzer {
             mesh_bindings: HashMap::new(),
             state: SharedState {
                 obs: vec![DeviceObservation::default(); devices.len()],
-                ip_to_name: BTreeMap::new(),
+                ip_to_name: HashMap::new(),
             },
             passes,
             frames: 0,
@@ -582,8 +587,8 @@ impl StreamingAnalyzer {
         }
     }
 
-    /// Finalize: key the per-device observations by label and let each
-    /// pass move its private results over. Consumes the analyzer — the
+    /// Finalize: key the per-device observations by label, order the
+    /// DNS answer map, and let each pass move its private results over. Consumes the analyzer — the
     /// state *is* the result.
     pub fn finish(self) -> ExperimentAnalysis {
         let mut analysis = ExperimentAnalysis {
@@ -593,7 +598,7 @@ impl StreamingAnalyzer {
                 .zip(self.state.obs)
                 .map(|((_, label), o)| (label.clone(), o))
                 .collect(),
-            ip_to_name: self.state.ip_to_name,
+            ip_to_name: self.state.ip_to_name.into_iter().collect(),
             unattributed_frames: self.unattributed,
             frames: self.frames,
             parse_errors: self.parse_errors,

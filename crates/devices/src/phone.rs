@@ -5,9 +5,9 @@
 
 use rand::Rng;
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dns::{MessageView, Name, RecordType, Writer};
+use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv6::mcast;
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
@@ -32,7 +32,7 @@ pub struct Phone {
     gua: Option<Ipv6Addr>,
     v6_dns: Vec<Ipv6Addr>,
     router_mac: Option<Mac>,
-    pending: HashMap<u16, RecordType>,
+    pending: FxHashMap<u16, RecordType>,
     /// Did the canary resolve over v4 / over v6?
     pub canary_v4: bool,
     /// Did the canary domain resolve over IPv6 transport?
@@ -69,7 +69,7 @@ impl Phone {
             gua: None,
             v6_dns: Vec::new(),
             router_mac: None,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             canary_v4: false,
             canary_v6: false,
             discover_sent: false,

@@ -11,10 +11,11 @@
 use crate::profile::*;
 use rand::Rng;
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use v6brick_net::dns::{Message, MessageView, Name, RecordType, Writer};
+use v6brick_net::hash::{FxHashMap, FxHashSet};
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
 use v6brick_net::parse::{Net, ParsedPacket, L4};
@@ -160,14 +161,14 @@ pub struct IotDevice {
     lla_rotated: bool,
 
     // DNS.
-    resolved4: HashMap<Name, Ipv4Addr>,
-    resolved6: HashMap<Name, Ipv6Addr>,
-    negative6: HashSet<Name>,
-    pending: HashMap<u16, PendingQuery>,
+    resolved4: FxHashMap<Name, Ipv4Addr>,
+    resolved6: FxHashMap<Name, Ipv6Addr>,
+    negative6: FxHashSet<Name>,
+    pending: FxHashMap<u16, PendingQuery>,
     /// Query dedup/retry state, per name: attempts made at each lookup
     /// and the tick of the last attempt. Lost queries (frame-loss
     /// injection) are retried with backoff, up to four attempts.
-    asked: HashMap<Name, Vec<Attempts>>,
+    asked: FxHashMap<Name, Vec<Attempts>>,
     next_txid: u16,
 
     // Transport. Keyed by local port and walked in port order, so the
@@ -181,14 +182,14 @@ pub struct IotDevice {
     /// Destinations whose IPv6 path timed out (AAAA published, server
     /// unreachable over v6 — the paper's §7 caveat): currently served
     /// over IPv4, with a backed-off v6 probe racing for recovery.
-    fallback: HashMap<Name, FallbackState>,
+    fallback: FxHashMap<Name, FallbackState>,
     /// Every family switch in chronological order (Table 9 input).
     switch_events: Vec<SwitchEvent>,
     /// Simulated wall clock of the current callback, in microseconds.
     now_us: u64,
 
     // Application accounting (read by the functionality tester).
-    connected: HashSet<Name>,
+    connected: FxHashSet<Name>,
     seed: u64,
 }
 
@@ -225,20 +226,20 @@ impl IotDevice {
             rs_sent: 0,
             churn_left: profile.ipv6.addr_churn,
             lla_rotated: false,
-            resolved4: HashMap::new(),
-            resolved6: HashMap::new(),
-            negative6: HashSet::new(),
-            pending: HashMap::new(),
-            asked: HashMap::new(),
+            resolved4: FxHashMap::default(),
+            resolved6: FxHashMap::default(),
+            negative6: FxHashSet::default(),
+            pending: FxHashMap::default(),
+            asked: FxHashMap::default(),
             next_txid: (seed as u16) | 1,
             conns: BTreeMap::new(),
             next_port: 40_000 + (seed % 1000) as u16,
             ntp_done: false,
             stateful_probe_done: false,
-            fallback: HashMap::new(),
+            fallback: FxHashMap::default(),
             switch_events: Vec::new(),
             now_us: 0,
-            connected: HashSet::new(),
+            connected: FxHashSet::default(),
             seed,
             profile: Arc::new(profile),
         }

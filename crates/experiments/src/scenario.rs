@@ -14,7 +14,7 @@
 
 use crate::config::NetworkConfig;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::{ExperimentAnalysis, StreamingAnalyzer};
 use v6brick_core::outage::SwitchRecord;
@@ -22,6 +22,7 @@ use v6brick_devices::phone::Phone;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
 use v6brick_devices::stack::{ntp_anycast, IotDevice};
+use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv6::Cidr;
 use v6brick_net::Mac;
 use v6brick_sim::event::SimTime;
@@ -88,7 +89,7 @@ pub fn build_zones<P: Borrow<DeviceProfile>>(profiles: &[P]) -> ZoneDb {
 /// assembly order is identical.
 #[derive(Default)]
 pub struct ZoneCache {
-    fragments: HashMap<String, Vec<DomainProfile>>,
+    fragments: FxHashMap<String, Vec<DomainProfile>>,
 }
 
 impl ZoneCache {
@@ -559,6 +560,7 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use v6brick_net::dns::Name;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {

@@ -9,7 +9,7 @@
 
 use crate::config::NetworkConfig;
 use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::{LazyLock, OnceLock};
 use v6brick_core::analysis::PassId;
 use v6brick_core::funnel::Stage;
@@ -17,6 +17,7 @@ use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
 use v6brick_fleet::run_indexed;
+use v6brick_net::hash::FxHashMap;
 
 /// One more than the highest `NetworkConfig` discriminant — the size of
 /// the config-indexed run lookup table.
@@ -53,7 +54,7 @@ pub struct ExperimentSuite {
     /// Memoized scope unions, one map (device id → merged observation)
     /// per [`SCOPES`] entry, built in one pass on first use: the table
     /// generators read the same unions thousands of times.
-    unions: [OnceLock<HashMap<String, DeviceObservation>>; 3],
+    unions: [OnceLock<FxHashMap<String, DeviceObservation>>; 3],
 }
 
 impl ExperimentSuite {
@@ -153,7 +154,7 @@ impl ExperimentSuite {
     fn union(&self, scope: usize, id: &str) -> &DeviceObservation {
         self.unions[scope]
             .get_or_init(|| {
-                let mut merged: HashMap<String, DeviceObservation> = HashMap::new();
+                let mut merged: FxHashMap<String, DeviceObservation> = FxHashMap::default();
                 for run in SCOPES[scope].iter().filter_map(|c| self.run_opt(*c)) {
                     for (id, o) in &run.analysis.devices {
                         merge_into(merged.entry(id.clone()).or_default(), o);

@@ -39,6 +39,7 @@ pub mod dhcpv6;
 pub mod dns;
 pub mod error;
 pub mod ethernet;
+pub mod hash;
 pub mod icmpv4;
 pub mod icmpv6;
 pub mod ieee802154;
@@ -56,4 +57,4 @@ pub mod udp;
 pub use error::{Error, Result};
 pub use mac::Mac;
 pub use parse::{ParsedPacket, L4};
-pub use run::Run;
+pub use run::{Run, Speller};

@@ -9,7 +9,9 @@
 //! header. Senders emit only the headers, with the run's share of the
 //! transport checksum computed arithmetically
 //! ([`crate::checksum::Checksum::add_run`]); whoever reads the bytes
-//! spells the run out behind the headers with [`Run::spell`].
+//! spells the run out behind the headers with [`Run::spell`], or with a
+//! [`Speller`], which spells each recent pattern once and serves every
+//! later run of it from those bytes.
 
 use crate::tls;
 
@@ -128,6 +130,94 @@ impl Run {
     }
 }
 
+/// How many recently spelled patterns a [`Speller`] keeps.
+const SLOTS: usize = 4;
+
+/// The bytes in front of each slot's run, where a frame's head is
+/// copied: more than any head the simulation builds before a run (a
+/// ClientHello behind Ethernet and IPv6 headers is under 200 bytes).
+const ROOM: usize = 256;
+
+/// Spells packets that end in runs, keeping each recently spelled
+/// pattern so that it is written out once, not once per packet.
+///
+/// Each of a few slots holds one pattern, spelled from `ROOM` bytes into
+/// its buffer. A packet whose run has a slot's pattern and is no longer
+/// than what the slot has spelled costs a copy of its head in front of
+/// those bytes: a cut run spells a prefix of the longer run with the
+/// same pattern. A longer run extends the slot, a new pattern takes the
+/// least recently used slot, and a head longer than `ROOM` is spelled
+/// whole in a buffer of its own.
+#[derive(Debug, Clone, Default)]
+pub struct Speller {
+    slots: [Slot; SLOTS],
+    /// Spellings so far: each slot is stamped with its last one.
+    uses: u64,
+    /// Where a packet whose head does not fit in front of a slot's run
+    /// is spelled.
+    spare: Vec<u8>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Slot {
+    /// The pattern spelled from `ROOM` on; `None` while unused.
+    pattern: Option<Pattern>,
+    /// `ROOM` bytes for a head, then the spelled run.
+    buf: Vec<u8>,
+    /// The `uses` count at this slot's last use.
+    used: u64,
+}
+
+impl Speller {
+    /// An empty speller; its slots allocate on first use.
+    pub fn new() -> Speller {
+        Speller::default()
+    }
+
+    /// The bytes of `head` followed by `run`, as [`Run::spell`] gives
+    /// them: `head` itself when the run is empty.
+    pub fn spell<'a>(&'a mut self, head: &'a [u8], run: Run) -> &'a [u8] {
+        if run.is_empty() {
+            return head;
+        }
+        if head.len() > ROOM {
+            return run.spell(head, &mut self.spare);
+        }
+        self.uses += 1;
+        let slot = match self
+            .slots
+            .iter()
+            .position(|s| s.pattern == Some(run.pattern))
+        {
+            Some(i) => &mut self.slots[i],
+            None => {
+                let lru = self.slots.iter_mut().min_by_key(|s| s.used);
+                let slot = lru.expect("a speller has slots");
+                slot.pattern = Some(run.pattern);
+                slot.buf.clear();
+                slot.buf.resize(ROOM, 0);
+                slot
+            }
+        };
+        slot.used = self.uses;
+        let end = ROOM + run.len();
+        if slot.buf.len() < end {
+            // The slot holds a prefix of this run: spell only the rest.
+            let buf = &mut slot.buf;
+            let mut skip = buf.len() - ROOM;
+            buf.reserve(end - buf.len());
+            run.stretches(|byte, n| {
+                let skipped = n.min(skip);
+                skip -= skipped;
+                buf.resize(buf.len() + n - skipped, byte);
+            });
+        }
+        let start = ROOM - head.len();
+        slot.buf[start..ROOM].copy_from_slice(head);
+        &slot.buf[start..end]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,6 +238,33 @@ mod tests {
         assert!(spelled[5..4101].iter().all(|&b| b == 0x5a));
         assert_eq!(spelled[4101..], [23, 3, 3, 0, 2, 0x5a, 0x5a]);
         assert!(Run::tls_padding(0).is_empty());
+    }
+
+    #[test]
+    fn a_speller_reuses_extends_and_evicts_its_slots() {
+        let mut sp = Speller::new();
+        let head = [1u8; 40];
+        let spell = |run: Run, head: &[u8]| run.spell(head, &mut Vec::new()).to_vec();
+        let long = Run::tls_padding(5000);
+        assert_eq!(
+            sp.spell(&head, long.cut(0, 300)),
+            spell(long.cut(0, 300), &head)
+        );
+        assert_eq!(sp.spell(&head, long), spell(long, &head));
+        assert_eq!(
+            sp.spell(b"xy", long.cut(0, 10)),
+            spell(long.cut(0, 10), b"xy")
+        );
+        // Six patterns in four slots: the padding is evicted, then
+        // spelled again.
+        for byte in 0..5 {
+            let run = Run::new(byte, 100 + usize::from(byte));
+            assert_eq!(sp.spell(b"h", run), spell(run, b"h"));
+        }
+        assert_eq!(sp.spell(&head, long), spell(long, &head));
+        let big_head = [7u8; ROOM + 1];
+        assert_eq!(sp.spell(&big_head, long), spell(long, &big_head));
+        assert_eq!(sp.spell(b"ab", Run::default()), b"ab");
     }
 
     #[test]

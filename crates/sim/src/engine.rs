@@ -11,10 +11,11 @@
 //!
 //! A queued frame or packet may end in a [`Run`] (a bulk payload: a
 //! cloud reply's repeated byte, or a telemetry upload's TLS padding).
-//! The engine spells a LAN frame's run out once per delivery, into one
-//! buffer it reuses, before the loss and corruption injectors, the tap
-//! and the hosts read the frame, so every tapped and delivered byte is
-//! the frame's full bytes. The router reads only headers, so it is
+//! The engine spells a LAN frame out with its [`Speller`] before the loss
+//! and corruption injectors, the tap and the hosts read the frame, so
+//! every tapped and delivered byte is the frame's full bytes. The speller
+//! writes each recent run pattern out once and copies only a frame's
+//! head in front of it, so a delivery does not rewrite its bulk payload. The router reads only headers, so it is
 //! handed the frame as its sender queued it, run unspelled, unless the
 //! corruption injector flipped a byte in it. WAN packets travel
 //! unspelled: the router and the internet model read their headers and
@@ -30,7 +31,7 @@ use crate::wire::Queued;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use v6brick_net::ethernet::Frame;
-use v6brick_net::{ipv4, Mac, Run};
+use v6brick_net::{ipv4, Mac, Run, Speller};
 use v6brick_pcap::Capture;
 pub use v6brick_pcap::FrameSink;
 
@@ -146,7 +147,7 @@ impl SimulationBuilder {
             frames_lost: 0,
             frames_corrupted: 0,
             tunnel_drops: 0,
-            spelled: Vec::new(),
+            speller: Speller::new(),
         }
     }
 }
@@ -180,9 +181,9 @@ pub struct Simulation {
     pub frames_corrupted: u64,
     /// WAN 6in4 packets swallowed by tunnel-outage windows.
     pub tunnel_drops: u64,
-    /// Where a frame ending in a run is spelled out, reused from one
-    /// delivery to the next.
-    spelled: Vec<u8>,
+    /// Where a frame ending in a run is spelled out: each run pattern
+    /// once, then reused for every later frame it covers.
+    speller: Speller,
 }
 
 impl Simulation {
@@ -278,7 +279,7 @@ impl Simulation {
             frames_lost: self.frames_lost,
             frames_corrupted: self.frames_corrupted,
             tunnel_drops: self.tunnel_drops,
-            spelled: Vec::new(),
+            speller: Speller::new(),
         })
     }
 
@@ -296,26 +297,16 @@ impl Simulation {
                 Self::apply(&mut self.queue, self.clock, i, fx);
             }
         }
-        loop {
-            // Peek before popping so a beyond-deadline event keeps its
-            // original sequence number (pop-and-repush would reorder it
-            // behind same-timestamp peers on the next run_until call).
-            match self.queue.peek_time() {
-                None => break,
-                Some(at) if at > deadline => {
-                    self.clock = deadline;
-                    return;
-                }
-                Some(_) => {}
-            }
-            let ev = self.queue.pop().expect("peeked event exists");
+        // An event past the deadline stays queued with its sequence
+        // number, so it keeps its place among same-time peers.
+        while let Some(ev) = self.queue.pop_due(deadline) {
             self.clock = ev.at;
             match ev.kind {
                 EventKind::LanFrame { from, frame, run } => {
-                    let mut spelled = std::mem::take(&mut self.spelled);
+                    let mut speller = std::mem::take(&mut self.speller);
                     let queued = Queued { head: &frame, run };
-                    self.deliver_lan(from, queued, run.spell(&frame, &mut spelled));
-                    self.spelled = spelled;
+                    self.deliver_lan(from, queued, speller.spell(&frame, run));
+                    self.speller = speller;
                 }
                 EventKind::Timer { host, token } => {
                     let mut fx = Effects::new(&mut self.rng);

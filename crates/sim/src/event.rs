@@ -186,16 +186,22 @@ impl EventQueue {
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        match self.least()?.0 {
+        self.pop_due(SimTime(u64::MAX))
+    }
+
+    /// Remove and return the earliest event if it is due by `deadline`
+    /// (inclusive). A later event stays queued as it was, sequence
+    /// number included.
+    pub fn pop_due(&mut self, deadline: SimTime) -> Option<Event> {
+        let (lane, first) = self.least()?;
+        if first.at > deadline {
+            return None;
+        }
+        match lane {
             Lane::Heap => self.heap.pop().map(|Reverse(QueuedEvent(e))| e),
             Lane::Lan => self.lan.pop_front(),
             Lane::Wan => self.wan.pop_front(),
         }
-    }
-
-    /// The timestamp of the earliest pending event, without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.least().map(|(_, e)| e.at)
     }
 
     /// Number of pending events.

@@ -14,11 +14,12 @@ use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
 use crate::wire::{alloc, Queued};
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
 use v6brick_net::dns::{MessageView, Name, Rcode, Rdata, RecordType, Section, Writer};
+use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::Ipv6AddrExt;
 use v6brick_net::udp::PseudoHeader;
@@ -99,7 +100,7 @@ pub fn derive_addrs(name: &Name) -> (Ipv4Addr, Ipv6Addr) {
 /// The authoritative zone database the public resolvers answer from.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneDb {
-    domains: HashMap<Name, DomainProfile>,
+    domains: FxHashMap<Name, DomainProfile>,
 }
 
 impl ZoneDb {
@@ -143,8 +144,8 @@ impl ZoneDb {
 #[derive(Debug)]
 struct Zones {
     db: ZoneDb,
-    by_v4: HashMap<Ipv4Addr, Name>,
-    by_v6: HashMap<Ipv6Addr, Name>,
+    by_v4: FxHashMap<Ipv4Addr, Name>,
+    by_v6: FxHashMap<Ipv6Addr, Name>,
 }
 
 /// The Internet entity: resolvers + remote servers + the 6in4 far end.
@@ -170,8 +171,8 @@ pub struct Internet {
 impl Internet {
     /// Build from a zone database.
     pub fn new(zones: ZoneDb) -> Internet {
-        let mut by_v4 = HashMap::new();
-        let mut by_v6 = HashMap::new();
+        let mut by_v4 = FxHashMap::default();
+        let mut by_v6 = FxHashMap::default();
         for p in zones.iter() {
             if let Some(a) = p.a {
                 by_v4.insert(a, p.name.clone());

@@ -30,6 +30,12 @@
 //! * **No mesh-local prefix.** Leaf traffic that crosses the border
 //!   uses LAN-prefix addresses, which also serve as IPHC compression
 //!   context 0; nothing is numbered from a Thread-style mesh-local ULA.
+//! * **Oversized datagrams.** A packet too long for one 6LoWPAN
+//!   datagram (over 2,047 bytes compressed: a leaf's 12 KB upload, the
+//!   replies it draws) takes a datagram tag but puts nothing on the air,
+//!   and one whose payload alone is longer is not compressed either. It
+//!   still crosses the border on the Ethernet side. A real leaf would
+//!   segment its TCP to the 1,280-byte IPv6 minimum MTU.
 
 use crate::addrs;
 use crate::event::SimTime;
@@ -143,14 +149,40 @@ impl BorderRouter {
         &self.mesh_capture
     }
 
+    /// Put one IPv6 packet, `ip` carrying `payload`, on the mesh air
+    /// between `src` and `dst`: compress it and transmit the datagram.
+    ///
+    /// Compression shortens a payload by at most 4 bytes (NHC-UDP turns
+    /// the 8-byte UDP header into at least 4) and IPHC adds at least 2,
+    /// so a payload over `MAX_DATAGRAM + 8` bytes can never fit one
+    /// datagram. It is not compressed; it takes a datagram tag, as the
+    /// refused datagram would have.
+    fn put_on_air(
+        &mut self,
+        now: SimTime,
+        ip: &ipv6::Repr,
+        payload: &[u8],
+        src: [u8; 8],
+        dst: [u8; 8],
+    ) {
+        if payload.len() > sixlowpan::MAX_DATAGRAM + 8 {
+            self.tag = self.tag.wrapping_add(1);
+            return;
+        }
+        let compressed = sixlowpan::compress(ip, payload, &src, &dst, Some(&self.context));
+        self.transmit_mesh(now, src, dst, &compressed);
+    }
+
     /// Put one compressed datagram on the mesh air interface: fragment,
     /// frame, and time each fragment through the slotted CSMA MAC.
     fn transmit_mesh(&mut self, now: SimTime, src: [u8; 8], dst: [u8; 8], datagram: &[u8]) {
         let tag = self.tag;
         self.tag = self.tag.wrapping_add(1);
         let Ok(frags) = sixlowpan::fragment(datagram, tag, ieee802154::MAX_PAYLOAD) else {
-            // Oversized even for FRAG headers (> 2047 bytes compressed):
-            // nothing on the LAN side produces this, but stay total.
+            // Too long for FRAG headers (over 2,047 bytes compressed).
+            // Leaf uploads and the replies they draw are; `put_on_air` keeps
+            // the longest from being compressed at all. The packet still
+            // crosses on the Ethernet side, with no airtime.
             return;
         };
         for frag in frags {
@@ -237,7 +269,7 @@ impl BorderRouter {
             return;
         };
         let ip = ipv6::Repr::parse(&ip_pkt);
-        let payload = ip_pkt.payload().to_vec();
+        let payload = ip_pkt.payload();
 
         // Source learning: the return-path route for this leaf.
         if !ip.src.is_unspecified() && !ip.src.is_multicast() {
@@ -250,17 +282,14 @@ impl BorderRouter {
         } else {
             self.br_ext()
         };
-        let ctx = self.context;
-        let compressed =
-            sixlowpan::compress(&ip, &payload, &self.leaf_ext(idx), &ll_dst, Some(&ctx));
-        self.transmit_mesh(now, self.leaf_ext(idx), ll_dst, &compressed);
+        self.put_on_air(now, &ip, payload, self.leaf_ext(idx), ll_dst);
 
         // Ethernet side: the border router is the link-layer source. NDP
         // link-layer address options must follow (ND proxy) — rebuild
         // those messages so checksums stay valid; everything else only
         // needs the Ethernet source swapped.
         let rewritten = if ip.next_header == ipv4::Protocol::Icmpv6 {
-            self.proxy_ndp(&eth_repr, &ip, &payload)
+            self.proxy_ndp(&eth_repr, &ip, payload)
         } else {
             None
         };
@@ -347,18 +376,10 @@ impl BorderRouter {
             return;
         };
         let ip = ipv6::Repr::parse(&ip_pkt);
-        let payload = ip_pkt.payload().to_vec();
-        let ctx = self.context;
+        let payload = ip_pkt.payload();
 
         if eth_repr.dst.is_multicast() {
-            let compressed = sixlowpan::compress(
-                &ip,
-                &payload,
-                &self.br_ext(),
-                &ieee802154::BROADCAST,
-                Some(&ctx),
-            );
-            self.transmit_mesh(now, self.br_ext(), ieee802154::BROADCAST, &compressed);
+            self.put_on_air(now, &ip, payload, self.br_ext(), ieee802154::BROADCAST);
             self.forwarded_down += 1;
             for idx in 0..self.leaves.len() {
                 self.with_leaf(idx, now, fx, |leaf, inner| leaf.on_frame(now, frame, inner));
@@ -371,14 +392,7 @@ impl BorderRouter {
             self.no_route_drops += 1;
             return;
         };
-        let compressed = sixlowpan::compress(
-            &ip,
-            &payload,
-            &self.br_ext(),
-            &self.leaf_ext(idx),
-            Some(&ctx),
-        );
-        self.transmit_mesh(now, self.br_ext(), self.leaf_ext(idx), &compressed);
+        self.put_on_air(now, &ip, payload, self.br_ext(), self.leaf_ext(idx));
         self.forwarded_down += 1;
         let mut delivered = frame.to_vec();
         delivered[0..6].copy_from_slice(self.leaf_macs[idx].as_bytes());

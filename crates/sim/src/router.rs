@@ -18,10 +18,10 @@ use crate::event::SimTime;
 use crate::faults::FaultPlan;
 use crate::host::Effects;
 use crate::wire::{self, alloc, eth_frame, Queued};
-use std::collections::{HashMap, HashSet};
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::dhcpv6::OPTION_DNS_SERVERS;
 use v6brick_net::ethernet::EtherType;
+use v6brick_net::hash::{FxHashMap, FxHashSet};
 use v6brick_net::ipv4::Protocol;
 use v6brick_net::ipv6::{mcast, Ipv6AddrExt};
 use v6brick_net::ndp::{NdpOption, Repr as Ndp};
@@ -106,24 +106,24 @@ const TOKEN_PERIODIC_RA: u64 = 1;
 pub struct Router {
     config: RouterConfig,
     /// DHCPv4 leases: MAC → assigned address.
-    leases_v4: HashMap<Mac, Ipv4Addr>,
+    leases_v4: FxHashMap<Mac, Ipv4Addr>,
     next_v4_host: u8,
     /// ARP/forwarding table for IPv4.
-    arp_table: HashMap<Ipv4Addr, Mac>,
+    arp_table: FxHashMap<Ipv4Addr, Mac>,
     /// IPv6 neighbor table (the port scanner's target list).
-    neighbors_v6: HashMap<Ipv6Addr, Mac>,
+    neighbors_v6: FxHashMap<Ipv6Addr, Mac>,
     /// Stateful DHCPv6 assignments: DUID → address.
-    leases_v6: HashMap<Vec<u8>, Ipv6Addr>,
+    leases_v6: FxHashMap<Vec<u8>, Ipv6Addr>,
     next_v6_host: u16,
     /// NAT44: (lan ip, lan port, proto) → wan port, plus the reverse.
-    nat_out: HashMap<(Ipv4Addr, u16, u8), u16>,
-    nat_in: HashMap<(u16, u8), (Ipv4Addr, u16)>,
+    nat_out: FxHashMap<(Ipv4Addr, u16, u8), u16>,
+    nat_in: FxHashMap<(u16, u8), (Ipv4Addr, u16)>,
     next_nat_port: u16,
     /// Stateful v6 firewall table: flows the LAN initiated, keyed
     /// (lan addr, remote addr, proto, lan port, remote port). Entries
     /// never expire — simulated campaigns are far shorter than any real
     /// conntrack timeout.
-    v6_flows: HashSet<(Ipv6Addr, Ipv6Addr, u8, u16, u16)>,
+    v6_flows: FxHashSet<(Ipv6Addr, Ipv6Addr, u8, u16, u16)>,
     /// Fault schedule (RA suppression, DHCPv6 silence windows).
     faults: FaultPlan,
     /// Frames the router dropped (v4 without NAT state, unroutable v6...).
@@ -137,16 +137,16 @@ impl Router {
     pub fn new(config: RouterConfig) -> Router {
         Router {
             config,
-            leases_v4: HashMap::new(),
+            leases_v4: FxHashMap::default(),
             next_v4_host: addrs::DHCP4_POOL_START,
-            arp_table: HashMap::new(),
-            neighbors_v6: HashMap::new(),
-            leases_v6: HashMap::new(),
+            arp_table: FxHashMap::default(),
+            neighbors_v6: FxHashMap::default(),
+            leases_v6: FxHashMap::default(),
             next_v6_host: addrs::DHCP6_POOL_START,
-            nat_out: HashMap::new(),
-            nat_in: HashMap::new(),
+            nat_out: FxHashMap::default(),
+            nat_in: FxHashMap::default(),
             next_nat_port: 20_000,
-            v6_flows: HashSet::new(),
+            v6_flows: FxHashSet::default(),
             faults: FaultPlan::new(),
             dropped: 0,
             wan_v6_filtered: 0,

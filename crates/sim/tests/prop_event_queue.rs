@@ -1,5 +1,6 @@
 //! The event queue against a plain binary heap: whatever is pushed, in
-//! whatever order, events leave in `(time, sequence)` order, and a copy
+//! whatever order, events leave in `(time, sequence)` order, a pop with
+//! a deadline takes the earliest event only when it is due, and a copy
 //! taken midway drains like the original.
 //!
 //! The queue keeps LAN frames and WAN packets in per-link FIFOs and only
@@ -38,6 +39,9 @@ enum When {
 enum Op {
     Push(Kind, When),
     Pop,
+    /// Pop with a deadline: the link's delay after the clock for
+    /// `When::Link` (the LAN's), or as for a push.
+    PopDue(When),
     /// Copy the queue and check the copy drains like the original.
     Fork,
 }
@@ -52,10 +56,27 @@ fn arb_op() -> impl Strategy<Value = Op> {
         };
         match op {
             0..=8 => Op::Push(kind, when),
-            9..=14 => Op::Pop,
+            9..=11 => Op::Pop,
+            12..=14 => Op::PopDue(when),
             _ => Op::Fork,
         }
     })
+}
+
+/// The absolute time `when` names for an event of `kind`, at `clock`.
+fn time_of(when: When, kind: Kind, clock: SimTime) -> SimTime {
+    match when {
+        When::Link => {
+            clock
+                + SimTime(match kind {
+                    Kind::Lan => addrs::LAN_DELAY_US,
+                    Kind::Wan => addrs::WAN_DELAY_US,
+                    Kind::Timer => 1_000_000,
+                })
+        }
+        When::After(t) => clock + SimTime(t),
+        When::At(t) => SimTime(t),
+    }
 }
 
 fn event_kind(kind: Kind, tag: u64) -> EventKind {
@@ -90,9 +111,11 @@ fn key(e: &Event) -> (SimTime, u64, Kind) {
 /// Pop everything from both and compare.
 fn drain(mut q: EventQueue, mut reference: BinaryHeap<Reverse<(SimTime, u64, Kind)>>) {
     while let Some(Reverse(want)) = reference.pop() {
-        assert_eq!(q.peek_time(), Some(want.0));
+        if let Some(before) = want.0.as_micros().checked_sub(1) {
+            assert!(q.pop_due(SimTime(before)).is_none(), "not due yet");
+        }
         let got = q
-            .pop()
+            .pop_due(want.0)
             .expect("the queue holds as many events as the reference");
         assert_eq!(key(&got), want);
     }
@@ -112,23 +135,22 @@ proptest! {
         for op in ops {
             match op {
                 Op::Push(kind, when) => {
-                    let at = match when {
-                        When::Link => clock + SimTime(match kind {
-                            Kind::Lan => addrs::LAN_DELAY_US,
-                            Kind::Wan => addrs::WAN_DELAY_US,
-                            Kind::Timer => 1_000_000,
-                        }),
-                        When::After(t) => clock + SimTime(t),
-                        When::At(t) => SimTime(t),
-                    };
+                    let at = time_of(when, kind, clock);
                     q.push(at, event_kind(kind, seq));
                     reference.push(Reverse((at, seq, kind)));
                     seq += 1;
                 }
-                Op::Pop => {
-                    let want = reference.pop().map(|Reverse(k)| k);
-                    prop_assert_eq!(q.peek_time(), want.map(|k| k.0));
-                    let got = q.pop();
+                Op::Pop | Op::PopDue(_) => {
+                    let deadline = match op {
+                        Op::PopDue(when) => time_of(when, Kind::Lan, clock),
+                        _ => SimTime(u64::MAX),
+                    };
+                    let due = reference.peek().is_some_and(|Reverse(k)| k.0 <= deadline);
+                    let want = if due { reference.pop().map(|Reverse(k)| k) } else { None };
+                    let got = match op {
+                        Op::PopDue(_) => q.pop_due(deadline),
+                        _ => q.pop(),
+                    };
                     prop_assert_eq!(got.as_ref().map(key), want);
                     if let Some(e) = got {
                         clock = e.at;
