@@ -98,6 +98,27 @@ mod tests {
     }
 
     #[test]
+    fn name_keys_are_found_by_text_and_iterate_alike() {
+        use crate::dns::Name;
+        let names = ["cloud.example", "ntp.example", "a.b.c.example", "x.example"];
+        let fill = || {
+            let mut map = FxHashMap::default();
+            for (i, n) in names.iter().enumerate() {
+                map.insert(Name::new(n).unwrap(), i);
+            }
+            map
+        };
+        let (a, b) = (fill(), fill());
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(a.get(*n), Some(&i), "{n} by &str");
+        }
+        assert_eq!(a.get("missing.example"), None);
+        assert!(a.iter().eq(b.iter()), "no per-map keys");
+        let set: FxHashSet<Name> = a.into_keys().collect();
+        assert!(set.contains("ntp.example"));
+    }
+
+    #[test]
     fn small_keys_spread_over_the_low_bits() {
         // Sequential ports must not share a bucket in a small table.
         let buckets: HashSet<u64> = (40_000u16..40_064).map(|p| hash(&p) & 63).collect();

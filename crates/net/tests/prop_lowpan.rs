@@ -342,4 +342,62 @@ proptest! {
         prop_assert_eq!(rip.dst, ip.dst);
         prop_assert_eq!(rp, payload);
     }
+
+    #[test]
+    fn payloads_past_the_datagram_bound_never_fit_one(
+        ll_src in arb_ll(),
+        ll_dst in arb_ll(),
+        (src_prefix, src_iid_mode, src_short, src_iid) in
+            (any::<u8>(), any::<u8>(), any::<u16>(), any::<[u8; 8]>()),
+        (dst_prefix, dst_iid_mode, dst_short, dst_iid) in
+            (any::<u8>(), any::<u8>(), any::<u16>(), any::<[u8; 8]>()),
+        (mcast_mode, mcast_scope, mcast_tail) in
+            (any::<u8>(), any::<u8>(), any::<[u8; 15]>()),
+        kind in 0u8..5, // as above, plus 4 = the tightest compression there is
+        (hlim_mode, hlim_raw) in (any::<u8>(), any::<u8>()),
+        (udp, sport, dport) in (any::<bool>(), any::<u16>(), any::<u16>()),
+        past in 1usize..400,
+        tag in any::<u16>(),
+    ) {
+        // The 6LoWPAN border router skips compressing a payload longer
+        // than MAX_DATAGRAM + 8 bytes: compression must never fit one.
+        let (src, dst, hop_limit, udp, ports) = if kind == 4 {
+            // Both addresses elided (link-local, each from its
+            // link-layer address), hop limit elided, NHC-UDP with both
+            // ports in four bits each: 2 bytes shorter than the payload.
+            let (src, dst) = (unicast(0, 0, ll_src, 0, [0; 8]), unicast(0, 0, ll_dst, 0, [0; 8]));
+            (src, dst, 64, true, (0xf0b0 | sport & 15, 0xf0b0 | dport & 15))
+        } else {
+            let src = if kind == 1 {
+                Ipv6Addr::UNSPECIFIED
+            } else {
+                unicast(src_prefix, src_iid_mode, ll_src, src_short, src_iid)
+            };
+            let dst = if kind >= 2 {
+                multicast(mcast_mode, mcast_scope, mcast_tail)
+            } else {
+                unicast(dst_prefix, dst_iid_mode, ll_dst, dst_short, dst_iid)
+            };
+            (src, dst, hop_limit_of(hlim_mode, hlim_raw), udp, (sport, dport))
+        };
+        let len = sixlowpan::MAX_DATAGRAM + 8 + past;
+        let payload = if udp {
+            udp::Repr { src_port: ports.0, dst_port: ports.1, payload: vec![0x5a; len - 8] }
+                .build(PseudoHeader::V6 { src, dst })
+        } else {
+            vec![0x5a; len]
+        };
+        let ip = ipv6::Repr {
+            src, dst,
+            next_header: if udp { Protocol::Udp } else { Protocol::Tcp },
+            hop_limit,
+            payload_len: len,
+        };
+        let c = sixlowpan::compress(&ip, &payload, &ll_src, &ll_dst, Some(&ctx()));
+        prop_assert!(c.len() > sixlowpan::MAX_DATAGRAM, "{} bytes compressed", c.len());
+        if kind == 4 {
+            prop_assert_eq!(c.len(), len - 2);
+        }
+        prop_assert!(sixlowpan::fragment(&c, tag, ieee802154::MAX_PAYLOAD).is_err());
+    }
 }

@@ -7,7 +7,7 @@ use v6brick_net::ipv4::Protocol;
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{
     arp, checksum, dhcpv4, dhcpv6, dns, ethernet, icmpv4, icmpv6, ipv4, ipv6, ndp, tcp, tls, udp,
-    Mac, Run,
+    Mac, Run, Speller,
 };
 
 fn arb_mac() -> impl Strategy<Value = Mac> {
@@ -225,6 +225,24 @@ fn arb_run() -> impl Strategy<Value = Run> {
             }
         },
     )
+}
+
+/// A run of one of nine patterns, more than a [`Speller`] keeps: fills
+/// of three bytes, and padding of six data sizes, two of them one record
+/// apart and one a single byte past a whole record. Half are cut short,
+/// to any length.
+fn arb_speller_run() -> impl Strategy<Value = Run> {
+    (0usize..9, any::<bool>(), 0usize..=13_000).prop_map(|(pattern, cut, end)| {
+        let run = match pattern {
+            0..=2 => Run::new(pattern as u8 * 0x51, 3_000 + 4_000 * pattern),
+            p => Run::tls_padding([1, 100, 4_096, 4_097, 8_192, 12_000][p - 3]),
+        };
+        if cut {
+            run.cut(0, end)
+        } else {
+            run
+        }
+    })
 }
 
 /// Host bytes for a server_name extension: letters of both cases,
@@ -742,5 +760,19 @@ proptest! {
         let cut = cut % (frame.len() + 1);
         let _ = ParsedPacket::parse(&frame[..cut]);
         let _ = v6brick_net::parse::parse_lenient(&frame[..cut]);
+    }
+
+    #[test]
+    fn a_speller_spells_what_each_run_spells(
+        frames in proptest::collection::vec((0usize..400, arb_speller_run()), 1..48),
+        seed in any::<u64>(),
+    ) {
+        // Heads run from empty to past the room in front of a slot's run.
+        let mut speller = Speller::new();
+        for (i, (head, run)) in frames.into_iter().enumerate() {
+            let head = bytes(seed ^ i as u64, head);
+            let want = run.spell(&head, &mut Vec::new()).to_vec();
+            prop_assert_eq!(speller.spell(&head, run), &want[..]);
+        }
     }
 }

@@ -466,6 +466,8 @@ impl Host for BorderRouter {
 mod tests {
     use super::*;
     use crate::event::SimTime;
+    use crate::wire;
+    use v6brick_net::udp;
 
     /// A scripted leaf: emits one canned frame on start, records frames.
     struct Leaf {
@@ -698,6 +700,61 @@ mod tests {
             1,
             "one broadcast mesh frame, not one per leaf"
         );
+    }
+
+    /// A leaf sending one UDP datagram of `payload` bytes: from its
+    /// link-local address to ff02::1, with ports NHC-UDP packs into one
+    /// byte, the tightest compression a datagram can get.
+    fn udp_leaf(payload: usize) -> BorderRouter {
+        let mac = leaf_mac(1);
+        let mut lla = [0u8; 16];
+        lla[..2].copy_from_slice(&[0xfe, 0x80]);
+        lla[8..].copy_from_slice(&mac.to_eui64());
+        let frame = crate::wire::udp6_frame(
+            mac,
+            Mac::new(0x33, 0x33, 0, 0, 0, 1),
+            Ipv6Addr::from(lla),
+            "ff02::1".parse().unwrap(),
+            0xf0b1,
+            0xf0b2,
+            vec![0x5a; payload],
+        );
+        BorderRouter::new(
+            7,
+            vec![Box::new(Leaf {
+                mac,
+                emit: vec![frame],
+                heard: Vec::new(),
+            })],
+        )
+    }
+
+    #[test]
+    fn oversized_datagrams_take_a_tag_but_no_airtime() {
+        // An IPv6 payload longer than MAX_DATAGRAM + 8 bytes never fits
+        // a datagram, so it skips compression and the air. Shorter ones
+        // go on the air when they fit: here 2,047 bytes of IPv6 payload
+        // compress to 2,045.
+        let limit = sixlowpan::MAX_DATAGRAM + 8 - udp::HEADER_LEN;
+        for (payload, on_air) in [
+            (1_500, true),
+            (sixlowpan::MAX_DATAGRAM - udp::HEADER_LEN, true),
+            (limit + 1, false),
+            (3_000, false),
+            (12_000, false),
+        ] {
+            let mut br = udp_leaf(payload);
+            let out = run_start(&mut br);
+            assert_eq!(br.tag, 1, "{payload} bytes take one datagram tag");
+            assert_eq!(br.forwarded_up, 1, "{payload} bytes still cross");
+            assert_eq!(out.len(), 1);
+            assert_eq!(
+                out[0].len(),
+                wire::ETH + ipv6::HEADER_LEN + udp::HEADER_LEN + payload
+            );
+            assert_eq!(br.mesh_frames > 0, on_air, "{payload} bytes on the air");
+            assert_eq!(br.mesh_capture().len() as u64, br.mesh_frames);
+        }
     }
 
     #[test]
