@@ -170,18 +170,18 @@ impl EventQueue {
 
     /// The lane holding the earliest event, and that event.
     fn least(&self) -> Option<(Lane, &Event)> {
-        let heads = [
-            (
-                Lane::Heap,
-                self.heap.peek().map(|Reverse(QueuedEvent(e))| e),
-            ),
-            (Lane::Lan, self.lan.front()),
-            (Lane::Wan, self.wan.front()),
-        ];
-        heads
-            .into_iter()
-            .filter_map(|(lane, e)| Some((lane, e?)))
-            .min_by_key(|(_, e)| (e.at, e.seq))
+        let mut least = self
+            .heap
+            .peek()
+            .map(|Reverse(QueuedEvent(e))| (Lane::Heap, e));
+        for (lane, fifo) in [(Lane::Lan, &self.lan), (Lane::Wan, &self.wan)] {
+            if let Some(e) = fifo.front() {
+                if least.is_none_or(|(_, l)| (e.at, e.seq) < (l.at, l.seq)) {
+                    least = Some((lane, e));
+                }
+            }
+        }
+        least
     }
 
     /// Remove and return the earliest event.
