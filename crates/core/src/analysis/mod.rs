@@ -588,8 +588,8 @@ impl StreamingAnalyzer {
     }
 
     /// Finalize: key the per-device observations by label, order the
-    /// DNS answer map, and let each pass move its private results over. Consumes the analyzer — the
-    /// state *is* the result.
+    /// DNS answer map, and let each pass move its private results over.
+    /// Consumes the analyzer — the state *is* the result.
     pub fn finish(self) -> ExperimentAnalysis {
         let mut analysis = ExperimentAnalysis {
             devices: self

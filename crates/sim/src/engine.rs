@@ -15,11 +15,11 @@
 //! and corruption injectors, the tap and the hosts read the frame, so
 //! every tapped and delivered byte is the frame's full bytes. The speller
 //! writes each recent run pattern out once and copies only a frame's
-//! head in front of it, so a delivery does not rewrite its bulk payload. The router reads only headers, so it is
-//! handed the frame as its sender queued it, run unspelled, unless the
-//! corruption injector flipped a byte in it. WAN packets travel
-//! unspelled: the router and the internet model read their headers and
-//! length fields alone.
+//! head in front of it, so a delivery does not write its bulk payload
+//! again. The router reads only headers, so it is handed the frame as
+//! its sender queued it, run unspelled, unless the corruption injector
+//! flipped a byte in it. WAN packets travel unspelled: the router and
+//! the internet model read their headers and length fields alone.
 
 use crate::addrs;
 use crate::event::{EventKind, EventQueue, SimTime};

@@ -33,9 +33,9 @@
 //! * **Oversized datagrams.** A packet too long for one 6LoWPAN
 //!   datagram (over 2,047 bytes compressed: a leaf's 12 KB upload, the
 //!   replies it draws) takes a datagram tag but puts nothing on the air,
-//!   and one whose payload alone is longer is not compressed either. It
-//!   still crosses the border on the Ethernet side. A real leaf would
-//!   segment its TCP to the 1,280-byte IPv6 minimum MTU.
+//!   and one whose payload exceeds `MAX_DATAGRAM + 8` bytes is not even
+//!   compressed. It still crosses the border on the Ethernet side. A
+//!   real leaf would segment its TCP to the 1,280-byte IPv6 minimum MTU.
 
 use crate::addrs;
 use crate::event::SimTime;
@@ -179,9 +179,9 @@ impl BorderRouter {
         let tag = self.tag;
         self.tag = self.tag.wrapping_add(1);
         let Ok(frags) = sixlowpan::fragment(datagram, tag, ieee802154::MAX_PAYLOAD) else {
-            // Too long for FRAG headers (over 2,047 bytes compressed).
-            // Leaf uploads and the replies they draw are; `put_on_air` keeps
-            // the longest from being compressed at all. The packet still
+            // Too long for FRAG headers (over 2,047 bytes compressed),
+            // as leaf uploads and the replies they draw are; `put_on_air`
+            // does not even compress the longest. The packet still
             // crosses on the Ethernet side, with no airtime.
             return;
         };
