@@ -119,9 +119,11 @@ mod tests {
     }
 
     #[test]
-    fn small_keys_spread_over_the_low_bits() {
-        // Sequential ports must not share a bucket in a small table.
-        let buckets: HashSet<u64> = (40_000u16..40_064).map(|p| hash(&p) & 63).collect();
-        assert!(buckets.len() > 32, "{} of 64 buckets", buckets.len());
+    fn keys_differing_in_high_bits_spread_over_the_low_bits() {
+        // A table picks buckets by the low bits, which a product takes
+        // from the low bits of its key alone: without the rotation in
+        // `finish`, these 64 keys would share one bucket of 64.
+        let buckets: HashSet<u64> = (0..64u64).map(|i| hash(&(i << 32)) & 63).collect();
+        assert!(buckets.len() > 48, "{} of 64 buckets", buckets.len());
     }
 }
