@@ -33,7 +33,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::net::{IpAddr, Ipv6Addr};
 use std::time::Instant;
 use v6brick_net::dns::{MessageView, Name, NameText};
-use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv6::{Cidr, Ipv6AddrExt};
 use v6brick_net::parse::{self, Net, ParsedPacket, L4};
 use v6brick_net::{tls, Mac};
@@ -400,9 +399,10 @@ impl std::fmt::Debug for PassEntry {
 pub struct StreamingAnalyzer {
     devices: Vec<(Mac, String)>,
     lan_prefix: Cidr,
-    /// Device MAC → index, built from the device list the caller hands
-    /// over, so it hashes with [`FxHashMap`]'s unkeyed hasher.
-    mac_index: FxHashMap<Mac, usize>,
+    /// Device MAC → index. `v6brickd` builds it from an upload's header
+    /// and probes it with MACs read from the captured frames, so it keeps
+    /// std's keyed hasher.
+    mac_index: HashMap<Mac, usize>,
     /// IPv6 address → device index, consulted only when MAC attribution
     /// fails — the mesh case, where every leaf frame carries the border
     /// router's MAC. Empty (and therefore free) for Ethernet-only homes.

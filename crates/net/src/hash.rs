@@ -5,8 +5,10 @@
 //! multiply per word. Names, addresses, ports and table tuples the
 //! simulation builds are not hostile, so its own maps hash them with
 //! [`FxHasher`], the multiply-and-rotate hash rustc uses for its
-//! interners. Maps filled from captured bytes (anything the analyzer or
-//! `v6brickd` reads off a wire) keep std's keyed hasher.
+//! interners. Maps filled or probed with bytes from outside the program
+//! (an upload's header and frames, anything the analyzer or `v6brickd`
+//! reads off a wire, the analyzer's MAC index among them) keep std's
+//! keyed hasher: Fx is public, so a client could choose colliding keys.
 //!
 //! The hasher has no keys, so a map iterates in the same order in every
 //! process; no output of this workspace depends on that order.
