@@ -360,7 +360,7 @@ proptest! {
         tag in any::<u16>(),
     ) {
         // The 6LoWPAN border router skips compressing a payload longer
-        // than MAX_DATAGRAM + 8 bytes: compression must never fit one.
+        // than MAX_DATAGRAM + 2 bytes: compression must never fit one.
         let (src, dst, hop_limit, udp, ports) = if kind == 4 {
             // Both addresses elided (link-local, each from its
             // link-layer address), hop limit elided, NHC-UDP with both
@@ -380,7 +380,7 @@ proptest! {
             };
             (src, dst, hop_limit_of(hlim_mode, hlim_raw), udp, (sport, dport))
         };
-        let len = sixlowpan::MAX_DATAGRAM + 8 + past;
+        let len = sixlowpan::MAX_DATAGRAM + 2 + past;
         let payload = if udp {
             udp::Repr { src_port: ports.0, dst_port: ports.1, payload: vec![0x5a; len - 8] }
                 .build(PseudoHeader::V6 { src, dst })

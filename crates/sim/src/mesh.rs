@@ -33,7 +33,7 @@
 //! * **Oversized datagrams.** A packet too long for one 6LoWPAN
 //!   datagram (over 2,047 bytes compressed: a leaf's 12 KB upload, the
 //!   replies it draws) takes a datagram tag but puts nothing on the air,
-//!   and one whose payload exceeds `MAX_DATAGRAM + 8` bytes is not even
+//!   and one whose payload exceeds `MAX_DATAGRAM + 2` bytes is not even
 //!   compressed. It still crosses the border on the Ethernet side. A
 //!   real leaf would segment its TCP to the 1,280-byte IPv6 minimum MTU.
 
@@ -154,8 +154,8 @@ impl BorderRouter {
     ///
     /// Compression shortens a payload by at most 4 bytes (NHC-UDP turns
     /// the 8-byte UDP header into at least 4) and IPHC adds at least 2,
-    /// so a payload over `MAX_DATAGRAM + 8` bytes can never fit one
-    /// datagram. It is not compressed; it takes a datagram tag, as the
+    /// so a datagram is at least 2 bytes shorter than its payload, and a
+    /// payload over `MAX_DATAGRAM + 2` bytes can never fit one. It is not compressed; it takes a datagram tag, as the
     /// refused datagram would have.
     fn put_on_air(
         &mut self,
@@ -165,7 +165,7 @@ impl BorderRouter {
         src: [u8; 8],
         dst: [u8; 8],
     ) {
-        if payload.len() > sixlowpan::MAX_DATAGRAM + 8 {
+        if payload.len() > sixlowpan::MAX_DATAGRAM + 2 {
             self.tag = self.tag.wrapping_add(1);
             return;
         }
@@ -703,18 +703,22 @@ mod tests {
     }
 
     /// A leaf sending one UDP datagram of `payload` bytes: from its
-    /// link-local address to ff02::1, with ports NHC-UDP packs into one
-    /// byte, the tightest compression a datagram can get.
+    /// link-local address to the border router's, both elided, with
+    /// ports NHC-UDP packs into one byte, the tightest compression a
+    /// datagram can get.
     fn udp_leaf(payload: usize) -> BorderRouter {
         let mac = leaf_mac(1);
-        let mut lla = [0u8; 16];
-        lla[..2].copy_from_slice(&[0xfe, 0x80]);
-        lla[8..].copy_from_slice(&mac.to_eui64());
+        let link_local = |mac: Mac| {
+            let mut a = [0u8; 16];
+            a[..2].copy_from_slice(&[0xfe, 0x80]);
+            a[8..].copy_from_slice(&mac.to_eui64());
+            Ipv6Addr::from(a)
+        };
         let frame = crate::wire::udp6_frame(
             mac,
-            Mac::new(0x33, 0x33, 0, 0, 0, 1),
-            Ipv6Addr::from(lla),
-            "ff02::1".parse().unwrap(),
+            addrs::BORDER_ROUTER_MAC,
+            link_local(mac),
+            link_local(addrs::BORDER_ROUTER_MAC),
             0xf0b1,
             0xf0b2,
             vec![0x5a; payload],
@@ -731,14 +735,14 @@ mod tests {
 
     #[test]
     fn oversized_datagrams_take_a_tag_but_no_airtime() {
-        // An IPv6 payload longer than MAX_DATAGRAM + 8 bytes never fits
-        // a datagram, so it skips compression and the air. Shorter ones
-        // go on the air when they fit: here 2,047 bytes of IPv6 payload
-        // compress to 2,045.
-        let limit = sixlowpan::MAX_DATAGRAM + 8 - udp::HEADER_LEN;
+        // An IPv6 payload longer than MAX_DATAGRAM + 2 bytes never fits
+        // a datagram, so it skips compression and the air. This leaf's
+        // datagrams are exactly 2 bytes shorter than their payload, so
+        // the longest payload compressed still fits.
+        let limit = sixlowpan::MAX_DATAGRAM + 2 - udp::HEADER_LEN;
         for (payload, on_air) in [
             (1_500, true),
-            (sixlowpan::MAX_DATAGRAM - udp::HEADER_LEN, true),
+            (limit, true),
             (limit + 1, false),
             (3_000, false),
             (12_000, false),
