@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Symbolize and summarize sigprof profiles.
 
-    python3 report.py [--top N] [--through REGEX] [--callers REGEX]... FILE...
+    python3 report.py [--through REGEX] [--callers REGEX]... FILE...
 
 Each FILE is one process's $SIGPROF_OUT.<pid>; several are merged. An
 address is mapped to its object's virtual address with `readelf -lW`,
@@ -12,7 +12,7 @@ internals, say), the nearest exported symbol below the address, from
 
 Prints the share of samples each function holds as self time, then
 inclusive time, then the callers of the functions that match each
---callers pattern. In the self table a libc or Rust standard-library
+--callers pattern, each table its ROWS largest entries. In the self table a libc or Rust standard-library
 function at the top of a stack is folded into its nearest caller outside
 both, shown as `caller > function`; a caller listed is the nearest one
 outside both. --through keeps only the stacks that pass through a
@@ -28,6 +28,7 @@ import struct
 import subprocess
 
 MARKER = b"--sigprof-stacks "
+ROWS = 30
 # Frames of libc and of Rust's standard library: folded into their
 # nearest caller outside both in the self table, skipped as callers.
 LIBRARY = re.compile(r"^libc:|^<*(\w+ as )?(core|alloc|std|hashbrown)::")
@@ -138,7 +139,6 @@ def symbolize(maps, stacks, objects):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("files", nargs="+")
-    ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--through", help="keep the stacks through a function matching this")
     ap.add_argument("--callers", action="append", default=[],
                     help="list the callers of the functions matching this")
@@ -161,7 +161,7 @@ def main():
         incl.update(set(s))
     for title, counter in (("self", selfs), ("inclusive", incl)):
         print("\n%s:" % title)
-        for name, n in counter.most_common(args.top):
+        for name, n in counter.most_common(ROWS):
             print("%6.1f%%  %7d  %s" % (100.0 * n / total, n, name))
     for pattern in args.callers:
         pat, callers = re.compile(pattern), collections.Counter()
@@ -172,7 +172,7 @@ def main():
                                if not pat.search(c) and not LIBRARY.search(c)), "(root)")
                 callers[(s[k], caller)] += 1
         print("\ncallers of /%s/:" % pattern)
-        for (f, caller), n in callers.most_common(args.top):
+        for (f, caller), n in callers.most_common(ROWS):
             print("%6.1f%%  %7d  %s  <-  %s" % (100.0 * n / total, n, f, caller))
 
 

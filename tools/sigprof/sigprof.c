@@ -4,9 +4,8 @@
  *   SIGPROF_OUT=prof LD_PRELOAD=$PWD/sigprof.so ./program
  *   python3 report.py prof.*
  *
- * An ITIMER_PROF timer raises SIGPROF every 1/SIGPROF_HZ seconds of the
- * process's CPU time (default 1000; the kernel fires at most once per
- * tick). The handler records the running thread's stack with glibc's
+ * An ITIMER_PROF timer raises SIGPROF every millisecond of the process's
+ * CPU time (the kernel fires at most once per tick). The handler records the running thread's stack with glibc's
  * backtrace() into a static buffer. At exit the library writes
  * /proc/self/maps, a marker line and the stacks to $SIGPROF_OUT.<pid>:
  * each stack is its depth, then its addresses as native 64-bit words:
@@ -33,7 +32,7 @@
 static void *words[WORDS];
 static size_t used;    /* words claimed, by every thread */
 static size_t dropped; /* samples that found the buffer full */
-static long hz;
+static int running;    /* the timer was set */
 
 static void on_sigprof(int sig) {
     void *stack[MAX_DEPTH + HANDLER_FRAMES];
@@ -54,14 +53,10 @@ static void on_sigprof(int sig) {
 
 __attribute__((constructor)) static void start(void) {
     void *warm[4];
-    const char *h = getenv("SIGPROF_HZ");
     struct sigaction sa;
     struct itimerval every;
     if (!getenv("SIGPROF_OUT"))
         return;
-    hz = h ? atol(h) : 1000;
-    if (hz <= 0 || hz > 1000000)
-        hz = 1000;
     /* backtrace() loads libgcc_s on its first call; do that here, not
      * inside a signal handler. */
     backtrace(warm, 4);
@@ -69,11 +64,14 @@ __attribute__((constructor)) static void start(void) {
     sa.sa_handler = on_sigprof;
     sa.sa_flags = SA_RESTART;
     sigemptyset(&sa.sa_mask);
-    sigaction(SIGPROF, &sa, NULL);
     every.it_interval.tv_sec = 0;
-    every.it_interval.tv_usec = 1000000 / hz;
+    every.it_interval.tv_usec = 1000;
     every.it_value = every.it_interval;
-    setitimer(ITIMER_PROF, &every, NULL);
+    if (sigaction(SIGPROF, &sa, NULL) != 0 || setitimer(ITIMER_PROF, &every, NULL) != 0) {
+        perror("sigprof: no profiling timer, so no profile");
+        return;
+    }
+    running = 1;
 }
 
 __attribute__((destructor)) static void finish(void) {
@@ -82,7 +80,7 @@ __attribute__((destructor)) static void finish(void) {
     char path[4096], line[4096];
     FILE *maps, *f;
     size_t end, i;
-    if (!out || hz == 0)
+    if (!out || !running)
         return;
     memset(&off, 0, sizeof off);
     setitimer(ITIMER_PROF, &off, NULL);
@@ -96,7 +94,7 @@ __attribute__((destructor)) static void finish(void) {
     fclose(maps);
     end = __atomic_load_n(&used, __ATOMIC_ACQUIRE);
     end = end < WORDS ? end : WORDS;
-    fprintf(f, "--sigprof-stacks hz=%ld dropped=%zu\n", hz, dropped);
+    fprintf(f, "--sigprof-stacks dropped=%zu\n", dropped);
     /* Write whole stacks only; a claim whose stack was never stored
      * reads as depth 0 and is skipped by the report. */
     for (i = 0; i < end;) {
