@@ -155,8 +155,9 @@ impl BorderRouter {
     /// Compression shortens a payload by at most 4 bytes (NHC-UDP turns
     /// the 8-byte UDP header into at least 4) and IPHC adds at least 2,
     /// so a datagram is at least 2 bytes shorter than its payload, and a
-    /// payload over `MAX_DATAGRAM + 2` bytes can never fit one. It is not compressed; it takes a datagram tag, as the
-    /// refused datagram would have.
+    /// payload over `MAX_DATAGRAM + 2` bytes can never fit one. It is
+    /// not compressed; it takes a datagram tag, as the refused datagram
+    /// would have.
     fn put_on_air(
         &mut self,
         now: SimTime,

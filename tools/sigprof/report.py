@@ -12,10 +12,10 @@ internals, say), the nearest exported symbol below the address, from
 
 Prints the share of samples each function holds as self time, then
 inclusive time, then the callers of the functions that match each
---callers pattern, each table its ROWS largest entries. In the self table a libc or Rust standard-library
-function at the top of a stack is folded into its nearest caller outside
-both, shown as `caller > function`; a caller listed is the nearest one
-outside both. --through keeps only the stacks that pass through a
+--callers pattern, each table its ROWS largest entries. In the self
+table a libc or Rust standard-library function at the top of a stack is
+folded into its nearest caller outside both, shown as `caller >
+function`; a caller listed is the nearest one outside both. --through keeps only the stacks that pass through a
 function matching it.
 """
 

@@ -5,13 +5,13 @@
  *   python3 report.py prof.*
  *
  * An ITIMER_PROF timer raises SIGPROF every millisecond of the process's
- * CPU time (the kernel fires at most once per tick). The handler records the running thread's stack with glibc's
- * backtrace() into a static buffer. At exit the library writes
- * /proc/self/maps, a marker line and the stacks to $SIGPROF_OUT.<pid>:
- * each stack is its depth, then its addresses as native 64-bit words:
- * the interrupted instruction, then the return addresses outward (the
- * handler's own frames are dropped). Without SIGPROF_OUT it does
- * nothing.
+ * CPU time (the kernel fires at most once per tick). The handler records
+ * the running thread's stack with glibc's backtrace() into a static
+ * buffer. At exit the library writes /proc/self/maps, a marker line and
+ * the stacks to $SIGPROF_OUT.<pid>: each stack is its depth, then its
+ * addresses as native 64-bit words: the interrupted instruction, then
+ * the return addresses outward (the handler's own frames are dropped).
+ * Without SIGPROF_OUT it does nothing.
  */
 #define _GNU_SOURCE
 #include <errno.h>
