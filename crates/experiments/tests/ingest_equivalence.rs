@@ -24,6 +24,10 @@ fn small_spec() -> CampaignSpec {
     }
 }
 
+/// (bytes, FNV-1a) of [`small_spec`]'s bundles: each bundle's header
+/// JSON followed by its pcap bytes, in home order.
+const PINNED_BUNDLES: (usize, u64) = (501_682, 0x2324_da93_6f8d_467a);
+
 fn server_for(spec: &CampaignSpec, shards: usize) -> ServerHandle {
     spawn(ServerConfig {
         campaign_seed: spec.seed,
@@ -39,6 +43,21 @@ fn any_upload_order_and_sharding_snapshots_byte_identically_to_fleet_run() {
     let offline = offline_report_json(&spec);
     let bundles = campaign_bundles(&spec);
     assert_eq!(bundles.len(), spec.homes as usize);
+    let (mut len, mut digest) = (0, 0xcbf2_9ce4_8422_2325_u64);
+    for b in &bundles {
+        let header = serde_json::to_string(&b.header).unwrap();
+        for bytes in [header.as_bytes(), &b.pcap] {
+            len += bytes.len();
+            digest = bytes.iter().fold(digest, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+        }
+    }
+    assert_eq!(
+        (len, digest),
+        PINNED_BUNDLES,
+        "bundle bytes changed: {len} bytes, digest {digest:#018x}"
+    );
 
     // Three permutations × three stripe counts, one client each.
     let orders: [Vec<usize>; 3] = [vec![0, 1, 2, 3], vec![3, 2, 1, 0], vec![2, 0, 3, 1]];

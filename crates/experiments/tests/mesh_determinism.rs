@@ -5,9 +5,37 @@
 //! the population aggregates must credit *leaf devices* — traffic that
 //! reaches the Ethernet tap wearing the border router's MAC is only
 //! countable because the mesh-capture attribution rebinds it.
+//!
+//! Two byte pins hold a mesh home's whole analysis in place across a
+//! change to how homes are built: the serialized report of the
+//! worker-count campaign below, and `mesh::run` over the readiness
+//! comparison CI's mesh smoke job runs.
 
 use v6brick_experiments::fleet::{self, home_is_mesh, CampaignSpec};
+use v6brick_experiments::mesh::{self, MeshSpec};
 use v6brick_experiments::NetworkConfig;
+
+/// FNV-1a over serialized bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+fn assert_pinned(name: &str, json: &str, pinned: (usize, u64)) {
+    let got = (json.len(), fnv1a(json.as_bytes()));
+    assert_eq!(
+        got, pinned,
+        "{name} bytes changed: {} bytes, digest {:#018x}",
+        got.0, got.1
+    );
+}
+
+/// (report bytes, FNV-1a) of [`mesh_spec`] at any worker count.
+const PINNED_CAMPAIGN: (usize, u64) = (1266, 0xfafb_cbf5_3647_f41f);
+
+/// (report bytes, FNV-1a) of `mesh::run` at seed 1 with 90 s windows.
+const PINNED_READINESS: (usize, u64) = (3083, 0x84ac_3af0_4d9d_9cd5);
 
 fn mesh_spec(workers: usize) -> CampaignSpec {
     CampaignSpec {
@@ -34,6 +62,17 @@ fn worker_count_does_not_change_the_mesh_report() {
     // Rerun determinism: the same spec twice is the same bytes.
     let again = serde_json::to_string(&fleet::run(&mesh_spec(1))).unwrap();
     assert_eq!(serial, again, "mesh campaign must be rerun-stable");
+    assert_pinned("mesh campaign report", &serial, PINNED_CAMPAIGN);
+}
+
+#[test]
+fn readiness_report_is_pinned() {
+    let report = mesh::run(&MeshSpec {
+        seed: 1,
+        duration_s: 90,
+    });
+    let json = serde_json::to_string(&report).unwrap();
+    assert_pinned("mesh readiness report", &json, PINNED_READINESS);
 }
 
 #[test]
