@@ -21,7 +21,7 @@ pub fn run() -> ExperimentRun {
 /// Render the comparison: enterprise vs the consumer IPv6-only baseline.
 pub fn report() -> TextTable {
     let enterprise = run();
-    let baseline = scenario::run(NetworkConfig::Ipv6Only);
+    let baseline = scenario::run_with_profiles(NetworkConfig::Ipv6Only, registry::shared());
 
     let mut t = TextTable::new(
         "Extension (paper §7): enterprise IPv6-only (DHCPv6 without SLAAC) vs consumer baseline",

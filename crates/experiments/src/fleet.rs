@@ -4,12 +4,15 @@
 //! experiment harness: a [`CampaignSpec`] describes the population
 //! (home count, seed, worker pool, device-count range, Table 2 config
 //! mix, experiment duration); [`run`] streams lazily-planned homes
-//! through the worker pool, simulates each via [`scenario::run_home`],
-//! and folds the per-device observations into per-worker
-//! [`PopulationReport`] partials that merge at the end. Each home
-//! analyzes **streaming off the capture tap** — no per-home byte buffer
-//! ever exists — and its flow table drops as soon as the observations
-//! are folded in. Campaign memory is `O(workers)`, never `O(homes)`:
+//! through the worker pool, simulates each with the crate's one home
+//! executor (on Ethernet, or behind a 6LoWPAN border router for the
+//! `mesh_per_mille` share of homes), and folds the per-device
+//! observations into per-worker [`PopulationReport`] partials that merge
+//! at the end. An Ethernet home analyzes **streaming off the capture
+//! tap**, so no per-home byte buffer ever exists; a mesh home buffers
+//! its LAN capture only until the executor has replayed it. Each home's
+//! flow table drops as soon as the observations are folded in. Campaign
+//! memory is `O(workers)`, never `O(homes)`:
 //! specs are derived on demand from `(campaign_seed, index)`, profiles
 //! are `&'static` registry handles, failure metadata is re-derived from
 //! the failed index, and only one report partial per worker crosses a
@@ -22,7 +25,7 @@
 //! (`tests/fleet_determinism.rs` pins this end to end).
 
 use crate::config::NetworkConfig;
-use crate::scenario::{self, ZoneCache};
+use crate::scenario::{self, Link, ZoneCache};
 use std::collections::BTreeMap;
 use std::path::Path;
 use v6brick_core::analysis::PassId;
@@ -31,7 +34,7 @@ use v6brick_core::observe::DeviceObservation;
 use v6brick_core::population::{HomeFailure, PopulationReport};
 use v6brick_fleet::seed::fold_bytes;
 use v6brick_fleet::{plan_home, run_partials, Checkpoint, CheckpointError, Fingerprint, HomeSpec};
-use v6brick_sim::SimTime;
+use v6brick_sim::{FaultPlan, SimTime};
 
 /// Re-export of [`v6brick_core::population::POPULATION_PASSES`] (which
 /// moved to core so the `v6brickd` ingestion daemon shares the exact
@@ -99,8 +102,7 @@ pub fn home_is_mesh(home_seed: u64, mesh_per_mille: u32) -> bool {
 }
 
 /// What survives of a home once its simulation ends: the per-device
-/// observations and outcomes. (The simulation itself never buffers a
-/// capture — analysis streams off the tap.)
+/// observations and outcomes, and no capture.
 struct HomeResult {
     config_label: &'static str,
     devices: BTreeMap<String, DeviceObservation>,
@@ -115,32 +117,26 @@ fn simulate_home(
     passes: &[PassId],
     mesh_per_mille: u32,
 ) -> HomeResult {
-    if home_is_mesh(home.seed, mesh_per_mille) {
-        let mesh = scenario::run_mesh_home(
-            scratch,
-            home.config,
-            &home.profiles,
-            home.seed,
-            duration,
-            passes,
-        );
-        return HomeResult {
-            config_label: mesh.run.config.mesh_label(),
-            devices: mesh.run.analysis.devices,
-            functional: mesh.run.functional,
-            frames: mesh.run.frames,
-        };
-    }
-    let run = scenario::run_home(
-        scratch,
+    let mesh = home_is_mesh(home.seed, mesh_per_mille);
+    let link = if mesh { Link::Mesh } else { Link::Ethernet };
+    let run = scenario::execute(
         home.config,
         &home.profiles,
         home.seed,
         duration,
         passes,
-    );
+        FaultPlan::new(),
+        scratch.zones_for(&home.profiles),
+        link,
+        false,
+    )
+    .run;
     HomeResult {
-        config_label: run.config.label(),
+        config_label: if mesh {
+            run.config.mesh_label()
+        } else {
+            run.config.label()
+        },
         devices: run.analysis.devices,
         functional: run.functional,
         frames: run.frames,

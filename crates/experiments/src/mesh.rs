@@ -20,11 +20,11 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 use v6brick_core::analysis::PassId;
 use v6brick_devices::registry;
-use v6brick_sim::SimTime;
+use v6brick_sim::{FaultPlan, SimTime};
 
 use crate::config::NetworkConfig;
 use crate::render::TextTable;
-use crate::scenario::{self, ZoneCache};
+use crate::scenario::{self, Link};
 
 /// The fixed device slice the comparison runs: two v6-ready hubs, two
 /// cloud-chatty media devices, one Matter-style bridge, and one
@@ -130,28 +130,32 @@ pub struct MeshReadinessReport {
 pub fn run(spec: &MeshSpec) -> MeshReadinessReport {
     let profiles: Vec<_> = DEVICE_IDS.iter().map(|id| registry::by_id(id)).collect();
     let duration = SimTime::from_secs(spec.duration_s);
-    let mut cache = ZoneCache::new();
     let configs = CONFIGS
         .iter()
         .map(|&config| {
             let eth = scenario::run_scoped(config, &profiles, spec.seed, duration, &PassId::ALL);
-            let mesh = scenario::run_mesh_home(
-                &mut cache,
+            let home = scenario::execute(
                 config,
                 &profiles,
                 spec.seed,
                 duration,
                 &PassId::ALL,
+                FaultPlan::new(),
+                scenario::build_zones(&profiles),
+                Link::Mesh,
+                false,
             );
+            let transit = home.transit.expect("a mesh home reports its transit");
+            let mesh = home.run;
             let devices: BTreeMap<String, DeviceReadiness> = profiles
                 .iter()
                 .map(|p| {
-                    let o = mesh.run.analysis.device(&p.id);
+                    let o = mesh.analysis.device(&p.id);
                     (
                         p.id.clone(),
                         DeviceReadiness {
                             functional_ethernet: eth.functional.get(&p.id).copied() == Some(true),
-                            functional_mesh: mesh.run.functional.get(&p.id).copied() == Some(true),
+                            functional_mesh: mesh.functional.get(&p.id).copied() == Some(true),
                             dns_over_v6_mesh: o.is_some_and(|o| o.dns_over_v6()),
                             v6_internet_data_mesh: o.is_some_and(|o| o.v6_internet_data()),
                         },
@@ -165,13 +169,13 @@ pub fn run(spec: &MeshSpec) -> MeshReadinessReport {
                     as u64,
                 functional_mesh: devices.values().filter(|d| d.functional_mesh).count() as u64,
                 devices,
-                mesh_frames: mesh.mesh_frames,
-                dropped_v4_frames: mesh.dropped_v4_frames,
-                forwarded_up: mesh.forwarded_up,
-                forwarded_down: mesh.forwarded_down,
-                no_route_drops: mesh.no_route_drops,
-                mesh_bindings: mesh.mesh_bindings,
-                mesh_decode_errors: mesh.mesh_decode_errors,
+                mesh_frames: transit.mesh_frames,
+                dropped_v4_frames: transit.dropped_v4_frames,
+                forwarded_up: transit.forwarded_up,
+                forwarded_down: transit.forwarded_down,
+                no_route_drops: transit.no_route_drops,
+                mesh_bindings: transit.mesh_bindings,
+                mesh_decode_errors: transit.mesh_decode_errors,
             }
         })
         .collect();

@@ -10,7 +10,7 @@
 
 use crate::config::NetworkConfig;
 use crate::render::TextTable;
-use crate::scenario::{self, ExperimentRun};
+use crate::scenario::{self, ExperimentRun, Link};
 use v6brick_core::analysis::PassId;
 use v6brick_devices::profile::DeviceProfile;
 use v6brick_devices::registry;
@@ -53,10 +53,10 @@ pub fn run_with_dead_v6(
         scenario::EXPERIMENT_DURATION,
         &PassId::ALL,
         FaultPlan::new(),
-        false,
         zones_with_dead_v6(profiles, every_kth),
+        Link::Ethernet,
+        false,
     )
-    .0
     .run
 }
 

@@ -1,16 +1,21 @@
 //! Scenario construction and single-experiment execution.
 //!
-//! Builds the full testbed — router per Table 2 row, the Internet's zone
-//! database derived from every device's destination list, all 93 device
-//! models, the two verification phones — runs the experiment window,
-//! performs the functionality test, and analyzes the traffic.
+//! Every simulated home in this crate is built and run by one executor:
+//! the router per Table 2 row, the Internet's zone database derived from
+//! every device's destination list, the device models and the two
+//! verification phones. It runs the experiment window under the caller's
+//! fault plan, performs the functionality test, and analyzes the LAN
+//! traffic. The devices attach either directly to the Ethernet LAN or as
+//! the leaves of one 6LoWPAN border router; the WAN exposure scan builds
+//! its homes with the same device helper.
 //!
-//! Analysis is streaming by default: a [`StreamingAnalyzer`] rides the
+//! An Ethernet home's analysis streams: a [`StreamingAnalyzer`] rides the
 //! simulator's capture tap and folds every frame into `O(state)` as it
-//! crosses the LAN, so the experiment never materializes an `O(frames)`
-//! capture buffer and never parses a frame twice. Buffered captures
-//! (pcap export, debugging) remain available via
-//! `SimulationBuilder::capture(true)` on a hand-built simulation.
+//! crosses the LAN, so the home never materializes an `O(frames)` capture
+//! buffer unless the caller keeps one. A mesh home's LAN frames wear the
+//! border router's MAC, and the analyzer needs the leaf bindings decoded
+//! from the mesh capture before its first frame, so a mesh home buffers
+//! its LAN capture and the executor replays it after the run.
 
 use crate::config::NetworkConfig;
 use std::borrow::Borrow;
@@ -20,14 +25,16 @@ use v6brick_core::observe::{ExperimentAnalysis, StreamingAnalyzer};
 use v6brick_core::outage::SwitchRecord;
 use v6brick_devices::phone::Phone;
 use v6brick_devices::profile::DeviceProfile;
-use v6brick_devices::registry;
 use v6brick_devices::stack::{ntp_anycast, IotDevice};
 use v6brick_net::hash::FxHashMap;
 use v6brick_net::ipv6::Cidr;
 use v6brick_net::Mac;
+use v6brick_pcap::Capture;
 use v6brick_sim::event::SimTime;
 use v6brick_sim::internet::{DomainProfile, Internet, ZoneDb};
-use v6brick_sim::{addrs, BorderRouter, FaultPlan, Host, Router, SimulationBuilder};
+use v6brick_sim::{
+    addrs, BorderRouter, FaultPlan, Host, HostId, Router, Simulation, SimulationBuilder,
+};
 
 /// How long each connectivity experiment runs (virtual time). Long enough
 /// for boot, addressing, resolution, rendezvous, and several telemetry
@@ -114,6 +121,11 @@ impl ZoneCache {
     }
 }
 
+/// The base seed of the paper suite: [`run_with_profiles`] and
+/// [`ExperimentSuite`](crate::suite::ExperimentSuite) derive each
+/// configuration's simulation seed from it.
+pub const SUITE_SEED: u64 = 0x6b1c_0000;
+
 /// The outcome of one connectivity experiment.
 pub struct ExperimentRun {
     /// Config.
@@ -135,13 +147,9 @@ pub fn lan_prefix() -> Cidr {
     Cidr::new(addrs::LAN_PREFIX, 64)
 }
 
-/// Run one experiment over the full registry.
-pub fn run(config: NetworkConfig) -> ExperimentRun {
-    run_with_profiles(config, registry::shared())
-}
-
 /// Run one experiment over an arbitrary profile subset (tests use this
-/// with a handful of devices).
+/// with a handful of devices) at the suite's seed and window, analyzing
+/// with every pass.
 pub fn run_with_profiles<P: Borrow<DeviceProfile>>(
     config: NetworkConfig,
     profiles: &[P],
@@ -149,7 +157,7 @@ pub fn run_with_profiles<P: Borrow<DeviceProfile>>(
     run_scoped(
         config,
         profiles,
-        0x6b1c_0000,
+        SUITE_SEED,
         EXPERIMENT_DURATION,
         &PassId::ALL,
     )
@@ -171,28 +179,6 @@ pub fn run_scoped<P: Borrow<DeviceProfile>>(
     duration: SimTime,
     passes: &[PassId],
 ) -> ExperimentRun {
-    run_faulted(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        FaultPlan::new(),
-    )
-    .run
-}
-
-/// [`run_scoped`] with a per-worker [`ZoneCache`]: the fleet pool's
-/// home runner, where one worker simulates thousands of homes and the
-/// zone fragments amortize. Byte-identical output to [`run_scoped`].
-pub fn run_home<P: Borrow<DeviceProfile>>(
-    cache: &mut ZoneCache,
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-) -> ExperimentRun {
     execute(
         config,
         profiles,
@@ -200,73 +186,87 @@ pub fn run_home<P: Borrow<DeviceProfile>>(
         duration,
         passes,
         FaultPlan::new(),
+        build_zones(profiles),
+        Link::Ethernet,
         false,
-        cache.zones_for(profiles),
     )
-    .0
     .run
 }
 
-/// The outcome of one fault-injected experiment: the ordinary
-/// [`ExperimentRun`] plus the fault-specific observations the healthy
-/// path never produces.
-pub struct FaultedRun {
+/// Where a home's IoT devices attach.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Link {
+    /// Each device is a host of its own on the Ethernet LAN.
+    Ethernet,
+    /// Every device is a leaf of one 6LoWPAN border router, which
+    /// carries only IPv6 between the mesh and the LAN.
+    Mesh,
+}
+
+/// A home's IoT devices as its simulation holds them, in profile order.
+pub(crate) enum Devices {
+    /// One host per device.
+    Hosts(Vec<HostId>),
+    /// The border router whose leaves are the devices.
+    Mesh(HostId),
+}
+
+impl Devices {
+    /// Attach one [`IotDevice`] per profile on `link`. A mesh home's
+    /// border router draws its air timing from `seed`, and records the
+    /// 802.15.4 capture only with `mesh_capture` set.
+    pub(crate) fn attach<P: Borrow<DeviceProfile>>(
+        b: &mut SimulationBuilder,
+        profiles: &[P],
+        link: Link,
+        seed: u64,
+        mesh_capture: bool,
+    ) -> Devices {
+        let devices = profiles
+            .iter()
+            .map(|p| Box::new(IotDevice::new(p.borrow().clone())) as Box<dyn Host>);
+        match link {
+            Link::Ethernet => Devices::Hosts(devices.map(|d| b.add_host(d)).collect()),
+            Link::Mesh => {
+                let br = BorderRouter::new(seed, devices.collect());
+                Devices::Mesh(b.add_host(Box::new(br.mesh_capture_enabled(mesh_capture))))
+            }
+        }
+    }
+
+    /// The device of the `i`-th profile.
+    pub(crate) fn get<'s>(&self, sim: &'s Simulation, i: usize) -> &'s IotDevice {
+        let host = match self {
+            Devices::Hosts(ids) => sim.host(ids[i]),
+            Devices::Mesh(br) => border_router(sim.host(*br)).leaf(i),
+        };
+        host.as_any().downcast_ref().expect("host is a device")
+    }
+}
+
+fn border_router(host: &dyn Host) -> &BorderRouter {
+    host.as_any()
+        .downcast_ref()
+        .expect("host is the border router")
+}
+
+/// What [`execute`] returns: the ordinary experiment outcome plus what
+/// only some callers read.
+pub(crate) struct HomeRun {
     /// The ordinary experiment outcome.
     pub run: ExperimentRun,
     /// Every device's v6↔v4 switch log, keyed by device id.
     pub switches: BTreeMap<String, Vec<SwitchRecord>>,
-    /// 6in4 tunnel packets the injected outage swallowed.
+    /// 6in4 tunnel packets an injected outage swallowed.
     pub tunnel_drops: u64,
+    /// Every LAN frame in tap order, when the caller kept the capture.
+    pub capture: Option<Capture>,
+    /// The border router's accounting, for a mesh home.
+    pub transit: Option<MeshTransit>,
 }
 
-/// One home's experiment with the raw capture retained: the input the
-/// ingestion path replays at a `v6brickd` server. The simulation is
-/// bit-identical to [`run_scoped`]'s (same seed, same build order —
-/// enabling the buffered capture consumes no randomness), so the
-/// capture holds exactly the frames the streaming analyzer would see.
-pub struct CapturedRun {
-    /// Config the home ran under.
-    pub config: NetworkConfig,
-    /// Every LAN frame, in tap order.
-    pub capture: v6brick_pcap::Capture,
-    /// Functionality-test outcome per device id (§4.1) — the
-    /// out-of-band result an upload header carries alongside the pcap.
-    pub functional: BTreeMap<String, bool>,
-}
-
-/// Run one home and keep its capture instead of (not in addition to)
-/// an analysis: the bundle-generation path for `repro upload`, the
-/// load generator, and the server equivalence tests. No analyzer pass
-/// runs — the server is the one doing the analysis.
-pub fn run_captured<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-) -> CapturedRun {
-    let (faulted, capture) = execute(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        &[],
-        FaultPlan::new(),
-        true,
-        build_zones(profiles),
-    );
-    CapturedRun {
-        config,
-        capture: capture.expect("capture was enabled"),
-        functional: faulted.run.functional,
-    }
-}
-
-/// The outcome of one mesh-home experiment: the ordinary run (attributed
-/// to leaf devices via the mesh capture) plus the border-router
-/// accounting the Ethernet topology never produces.
-pub struct MeshRun {
-    /// The ordinary experiment outcome.
-    pub run: ExperimentRun,
+/// A mesh home's border-router accounting.
+pub(crate) struct MeshTransit {
     /// 802.15.4 frames the border router put on the air.
     pub mesh_frames: u64,
     /// Leaf IPv4/ARP frames refused transit by the v6-only mesh.
@@ -283,174 +283,10 @@ pub struct MeshRun {
     pub mesh_decode_errors: u64,
 }
 
-/// Run one experiment with every IoT device behind a 6LoWPAN border
-/// router instead of directly on the Ethernet LAN — the second
-/// link-layer scenario family, and the fleet pool's mesh-home runner:
-/// like [`run_home`] but with the devices behind a border router. The
-/// mesh capture is walked for attribution bindings and then dropped —
-/// nothing `O(frames)` outlives the home.
-pub fn run_mesh_home<P: Borrow<DeviceProfile>>(
-    cache: &mut ZoneCache,
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-) -> MeshRun {
-    execute_mesh(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        cache.zones_for(profiles),
-    )
-}
-
-/// The mesh twin of [`execute`]. Unlike the Ethernet path this one runs
-/// in two phases — simulate with a buffered LAN capture, then analyze —
-/// because the attribution bindings come from *decoding the mesh
-/// capture* (802.15.4 framing → RFC 4944 reassembly → IPHC), and the
-/// analyzer needs them installed before it sees the first frame. The
-/// Ethernet path keeps its streaming analyzer and is byte-identical to
-/// before the mesh family existed.
-fn execute_mesh<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-    zones: ZoneDb,
-) -> MeshRun {
-    let internet = Internet::new(zones);
-    let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-
-    let sim_seed = base_seed ^ config as u64;
-    let mut leaves: Vec<Box<dyn Host>> = Vec::with_capacity(profiles.len());
-    let mut device_ids = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        let p = p.borrow();
-        leaves.push(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((p.id.clone(), p.mac));
-    }
-    let br_id = b.add_host(Box::new(BorderRouter::new(sim_seed, leaves)));
-    let pixel = b.add_host(Box::new(Phone::pixel7()));
-    let iphone = b.add_host(Box::new(Phone::iphone_x()));
-
-    let mut sim = b.seed(sim_seed).capture(true).build();
-    sim.run_until(duration);
-    let lan_capture = sim.take_capture();
-
-    // Phase 2: recover leaf identity from the mesh air, then walk the
-    // LAN capture with the bindings installed.
-    let br = sim
-        .host_mut(br_id)
-        .as_any_mut()
-        .downcast_mut::<BorderRouter>()
-        .expect("host is the border router");
-    let mesh_capture = br.take_mesh_capture();
-    let (mesh_frames, dropped_v4, fwd_up, fwd_down, no_route) = (
-        br.mesh_frames,
-        br.dropped_v4_frames,
-        br.forwarded_up,
-        br.forwarded_down,
-        br.no_route_drops,
-    );
-    let mut functional = BTreeMap::new();
-    for (idx, (id, _)) in device_ids.iter().enumerate() {
-        let dev = br
-            .leaf(idx)
-            .as_any()
-            .downcast_ref::<IotDevice>()
-            .expect("leaf is a device");
-        functional.insert(id.clone(), dev.is_functional());
-    }
-
-    let bindings = v6brick_core::bindings_from_mesh_capture(&mesh_capture, &lan_prefix());
-    let macs: Vec<(Mac, String)> = device_ids
-        .iter()
-        .map(|(id, mac)| (*mac, id.clone()))
-        .collect();
-    let mut analyzer = StreamingAnalyzer::with_passes(&macs, lan_prefix(), passes);
-    for (addr, mac) in &bindings.by_addr {
-        // The border router's own mesh-local address resolves to no
-        // device and binds nothing — exactly what we want.
-        analyzer.add_mesh_binding(*addr, *mac);
-    }
-    for pkt in lan_capture.iter() {
-        analyzer.feed(pkt.timestamp_us, &pkt.data);
-    }
-    let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-
-    let phones_ok = [pixel, iphone].iter().all(|h| {
-        sim.host(*h)
-            .as_any()
-            .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
-    });
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-
-    MeshRun {
-        run: ExperimentRun {
-            config,
-            analysis,
-            functional,
-            phones_ok,
-            neighbors_v6,
-            frames,
-        },
-        mesh_frames,
-        dropped_v4_frames: dropped_v4,
-        forwarded_up: fwd_up,
-        forwarded_down: fwd_down,
-        no_route_drops: no_route,
-        mesh_bindings: analyzer_bindings(&bindings),
-        mesh_decode_errors: bindings.decode_errors,
-    }
-}
-
-/// How many of the recovered bindings name an actual leaf (the border
-/// router's own addresses are excluded by the analyzer, so count them
-/// the same way here).
-fn analyzer_bindings(b: &v6brick_core::MeshBindings) -> u64 {
-    b.by_addr
-        .values()
-        .filter(|m| **m != addrs::BORDER_ROUTER_MAC)
-        .count() as u64
-}
-
-/// [`run_scoped`] under an injected [`FaultPlan`]: the same build and
-/// measurement path, plus the devices' family-switch logs and the
-/// engine's fault counters for Table 9-style outage reporting.
-pub fn run_faulted<P: Borrow<DeviceProfile>>(
-    config: NetworkConfig,
-    profiles: &[P],
-    base_seed: u64,
-    duration: SimTime,
-    passes: &[PassId],
-    faults: FaultPlan,
-) -> FaultedRun {
-    execute(
-        config,
-        profiles,
-        base_seed,
-        duration,
-        passes,
-        faults,
-        false,
-        build_zones(profiles),
-    )
-    .0
-}
-
-/// The one Ethernet-home executor: build the home over `zones`, run it
-/// for `duration`, test each device's function and stream the analysis
-/// off the capture tap. Every Ethernet run in this module calls it, and
-/// so does the reachability extension, with zones whose IPv6 servers
-/// are partly dead.
+/// The one home executor: build a home over `zones` with its devices on
+/// `link`, run it for `duration` under `faults`, test each device's
+/// function and analyze the LAN traffic with `passes`. With
+/// `keep_capture` the LAN capture comes back too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute<P: Borrow<DeviceProfile>>(
     config: NetworkConfig,
@@ -459,54 +295,48 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
     duration: SimTime,
     passes: &[PassId],
     faults: FaultPlan,
-    keep_capture: bool,
     zones: ZoneDb,
-) -> (FaultedRun, Option<v6brick_pcap::Capture>) {
-    let internet = Internet::new(zones);
+    link: Link,
+    keep_capture: bool,
+) -> HomeRun {
     let router = Router::new(config.router_config());
-    let mut b = SimulationBuilder::new(router, internet);
-
-    let mut device_ids = Vec::with_capacity(profiles.len());
-    for p in profiles {
-        let p = p.borrow();
-        let id = b.add_host(Box::new(IotDevice::new(p.clone())));
-        device_ids.push((id, p.id.clone(), p.mac));
-    }
-    let pixel = b.add_host(Box::new(Phone::pixel7()));
-    let iphone = b.add_host(Box::new(Phone::iphone_x()));
-
-    // Stream the analysis off the capture tap instead of buffering the
-    // whole capture: peak memory is the analyzer state, not the frames.
-    let macs: Vec<(Mac, String)> = device_ids
+    let mut b = SimulationBuilder::new(router, Internet::new(zones));
+    let sim_seed = base_seed ^ config as u64;
+    // A mesh home's leaf bindings come from its 802.15.4 capture.
+    let devices = Devices::attach(&mut b, profiles, link, sim_seed, true);
+    let phones = [
+        b.add_host(Box::new(Phone::pixel7())),
+        b.add_host(Box::new(Phone::iphone_x())),
+    ];
+    let macs: Vec<(Mac, String)> = profiles
         .iter()
-        .map(|(_, id, mac)| (*mac, id.clone()))
+        .map(|p| (p.borrow().mac, p.borrow().id.clone()))
         .collect();
-    b.add_sink(Box::new(StreamingAnalyzer::with_passes(
-        &macs,
-        lan_prefix(),
-        passes,
-    )));
 
-    let mut sim = b
-        .seed(base_seed ^ config as u64)
-        .capture(keep_capture)
-        .faults(faults)
-        .build();
+    // An Ethernet home streams its analysis off the capture tap; a mesh
+    // home replays its buffered capture once its bindings are decoded.
+    let mesh = link == Link::Mesh;
+    if !mesh {
+        b.add_sink(Box::new(StreamingAnalyzer::with_passes(
+            &macs,
+            lan_prefix(),
+            passes,
+        )));
+    }
+    let buffered = keep_capture || mesh;
+    let mut sim = b.seed(sim_seed).capture(buffered).faults(faults).build();
     sim.run_until(duration);
-    let capture = keep_capture.then(|| sim.take_capture());
+    let capture = buffered.then(|| sim.take_capture());
 
     // Functionality test: ask each device model whether its primary
     // function (cloud rendezvous with every required destination)
     // completed — the §4.1 companion-app check. The switch log comes off
-    // the same downcast.
+    // the same device.
     let mut functional = BTreeMap::new();
     let mut switches = BTreeMap::new();
-    for (hid, id, _) in &device_ids {
-        let dev = sim
-            .host(*hid)
-            .as_any()
-            .downcast_ref::<IotDevice>()
-            .expect("host is a device");
+    for (i, p) in profiles.iter().enumerate() {
+        let id = &p.borrow().id;
+        let dev = devices.get(&sim, i);
         functional.insert(id.clone(), dev.is_functional());
         switches.insert(
             id.clone(),
@@ -520,47 +350,79 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
                 .collect::<Vec<_>>(),
         );
     }
-    let phones_ok = [pixel, iphone].iter().all(|h| {
+    let phones_ok = phones.iter().all(|h| {
         sim.host(*h)
             .as_any()
             .downcast_ref::<Phone>()
-            .map(|p| p.network_ok())
-            .unwrap_or(false)
+            .is_some_and(Phone::network_ok)
     });
 
-    let neighbors_v6 = sim.router().neighbor_table_v6();
-    let tunnel_drops = sim.tunnel_drops;
-    let analyzer = sim
-        .take_sinks()
-        .pop()
-        .expect("the streaming analyzer was attached above")
-        .into_any()
-        .downcast::<StreamingAnalyzer>()
-        .expect("the only sink is the streaming analyzer");
+    let (analyzer, transit) = match devices {
+        Devices::Hosts(_) => {
+            let sink = sim
+                .take_sinks()
+                .pop()
+                .expect("the streaming analyzer was attached above");
+            let analyzer = sink
+                .into_any()
+                .downcast::<StreamingAnalyzer>()
+                .expect("the only sink is the streaming analyzer");
+            (*analyzer, None)
+        }
+        Devices::Mesh(br) => {
+            let br = border_router(sim.host(br));
+            let bindings =
+                v6brick_core::bindings_from_mesh_capture(br.mesh_capture(), &lan_prefix());
+            let mut analyzer = StreamingAnalyzer::with_passes(&macs, lan_prefix(), passes);
+            for (addr, mac) in &bindings.by_addr {
+                // The border router's own mesh-local address resolves to
+                // no device and binds nothing.
+                analyzer.add_mesh_binding(*addr, *mac);
+            }
+            let lan = capture.as_ref().expect("a mesh home buffers its capture");
+            for pkt in lan.iter() {
+                analyzer.feed(pkt.timestamp_us, &pkt.data);
+            }
+            let transit = MeshTransit {
+                mesh_frames: br.mesh_frames,
+                dropped_v4_frames: br.dropped_v4_frames,
+                forwarded_up: br.forwarded_up,
+                forwarded_down: br.forwarded_down,
+                no_route_drops: br.no_route_drops,
+                // Count only the bindings that name a leaf, as the
+                // analyzer does.
+                mesh_bindings: bindings
+                    .by_addr
+                    .values()
+                    .filter(|m| **m != addrs::BORDER_ROUTER_MAC)
+                    .count() as u64,
+                mesh_decode_errors: bindings.decode_errors,
+            };
+            (analyzer, Some(transit))
+        }
+    };
     let frames = analyzer.frames_fed();
-    let analysis = analyzer.finish();
-
-    (
-        FaultedRun {
-            run: ExperimentRun {
-                config,
-                analysis,
-                functional,
-                phones_ok,
-                neighbors_v6,
-                frames,
-            },
-            switches,
-            tunnel_drops,
+    HomeRun {
+        run: ExperimentRun {
+            config,
+            analysis: analyzer.finish(),
+            functional,
+            phones_ok,
+            neighbors_v6: sim.router().neighbor_table_v6(),
+            frames,
         },
-        capture,
-    )
+        switches,
+        tunnel_drops: sim.tunnel_drops,
+        capture: capture.filter(|_| keep_capture),
+        transit,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use v6brick_devices::registry;
     use v6brick_net::dns::Name;
 
     fn profiles(ids: &[&str]) -> Vec<DeviceProfile> {
@@ -671,23 +533,36 @@ mod tests {
         assert_eq!(run4.functional.get("wyze_cam"), Some(&true));
     }
 
-    #[test]
-    fn mesh_home_attributes_leaves_and_v6_device_works() {
-        let mesh = run_mesh_home(
-            &mut ZoneCache::new(),
-            NetworkConfig::Ipv6Only,
-            &profiles(&["google_home_mini"]),
-            0x6b1c_0000,
+    /// A mesh home of `ids` under `config`, at the suite's seed and window.
+    fn mesh_home(config: NetworkConfig, ids: &[&str]) -> (ExperimentRun, MeshTransit) {
+        let profiles = profiles(ids);
+        let home = execute(
+            config,
+            &profiles,
+            SUITE_SEED,
             EXPERIMENT_DURATION,
             &PassId::ALL,
+            FaultPlan::new(),
+            build_zones(&profiles),
+            Link::Mesh,
+            false,
         );
-        assert!(mesh.run.phones_ok, "phones live on Ethernet, unaffected");
-        assert_eq!(mesh.run.functional.get("google_home_mini"), Some(&true));
-        assert!(mesh.mesh_frames > 0, "traffic crossed the mesh air");
-        assert!(mesh.mesh_bindings >= 1, "leaf addresses recovered");
-        assert_eq!(mesh.mesh_decode_errors, 0);
-        assert!(mesh.forwarded_up > 0 && mesh.forwarded_down > 0);
-        let o = mesh.run.analysis.device("google_home_mini").unwrap();
+        (
+            home.run,
+            home.transit.expect("a mesh home reports its transit"),
+        )
+    }
+
+    #[test]
+    fn mesh_home_attributes_leaves_and_v6_device_works() {
+        let (run, transit) = mesh_home(NetworkConfig::Ipv6Only, &["google_home_mini"]);
+        assert!(run.phones_ok, "phones live on Ethernet, unaffected");
+        assert_eq!(run.functional.get("google_home_mini"), Some(&true));
+        assert!(transit.mesh_frames > 0, "traffic crossed the mesh air");
+        assert!(transit.mesh_bindings >= 1, "leaf addresses recovered");
+        assert_eq!(transit.mesh_decode_errors, 0);
+        assert!(transit.forwarded_up > 0 && transit.forwarded_down > 0);
+        let o = run.analysis.device("google_home_mini").unwrap();
         assert!(o.dns_over_v6(), "DNS attributed to the leaf, not the BR");
         assert!(o.v6_internet_data(), "data attributed to the leaf");
     }
@@ -698,16 +573,9 @@ mod tests {
         // refuses its DHCPv4/ARP frames at the border, so it bricks even
         // with IPv4 service on the router — the readiness delta the mesh
         // family measures.
-        let mesh = run_mesh_home(
-            &mut ZoneCache::new(),
-            NetworkConfig::Ipv4Only,
-            &profiles(&["wyze_cam"]),
-            0x6b1c_0000,
-            EXPERIMENT_DURATION,
-            &PassId::ALL,
-        );
-        assert_eq!(mesh.run.functional.get("wyze_cam"), Some(&false));
-        assert!(mesh.dropped_v4_frames > 0);
+        let (run, transit) = mesh_home(NetworkConfig::Ipv4Only, &["wyze_cam"]);
+        assert_eq!(run.functional.get("wyze_cam"), Some(&false));
+        assert!(transit.dropped_v4_frames > 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! population scale.
 
 use crate::config::NetworkConfig;
-use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION};
+use crate::scenario::{self, ExperimentRun, EXPERIMENT_DURATION, SUITE_SEED};
 use std::collections::BTreeSet;
 use std::sync::{LazyLock, OnceLock};
 use v6brick_core::analysis::PassId;
@@ -93,7 +93,7 @@ impl ExperimentSuite {
         let runs = run_indexed(
             configs.to_vec(),
             workers.min(configs.len()),
-            |c| scenario::run_scoped(c, &profiles, 0x6b1c_0000, EXPERIMENT_DURATION, &passes),
+            |c| scenario::run_scoped(c, &profiles, SUITE_SEED, EXPERIMENT_DURATION, &passes),
             Vec::with_capacity(configs.len()),
             |acc, _index, run| acc.push(run),
         );

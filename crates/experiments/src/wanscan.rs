@@ -39,18 +39,16 @@
 
 use crate::config::NetworkConfig;
 use crate::portscan::ScanPlan;
-use crate::scenario;
+use crate::scenario::{self, Devices, Link};
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 use v6brick_core::exposure::{self, ExposureReport, HitlistStats, HomeScanOutcome, TargetOutcome};
-use v6brick_devices::stack::IotDevice;
 use v6brick_fleet::{plan_home, run_partials, HomeSpec};
 use v6brick_net::ipv4::{self, Protocol};
 use v6brick_net::udp::PseudoHeader;
 use v6brick_net::{icmpv6, ipv6, tcp, udp};
 use v6brick_sim::{
-    addrs, BorderRouter, FirewallPolicy, Host, Internet, Router, SimTime, Simulation,
-    SimulationBuilder,
+    addrs, FirewallPolicy, Internet, Router, SimTime, Simulation, SimulationBuilder,
 };
 
 /// The scanner's source address: a documentation-range GUA well outside
@@ -288,21 +286,9 @@ fn settle_home(
     let internet = Internet::new(scenario::build_zones(&home.profiles));
     let mut b = SimulationBuilder::new(router, internet);
     let sim_seed = home.seed ^ home.config as u64;
-    let mut hosts = Vec::with_capacity(home.profiles.len());
-    let mut br_host = None;
-    if mesh {
-        let leaves: Vec<Box<dyn Host>> = home
-            .profiles
-            .iter()
-            .map(|p| Box::new(IotDevice::new((*p).clone())) as Box<dyn Host>)
-            .collect();
-        let br = BorderRouter::new(sim_seed, leaves).mesh_capture_enabled(false);
-        br_host = Some(b.add_host(Box::new(br)));
-    } else {
-        for p in &home.profiles {
-            hosts.push(b.add_host(Box::new(IotDevice::new((*p).clone()))));
-        }
-    }
+    let link = if mesh { Link::Mesh } else { Link::Ethernet };
+    // The scan never reads the 802.15.4 air, so nothing records it.
+    let devices = Devices::attach(&mut b, &home.profiles, link, sim_seed, false);
     let mut sim = b.seed(sim_seed).capture(false).build();
     sim.internet_mut().attach_scanner(scanner_addr());
     sim.run_until(settle);
@@ -316,28 +302,11 @@ fn settle_home(
     );
 
     let mut truth = BTreeMap::new();
-    let mut absorb_truth = |host: &dyn Host| {
-        let dev = host
-            .as_any()
-            .downcast_ref::<IotDevice>()
-            .expect("host is a device");
+    for i in 0..home.profiles.len() {
+        let dev = devices.get(&sim, i);
         let category = dev.profile().category.label();
         for (addr, mode) in dev.gua_inventory() {
             truth.insert(addr, (category, mode));
-        }
-    };
-    if let Some(br_id) = br_host {
-        let br = sim
-            .host(br_id)
-            .as_any()
-            .downcast_ref::<BorderRouter>()
-            .expect("host is the border router");
-        for idx in 0..br.leaf_count() {
-            absorb_truth(br.leaf(idx));
-        }
-    } else {
-        for &h in &hosts {
-            absorb_truth(sim.host(h));
         }
     }
 

@@ -38,7 +38,7 @@ use v6brick::sim::{
 
 /// The pinned window: long enough for bulk telemetry and its replies.
 const WINDOW: SimTime = SimTime::from_secs(120);
-/// The base seed of the paper suite (`scenario::run`).
+/// The base seed of the paper suite (`scenario::SUITE_SEED`).
 const BASE_SEED: u64 = 0x6b1c_0000;
 
 /// Traffic classes the pinned window must contain.

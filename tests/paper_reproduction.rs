@@ -393,8 +393,10 @@ fn tracking_domains_disappear_in_v6only() {
 fn determinism_same_suite_twice() {
     // Two independently-run IPv6-only experiments produce identical
     // captures (the reproducibility guarantee).
-    let a = v6brick::experiments::scenario::run(NetworkConfig::Ipv6Only);
-    let b = v6brick::experiments::scenario::run(NetworkConfig::Ipv6Only);
+    use v6brick::experiments::scenario::run_with_profiles;
+    let profiles = v6brick::devices::registry::shared();
+    let a = run_with_profiles(NetworkConfig::Ipv6Only, profiles);
+    let b = run_with_profiles(NetworkConfig::Ipv6Only, profiles);
     assert_eq!(a.frames, b.frames);
     assert_eq!(a.functional, b.functional);
     let sa = serde_json::to_string(&a.analysis.devices).unwrap();
