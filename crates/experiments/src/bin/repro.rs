@@ -127,8 +127,7 @@ fn main() {
     if !KNOWN.contains(&what) {
         // Reject unknown artifacts *before* paying for the 6-experiment
         // suite.
-        eprintln!("unknown artifact {what:?}; {}", usage_hint());
-        std::process::exit(2);
+        refuse(format!("unknown artifact {what:?}; {}", usage_hint()));
     }
 
     let passes = artifact_passes(what);
@@ -226,10 +225,7 @@ fn main() {
                 serde_json::to_string_pretty(&out).expect("serializable")
             );
         }
-        other => {
-            eprintln!("unknown artifact {other:?}; {}", usage_hint());
-            std::process::exit(2);
-        }
+        other => refuse(format!("unknown artifact {other:?}; {}", usage_hint())),
     }
 }
 
@@ -296,48 +292,79 @@ fn artifact_passes(what: &str) -> Vec<PassId> {
     slice.to_vec()
 }
 
+/// Print `msg` and exit 2: how `repro` refuses arguments it cannot act
+/// on, before any work.
+fn refuse(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// One subcommand's arguments, read front to back.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    /// The next flag or positional argument.
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> String {
+        match self.next() {
+            Some(v) => v.to_string(),
+            None => refuse(format!("{flag} needs a value")),
+        }
+    }
+
+    /// The number after `flag`.
+    fn number(&mut self, flag: &str) -> u64 {
+        self.value(flag)
+            .parse()
+            .unwrap_or_else(|e| refuse(format!("bad value for {flag}: {e}")))
+    }
+
+    /// The 0..=1000 fraction after `flag`.
+    fn per_mille(&mut self, flag: &str) -> u32 {
+        match self.number(flag) {
+            n @ 0..=1000 => n as u32,
+            n => refuse(format!("{flag} is a 0..=1000 fraction, got {n}")),
+        }
+    }
+}
+
+/// The positional home count of `fleet`, `wanscan` and `upload`.
+fn home_count(n: &str) -> u64 {
+    n.parse()
+        .unwrap_or_else(|e| refuse(format!("bad home count {n:?}: {e}")))
+}
+
 /// `repro --scenario <preset> [--seed S]` — run a fault-injection
 /// preset and emit its switching report. Human summary on stderr, the
 /// byte-deterministic JSON report on stdout (CI reruns and diffs it).
 fn run_scenario(args: &[String]) {
     let mut seed: u64 = 1;
     let mut preset: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--seed needs a value");
-                        std::process::exit(2);
-                    })
-                    .parse()
-                    .unwrap_or_else(|e| {
-                        eprintln!("bad value for --seed: {e}");
-                        std::process::exit(2);
-                    });
-            }
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--seed" => seed = flags.number(arg),
             other if !other.starts_with('-') => preset = Some(other.to_string()),
-            other => {
-                eprintln!("unknown scenario flag {other:?}");
-                std::process::exit(2);
-            }
+            other => refuse(format!("unknown scenario flag {other:?}")),
         }
     }
     let Some(preset) = preset else {
-        eprintln!("usage: repro --scenario <preset> [--seed S]");
-        eprintln!("presets: {}", broken::PRESETS.join(", "));
-        std::process::exit(2);
+        refuse(format!(
+            "usage: repro --scenario <preset> [--seed S]\npresets: {}",
+            broken::PRESETS.join(", ")
+        ));
     };
     eprintln!("Running fault-injection preset {preset:?} (seed {seed:#x})...");
     let t0 = std::time::Instant::now();
     let Some(report) = broken::run_preset(&preset, seed) else {
-        eprintln!(
+        refuse(format!(
             "unknown preset {preset:?}; try: {}",
             broken::PRESETS.join(", ")
-        );
-        std::process::exit(2);
+        ));
     };
     eprintln!("   done in {:?}", t0.elapsed());
     eprintln!("{}", broken::render(&report));
@@ -369,28 +396,13 @@ fn peak_rss_bytes() -> Option<u64> {
 fn run_mesh_report(args: &[String]) {
     let mut spec = mesh::MeshSpec::default();
     let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .parse::<u64>()
-                .unwrap_or_else(|e| {
-                    eprintln!("bad value for {flag}: {e}");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--seed" => spec.seed = value("--seed"),
-            "--duration" => spec.duration_s = value("--duration"),
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--seed" => spec.seed = flags.number(arg),
+            "--duration" => spec.duration_s = flags.number(arg),
             "--json" => json = true,
-            other => {
-                eprintln!("unknown mesh flag {other:?}");
-                std::process::exit(2);
-            }
+            other => refuse(format!("unknown mesh flag {other:?}")),
         }
     }
     eprintln!(
@@ -426,68 +438,30 @@ fn run_fleet(args: &[String]) {
     let mut checkpoint_every: u64 = 10_000;
     let mut resume = false;
     let mut stop_after: Option<u64> = None;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .parse::<u64>()
-                .unwrap_or_else(|e| {
-                    eprintln!("bad value for {flag}: {e}");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--workers" => spec.workers = value("--workers") as usize,
-            "--seed" => spec.seed = value("--seed"),
-            "--duration" => spec.duration_s = value("--duration"),
-            "--max-failures" => max_failures = value("--max-failures"),
-            "--chaos-home" => {
-                let idx = value("--chaos-home");
-                spec.chaos_panic_homes.push(idx);
-            }
-            "--checkpoint" => {
-                checkpoint = Some(
-                    it.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--checkpoint needs a value");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                )
-            }
-            "--checkpoint-every" => checkpoint_every = value("--checkpoint-every"),
-            "--mesh-per-mille" => {
-                let n = value("--mesh-per-mille");
-                if n > 1000 {
-                    eprintln!("--mesh-per-mille is a 0..=1000 fraction, got {n}");
-                    std::process::exit(2);
-                }
-                spec.mesh_per_mille = n as u32;
-            }
+    let mut homes = None;
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--workers" => spec.workers = flags.number(arg) as usize,
+            "--seed" => spec.seed = flags.number(arg),
+            "--duration" => spec.duration_s = flags.number(arg),
+            "--max-failures" => max_failures = flags.number(arg),
+            "--chaos-home" => spec.chaos_panic_homes.push(flags.number(arg)),
+            "--checkpoint" => checkpoint = Some(flags.value(arg)),
+            "--checkpoint-every" => checkpoint_every = flags.number(arg),
+            "--mesh-per-mille" => spec.mesh_per_mille = flags.per_mille(arg),
             "--resume" => resume = true,
-            "--stop-after" => stop_after = Some(value("--stop-after")),
+            "--stop-after" => stop_after = Some(flags.number(arg)),
             "--json" => json = true,
-            other if !other.starts_with('-') => positional.push(other.to_string()),
-            other => {
-                eprintln!("unknown fleet flag {other:?}");
-                std::process::exit(2);
-            }
+            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other => refuse(format!("unknown fleet flag {other:?}")),
         }
     }
-    if let Some(n) = positional.first() {
-        spec.homes = n.parse().unwrap_or_else(|e| {
-            eprintln!("bad home count {n:?}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(n) = homes {
+        spec.homes = home_count(n);
     }
     if (resume || stop_after.is_some()) && checkpoint.is_none() {
-        eprintln!("fleet: --resume/--stop-after need --checkpoint PATH");
-        std::process::exit(2);
+        refuse("fleet: --resume/--stop-after need --checkpoint PATH");
     }
 
     eprintln!(
@@ -505,10 +479,7 @@ fn run_fleet(args: &[String]) {
                 resume,
                 stop_after,
             )
-            .unwrap_or_else(|e| {
-                eprintln!("fleet: {e}");
-                std::process::exit(2);
-            });
+            .unwrap_or_else(|e| refuse(format!("fleet: {e}")));
             if let Some(from) = leg.resumed_from {
                 eprintln!("   resumed from checkpoint at home {from}");
             }
@@ -589,65 +560,36 @@ fn run_wanscan(args: &[String]) {
     };
     let mut json = false;
     let mut verify = false;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .parse::<u64>()
-                .unwrap_or_else(|e| {
-                    eprintln!("bad value for {flag}: {e}");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--seed" => spec.seed = value("--seed"),
-            "--workers" => spec.workers = (value("--workers") as usize).max(1),
-            "--settle" => spec.settle_s = value("--settle"),
-            "--mesh-per-mille" => {
-                let n = value("--mesh-per-mille");
-                if n > 1000 {
-                    eprintln!("--mesh-per-mille is a 0..=1000 fraction, got {n}");
-                    std::process::exit(2);
-                }
-                spec.mesh_per_mille = n as u32;
-            }
+    let mut homes = None;
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--seed" => spec.seed = flags.number(arg),
+            "--workers" => spec.workers = (flags.number(arg) as usize).max(1),
+            "--settle" => spec.settle_s = flags.number(arg),
+            "--mesh-per-mille" => spec.mesh_per_mille = flags.per_mille(arg),
             "--policy" => {
-                let label = it.next().unwrap_or_else(|| {
-                    eprintln!("--policy needs a value");
-                    std::process::exit(2);
-                });
-                let policy = FirewallPolicy::from_label(label).unwrap_or_else(|| {
-                    eprintln!(
+                let label = flags.value(arg);
+                let policy = FirewallPolicy::from_label(&label).unwrap_or_else(|| {
+                    refuse(format!(
                         "unknown firewall policy {label:?}; try: {}",
                         FirewallPolicy::ALL
                             .iter()
                             .map(|p| p.label())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    );
-                    std::process::exit(2);
+                    ))
                 });
                 spec.policies = vec![policy];
             }
             "--json" => json = true,
             "--verify" => verify = true,
-            other if !other.starts_with('-') => positional.push(other.to_string()),
-            other => {
-                eprintln!("unknown wanscan flag {other:?}");
-                std::process::exit(2);
-            }
+            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other => refuse(format!("unknown wanscan flag {other:?}")),
         }
     }
-    if let Some(n) = positional.first() {
-        spec.homes = n.parse().unwrap_or_else(|e| {
-            eprintln!("bad home count {n:?}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(n) = homes {
+        spec.homes = home_count(n);
     }
 
     eprintln!(
@@ -720,22 +662,11 @@ fn run_wanscan(args: &[String]) {
 /// `recovered_from` after a restart.
 fn run_stats(args: &[String]) {
     let mut addr = "127.0.0.1:6468".to_string();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--addr needs a value");
-                        std::process::exit(2);
-                    })
-                    .clone()
-            }
-            other => {
-                eprintln!("unknown stats flag {other:?}");
-                std::process::exit(2);
-            }
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value(arg),
+            other => refuse(format!("unknown stats flag {other:?}")),
         }
     }
     let mut client =
@@ -770,56 +701,27 @@ fn run_upload(args: &[String]) {
     let mut json = false;
     let mut dev_min = spec.device_range.0;
     let mut dev_max = spec.device_range.1;
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| {
-                    eprintln!("{flag} needs a value");
-                    std::process::exit(2);
-                })
-                .parse::<u64>()
-                .unwrap_or_else(|e| {
-                    eprintln!("bad value for {flag}: {e}");
-                    std::process::exit(2);
-                })
-        };
-        match arg.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--addr needs a value");
-                        std::process::exit(2);
-                    })
-                    .clone()
-            }
-            "--clients" => clients = value("--clients") as usize,
-            "--seed" => spec.seed = value("--seed"),
-            "--duration" => spec.duration_s = value("--duration"),
-            "--workers" => spec.workers = value("--workers") as usize,
-            "--dev-min" => dev_min = value("--dev-min") as usize,
-            "--dev-max" => dev_max = value("--dev-max") as usize,
-            "--chaos-home" => {
-                let idx = value("--chaos-home");
-                spec.chaos_panic_homes.push(idx);
-            }
+    let mut homes = None;
+    let mut flags = Flags(args.iter());
+    while let Some(arg) = flags.next() {
+        match arg {
+            "--addr" => addr = flags.value(arg),
+            "--clients" => clients = flags.number(arg) as usize,
+            "--seed" => spec.seed = flags.number(arg),
+            "--duration" => spec.duration_s = flags.number(arg),
+            "--workers" => spec.workers = flags.number(arg) as usize,
+            "--dev-min" => dev_min = flags.number(arg) as usize,
+            "--dev-max" => dev_max = flags.number(arg) as usize,
+            "--chaos-home" => spec.chaos_panic_homes.push(flags.number(arg)),
             "--verify" => verify = true,
             "--shutdown" => shutdown = true,
             "--json" => json = true,
-            other if !other.starts_with('-') => positional.push(other.to_string()),
-            other => {
-                eprintln!("unknown upload flag {other:?}");
-                std::process::exit(2);
-            }
+            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other => refuse(format!("unknown upload flag {other:?}")),
         }
     }
-    if let Some(n) = positional.first() {
-        spec.homes = n.parse().unwrap_or_else(|e| {
-            eprintln!("bad home count {n:?}: {e}");
-            std::process::exit(2);
-        });
+    if let Some(n) = homes {
+        spec.homes = home_count(n);
     }
     spec.device_range = (dev_min, dev_max);
 

@@ -71,6 +71,13 @@ fn fleet_rejects_out_of_range_mesh_fraction() {
 }
 
 #[test]
+fn wanscan_rejects_out_of_range_mesh_fraction() {
+    let (code, stderr) = repro(&["wanscan", "4", "--mesh-per-mille", "1001"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("--mesh-per-mille"), "{stderr}");
+}
+
+#[test]
 fn serve_rejects_unknown_flags_before_binding() {
     // A bound daemon would serve until drained; exiting at all shows the
     // flag was refused before the listener existed.
