@@ -5,7 +5,9 @@
 //! Exact-match targets (the paper's Table 3 / Table 5 totals, the Fig. 5
 //! funnel); shape targets elsewhere (documented tolerances).
 
-use v6brick::experiments::{figures, tables, ExperimentSuite, NetworkConfig};
+use v6brick::experiments::{
+    active_dns, figures, scenario, tables, tracking, ExperimentSuite, NetworkConfig,
+};
 
 /// One shared suite for all assertions (the run dominates test time).
 fn suite() -> &'static ExperimentSuite {
@@ -22,14 +24,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// (artifact, rendered bytes, FNV-1a) of every report that reads a
-/// device predicate or the Table 3 funnel, over the shared suite.
-const PINNED_ARTIFACTS: [(&str, usize, u64); 9] = [
+/// device predicate, the Table 3 funnel or a device's destination
+/// names, over the shared suite. Tables 7 and 9 read the active DNS
+/// experiment over the suite's observed domains.
+const PINNED_ARTIFACTS: [(&str, usize, u64); 13] = [
     ("table3", 1719, 0x7f04_4fea_3ce8_e2fd),
     ("table4", 932, 0x1778_dcf0_ee25_f7ea),
     ("table5", 1925, 0xd362_18a9_f9d8_f812),
+    ("table7", 2322, 0x5f31_a291_d911_9f2f),
     ("table8", 3633, 0x753f_4f83_b5c7_76c2),
+    ("table9", 626, 0x9e92_1ac8_106e_6663),
     ("table10", 7724, 0xf9fa_6e20_06d8_d1bf),
     ("table12", 714, 0xa472_7c90_72a6_3dd6),
+    ("table13", 1706, 0x4779_3dd4_1050_1456),
+    ("tracking", 472, 0x9f20_ce0a_834c_52a0),
     ("figure2", 432, 0x27d7_7619_311a_2d20),
     ("figure5", 546, 0x53a3_34a3_e63d_7f8b),
     ("headline", 360, 0xc081_2700_50ca_3d64),
@@ -38,13 +46,18 @@ const PINNED_ARTIFACTS: [(&str, usize, u64); 9] = [
 #[test]
 fn rendered_artifacts_are_pinned() {
     let s = suite();
+    let active = active_dns::probe(s.observed_domains(), scenario::build_zones(&s.profiles));
     let render = |name: &str| match name {
         "table3" => tables::table3(s).to_string(),
         "table4" => tables::table4(s).to_string(),
         "table5" => tables::table5(s).to_string(),
+        "table7" => tables::table7(s, &active).to_string(),
         "table8" => tables::table8(s).to_string(),
+        "table9" => tables::table9(s, &active).to_string(),
         "table10" => tables::table10(s).to_string(),
         "table12" => tables::table12(s).to_string(),
+        "table13" => tables::table13(s).to_string(),
+        "tracking" => tracking::tracking_table(s).to_string(),
         "figure2" => figures::figure2(s).to_string(),
         "figure5" => figures::figure5(s).to_string(),
         "headline" => serde_json::to_string(&tables::headline_numbers(s)).unwrap(),
