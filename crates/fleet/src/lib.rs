@@ -13,15 +13,17 @@
 //! * every home's seed derives from `(campaign_seed, home_index)` alone
 //!   ([`seed::home_seed`]) — home 17 of a 32-home campaign is
 //!   bit-identical to home 17 of a 1000-home campaign;
-//! * homes are reduced **in home-index order** no matter which worker
-//!   finishes first ([`pool::run_indexed`]) — the final report is
-//!   byte-identical across worker counts — or hierarchically into
-//!   per-worker partials ([`pool::run_partials`]) whose commutative
-//!   merge produces the same bytes without a serial reducer;
+//! * the pool has one executor, [`pool::run_partials`]: each worker
+//!   folds the homes it ran into its own partial, and the partials'
+//!   commutative merge produces the same bytes as a serial fold, across
+//!   worker counts. [`pool::run_indexed`] folds over the same executor
+//!   **in item order**, holding every result until the last item has
+//!   run — for callers that keep every result anyway;
 //! * campaigns **stream**: [`plan::plan_homes_iter`] derives each home
-//!   lazily from `(campaign_seed, index)` and the pool feeds from any
-//!   `IntoIterator`, so a million-home campaign holds `O(workers)`
-//!   specs, results, and report partials at any instant.
+//!   lazily from `(campaign_seed, index)` and idle workers pull from any
+//!   `IntoIterator`, so a million-home campaign folded into partials
+//!   holds `O(workers)` specs, results, and report partials at any
+//!   instant.
 //!
 //! The crate is generic over the network-config type so it does not
 //! depend on the experiment harness; `v6brick-experiments` supplies the
@@ -35,6 +37,6 @@ pub mod seed;
 
 pub use checkpoint::{Checkpoint, CheckpointError, Fingerprint};
 pub use plan::{plan_home, plan_homes, plan_homes_iter, HomeSpec};
-pub use pool::{run_indexed, run_indexed_outcomes, run_indexed_with, run_partials, ItemPanic};
+pub use pool::{run_indexed, run_indexed_outcomes, run_partials, ItemPanic};
 pub use seed::home_seed;
 pub use v6brick_core::population::PopulationReport;

@@ -1,44 +1,42 @@
-//! The worker pool: fan work out to threads, reduce results in order.
+//! The worker pool: fan work out to threads, reduce results per worker.
 //!
-//! Work is **streamed**: [`run_indexed`] and friends accept any
-//! `IntoIterator`, and a feeder thread trickles items into a bounded
-//! channel, so a million-item campaign never materializes more than
-//! `O(workers)` items. Workers send `(index, result)` pairs back over a
-//! bounded results channel (a slow reducer exerts backpressure instead
-//! of buffering unboundedly); the caller's thread folds results in
-//! index order, buffering only the out-of-order window. The fold
-//! therefore observes exactly the same sequence for 1 worker or 64 —
-//! the foundation of the campaign-level determinism guarantee.
+//! There is one executor, [`run_partials`]. Workers pull `(index, item)`
+//! pairs straight from the caller's iterator, behind one mutex: there
+//! is no feeder thread and no channel, so an item is taken from a lazy
+//! iterator only when a worker is free to run it, and a million-item
+//! campaign never holds more than `workers` items at once. Each worker
+//! folds the items it ran into its own partial accumulator; only one
+//! partial per worker crosses a thread boundary, and the caller merges
+//! them. For accumulators whose merge is associative and commutative
+//! (the population/exposure reports), the merged result is identical to
+//! the serial in-order fold, whatever the schedule.
 //!
-//! Two execution shapes:
+//! [`run_indexed`] and [`run_indexed_outcomes`] are in-order folds over
+//! the same executor: each worker's partial is its `(index, result)`
+//! pairs, and the caller sorts them by index and folds them, so the fold
+//! observes exactly the same sequence for 1 worker or 64. They hold
+//! every result until the last item has run, so they suit the callers
+//! that keep every result anyway (the six-config suite, the port-scan
+//! shards, campaign bundles); a campaign that must stay memory-flat
+//! folds into partials with [`run_partials`].
 //!
-//! * **Serial reduce** ([`run_indexed`], [`run_indexed_outcomes`],
-//!   [`run_indexed_with`]) — one result crosses a channel per item and
-//!   a single reducer folds in item order.
-//! * **Hierarchical reduce** ([`run_partials`]) — each worker folds its
-//!   own items into a worker-local partial accumulator; only one
-//!   partial per worker crosses a thread boundary, and the caller
-//!   merges them. For accumulators whose merge is associative and
-//!   commutative (the population/exposure reports), the merged result
-//!   is identical to the serial in-order fold.
-//!
-//! Both shapes support **per-worker scratch**: state constructed once
-//! per worker and reused across every item that worker runs, so
+//! Workers keep **per-worker scratch**: state constructed once per
+//! worker and reused across every item that worker runs, so
 //! allocation-heavy runners amortize their buffers over the campaign. A
 //! panicking item discards its worker's scratch (a fresh one is built
 //! for the next item) — a poisoned item can never leak a half-mutated
 //! scratch into a later home.
 //!
 //! Every item runs under [`std::panic::catch_unwind`], so one poisoned
-//! item cannot tear down its worker thread (which would strand every
-//! item still queued behind it). [`run_indexed`] drains the full
-//! campaign first and only then re-raises the first panic; the other
-//! variants hand the caller the fold result *plus* the list of panicked
-//! items, for harnesses that tolerate partial failure.
+//! item cannot tear down its worker (which would strand every item
+//! still queued behind it). [`run_indexed`] drains the full campaign
+//! first and only then re-raises the first panic; the other entry
+//! points hand the caller the result *plus* the list of panicked items,
+//! for harnesses that tolerate partial failure.
 
 use std::any::Any;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// A work item that panicked instead of producing a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,19 +60,17 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// Run `runner` over `items` on `workers` threads and fold the results
 /// into `init` **in item order** (the enumeration index of `items`).
 ///
-/// With `workers <= 1` everything runs inline on the caller's thread —
-/// the reference path the parallel path must match byte-for-byte.
+/// With `workers <= 1` everything runs on the caller's thread — the
+/// reference path the parallel path must match byte-for-byte.
 ///
 /// A panicking item kills neither its worker nor the campaign: every
 /// other item still runs and folds, and the first panic (by item index)
-/// is re-raised only after the reduce loop drains. Use
-/// [`run_indexed_outcomes`] to receive failures as data instead.
+/// is re-raised only after the fold. Use [`run_indexed_outcomes`] to
+/// receive failures as data instead.
 ///
-/// Memory: the feeder queues at most `2 × workers` items, the results
-/// channel holds at most `4 × workers` finished results, and the
-/// out-of-order buffer holds at most the spread between the slowest and
-/// fastest in-flight item — all `O(workers)`, independent of the length
-/// of `items`, which may be a lazy iterator over millions.
+/// Memory: every result is held until the last item has run, then
+/// folded in order; the items themselves are pulled lazily, at most
+/// `workers` at a time.
 pub fn run_indexed<I, W, R, T, F, G>(items: I, workers: usize, runner: F, init: T, fold: G) -> T
 where
     I: IntoIterator<Item = W>,
@@ -84,8 +80,7 @@ where
     F: Fn(W) -> R + Sync,
     G: FnMut(&mut T, u64, R),
 {
-    let (acc, failures) =
-        run_indexed_with(items, workers, || (), move |_, w| runner(w), init, fold);
+    let (acc, failures) = run_indexed_outcomes(items, workers, runner, init, fold);
     if let Some(first) = failures.into_iter().next() {
         panic!("item {} panicked: {}", first.index, first.message);
     }
@@ -100,7 +95,7 @@ pub fn run_indexed_outcomes<I, W, R, T, F, G>(
     workers: usize,
     runner: F,
     init: T,
-    fold: G,
+    mut fold: G,
 ) -> (T, Vec<ItemPanic>)
 where
     I: IntoIterator<Item = W>,
@@ -110,115 +105,35 @@ where
     F: Fn(W) -> R + Sync,
     G: FnMut(&mut T, u64, R),
 {
-    run_indexed_with(items, workers, || (), move |_, w| runner(w), init, fold)
-}
-
-/// [`run_indexed_outcomes`] with per-worker scratch: `scratch` runs
-/// once per worker thread (and once inline when `workers <= 1`), and
-/// every item that worker executes receives `&mut S` — buffers,
-/// caches, and pools survive from one item to the next instead of
-/// being rebuilt per item. Scratch must never influence *results*
-/// (it is reused in a worker-dependent, schedule-dependent order);
-/// determinism-critical state belongs in the item or the fold.
-pub fn run_indexed_with<I, W, S, R, T, FS, F, G>(
-    items: I,
-    workers: usize,
-    scratch: FS,
-    runner: F,
-    init: T,
-    mut fold: G,
-) -> (T, Vec<ItemPanic>)
-where
-    I: IntoIterator<Item = W>,
-    I::IntoIter: Send,
-    W: Send,
-    R: Send,
-    FS: Fn() -> S + Sync,
-    F: Fn(&mut S, W) -> R + Sync,
-    G: FnMut(&mut T, u64, R),
-{
+    let (partials, failures) = run_partials(
+        items,
+        workers,
+        || (),
+        |_, item| runner(item),
+        Vec::new,
+        |ran: &mut Vec<(u64, R)>, index, result| ran.push((index, result)),
+    );
+    let mut ran: Vec<(u64, R)> = partials.into_iter().flatten().collect();
+    ran.sort_unstable_by_key(|&(index, _)| index);
     let mut acc = init;
-    let mut failures = Vec::new();
-    let mut take = |acc: &mut T, index: u64, outcome: Result<R, String>| match outcome {
-        Ok(result) => fold(acc, index, result),
-        Err(message) => failures.push(ItemPanic { index, message }),
-    };
-
-    if workers <= 1 {
-        let mut local = scratch();
-        for (index, item) in items.into_iter().enumerate() {
-            let outcome = run_one(&runner, &mut local, item);
-            if outcome.is_err() {
-                // Never reuse scratch a panic may have half-mutated.
-                local = scratch();
-            }
-            take(&mut acc, index as u64, outcome);
-        }
-        return (acc, failures);
+    for (index, result) in ran {
+        fold(&mut acc, index, result);
     }
-
-    let (work_tx, work_rx) = crossbeam::channel::bounded::<(u64, W)>(workers * 2);
-    // Bounded: a reducer that falls behind stalls the workers instead
-    // of letting finished results pile up without limit.
-    let (result_tx, result_rx) =
-        crossbeam::channel::bounded::<(u64, Result<R, String>)>(workers * 4);
-    let runner = &runner;
-    let scratch = &scratch;
-
-    std::thread::scope(|s| {
-        // Feeder: trickle items into the bounded queue so the pool never
-        // materializes more than O(workers) pending items.
-        let items = items.into_iter();
-        s.spawn(move || {
-            for (index, item) in items.enumerate() {
-                if work_tx.send((index as u64, item)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        for _ in 0..workers {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            s.spawn(move || {
-                let mut local = scratch();
-                for (index, item) in &work_rx {
-                    let outcome = run_one(runner, &mut local, item);
-                    if outcome.is_err() {
-                        local = scratch();
-                    }
-                    if result_tx.send((index, outcome)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // The scope's own handles would keep the results channel open.
-        drop(work_rx);
-        drop(result_tx);
-
-        // In-order reduce: buffer early arrivals, fold as soon as the
-        // next expected index shows up.
-        let mut pending: BTreeMap<u64, Result<R, String>> = BTreeMap::new();
-        let mut next = 0u64;
-        for (index, outcome) in &result_rx {
-            pending.insert(index, outcome);
-            while let Some(outcome) = pending.remove(&next) {
-                take(&mut acc, next, outcome);
-                next += 1;
-            }
-        }
-        assert!(pending.is_empty(), "worker died mid-campaign");
-    });
     (acc, failures)
 }
 
 /// Hierarchical reduce: each worker folds the items it ran into its own
-/// partial accumulator (built by `partial`), and the pool returns every
-/// non-empty worker partial plus the panicked items (sorted by index).
-/// No per-item result ever crosses a thread boundary — for a
-/// million-home campaign the cross-thread traffic is one partial per
-/// worker, and there is no serial reducer to bottleneck on.
+/// partial accumulator (built by `partial`), and the pool returns the
+/// partial of every worker that folded at least one item plus the
+/// panicked items (sorted by index). No per-item result ever crosses a
+/// thread boundary — for a million-home campaign the cross-thread
+/// traffic is one partial per worker, and there is no serial reducer to
+/// bottleneck on.
+///
+/// With `workers <= 1` the one worker runs on the caller's thread;
+/// otherwise each of `workers` threads runs it. Either way a worker
+/// takes its next item from `items` only once its previous item has
+/// run.
 ///
 /// The caller merges the partials. **Determinism contract:** workers
 /// claim items in a schedule-dependent order, so each partial covers an
@@ -227,8 +142,13 @@ where
 /// commutative over disjoint item sets (true of the integer-counter
 /// population/exposure reports, whose tests pin exactly this).
 ///
-/// Scratch follows the same rules as [`run_indexed_with`]: one `S` per
-/// worker, reused across items, discarded after a panic.
+/// **Scratch:** `scratch` runs once per worker, and every item that
+/// worker executes receives `&mut S` — buffers, caches, and pools
+/// survive from one item to the next instead of being rebuilt per item.
+/// A panicked item's scratch is discarded and rebuilt. Scratch must
+/// never influence *results* (it is reused in a worker-dependent,
+/// schedule-dependent order); determinism-critical state belongs in the
+/// item or the fold.
 pub fn run_partials<I, W, S, R, T, FS, F, FT, G>(
     items: I,
     workers: usize,
@@ -248,89 +168,54 @@ where
     FT: Fn() -> T + Sync,
     G: Fn(&mut T, u64, R) + Sync,
 {
-    if workers <= 1 {
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
         let mut local = scratch();
-        let mut acc = partial();
+        let mut acc = None;
         let mut failures = Vec::new();
-        for (index, item) in items.into_iter().enumerate() {
-            match run_one(&runner, &mut local, item) {
-                Ok(result) => fold(&mut acc, index as u64, result),
-                Err(message) => {
+        loop {
+            // The guard drops with this statement: no lock is held while
+            // an item runs. A poisoned lock (the iterator itself
+            // panicked) ends the campaign for this worker.
+            let next = queue.lock().ok().and_then(|mut q| q.next());
+            let Some((index, item)) = next else { break };
+            let index = index as u64;
+            match catch_unwind(AssertUnwindSafe(|| runner(&mut local, item))) {
+                Ok(result) => fold(acc.get_or_insert_with(&partial), index, result),
+                Err(payload) => {
+                    // Never reuse scratch a panic may have half-mutated.
                     local = scratch();
-                    failures.push(ItemPanic {
-                        index: index as u64,
-                        message,
-                    });
+                    let message = panic_message(payload);
+                    failures.push(ItemPanic { index, message });
                 }
             }
         }
-        return (vec![acc], failures);
+        (acc, failures)
+    };
+
+    let outcomes = if workers <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(work)).collect();
+            // Joining in spawn order keeps the partial list in worker-slot
+            // order (the *contents* still depend on scheduling — hence
+            // the merge contract above). A worker's own panic can only
+            // come from the iterator; it propagates as it was raised.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|payload| resume_unwind(payload)))
+                .collect()
+        })
+    };
+    let mut partials = Vec::with_capacity(outcomes.len());
+    let mut failures = Vec::new();
+    for (acc, fails) in outcomes {
+        partials.extend(acc);
+        failures.extend(fails);
     }
-
-    let (work_tx, work_rx) = crossbeam::channel::bounded::<(u64, W)>(workers * 2);
-    let runner = &runner;
-    let scratch = &scratch;
-    let partial = &partial;
-    let fold = &fold;
-
-    let (partials, mut failures) = std::thread::scope(|s| {
-        let items = items.into_iter();
-        s.spawn(move || {
-            for (index, item) in items.enumerate() {
-                if work_tx.send((index as u64, item)).is_err() {
-                    break;
-                }
-            }
-        });
-
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let work_rx = work_rx.clone();
-                s.spawn(move || {
-                    let mut local = scratch();
-                    let mut acc = partial();
-                    let mut failures = Vec::new();
-                    let mut ran_any = false;
-                    for (index, item) in &work_rx {
-                        match run_one(runner, &mut local, item) {
-                            Ok(result) => {
-                                ran_any = true;
-                                fold(&mut acc, index, result);
-                            }
-                            Err(message) => {
-                                local = scratch();
-                                failures.push(ItemPanic { index, message });
-                            }
-                        }
-                    }
-                    (ran_any.then_some(acc), failures)
-                })
-            })
-            .collect();
-        drop(work_rx);
-
-        let mut partials = Vec::with_capacity(workers);
-        let mut failures = Vec::new();
-        // Joining in spawn order keeps the partial list deterministic
-        // per worker slot (the *contents* still depend on scheduling —
-        // hence the merge contract above).
-        for h in handles {
-            let (acc, fails) = h.join().expect("pool worker never panics itself");
-            partials.extend(acc);
-            failures.extend(fails);
-        }
-        (partials, failures)
-    });
     failures.sort_by_key(|f| f.index);
     (partials, failures)
-}
-
-fn run_one<S, W, R>(
-    runner: &(impl Fn(&mut S, W) -> R + Sync),
-    scratch: &mut S,
-    item: W,
-) -> Result<R, String> {
-    catch_unwind(AssertUnwindSafe(|| runner(scratch, item))).map_err(panic_message)
 }
 
 #[cfg(test)]
@@ -357,8 +242,8 @@ mod tests {
 
     #[test]
     fn lazy_iterator_feeds_the_pool() {
-        // The items are never collected: a lazy range streams straight
-        // through the feeder.
+        // The items are never collected: workers pull straight from a
+        // lazy range.
         let out = run_indexed(
             (0..500u64).map(|x| x + 1),
             4,
@@ -402,32 +287,44 @@ mod tests {
     }
 
     #[test]
-    fn slow_reducer_is_backpressured_not_buffered() {
-        // 200 instant items against a reducer that sleeps: the bounded
-        // results channel caps how far the workers can run ahead. The
-        // run must still complete and fold in order (backpressure, not
-        // deadlock).
+    fn only_idle_workers_pull_from_the_iterator() {
+        // Items leave a lazy iterator only when a worker is free to run
+        // them: at no point are more than `workers` items pulled and not
+        // yet finished, however slow the items are.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let workers = 3;
+        let pulled = AtomicU64::new(0);
+        let finished = AtomicU64::new(0);
+        let most_in_flight = AtomicU64::new(0);
+        let items = (0..30u64).inspect(|_| {
+            let in_flight =
+                pulled.fetch_add(1, Ordering::SeqCst) + 1 - finished.load(Ordering::SeqCst);
+            most_in_flight.fetch_max(in_flight, Ordering::SeqCst);
+        });
         let out = run_indexed(
-            (0..200u64).collect::<Vec<u64>>(),
-            4,
-            |i| i,
-            Vec::new(),
-            |acc, index, r| {
-                if index % 50 == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                assert_eq!(index, r);
-                acc.push(r);
+            items,
+            workers,
+            |i| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                finished.fetch_add(1, Ordering::SeqCst);
+                i
             },
+            Vec::new(),
+            |acc, _, r| acc.push(r),
         );
-        assert_eq!(out, (0..200).collect::<Vec<u64>>());
+        assert_eq!(out, (0..30).collect::<Vec<u64>>());
+        let most = most_in_flight.load(Ordering::SeqCst);
+        assert!(
+            most <= workers as u64,
+            "{most} items pulled ahead of {workers} workers"
+        );
     }
 
     #[test]
     fn scratch_is_reused_across_items_per_worker() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let built = AtomicUsize::new(0);
-        let (counts, failures) = run_indexed_with(
+        let (partials, failures) = run_partials(
             (0..64u64).collect::<Vec<u64>>(),
             4,
             || {
@@ -441,11 +338,11 @@ mod tests {
                 buf.extend(0..=i % 4);
                 buf.iter().sum::<u64>()
             },
-            Vec::new(),
+            Vec::new,
             |acc: &mut Vec<u64>, _, r| acc.push(r),
         );
         assert!(failures.is_empty());
-        assert_eq!(counts.len(), 64);
+        assert_eq!(partials.iter().map(Vec::len).sum::<usize>(), 64);
         // One scratch per worker, not one per item.
         assert!(
             built.load(Ordering::SeqCst) <= 4,
@@ -457,7 +354,7 @@ mod tests {
     fn panicking_item_discards_scratch() {
         // After a panic the worker must get a fresh scratch, so the
         // poisoned item's half-written state can't leak into later ones.
-        let ((), failures) = run_indexed_with(
+        let (_, failures) = run_partials(
             (0..10u64).collect::<Vec<u64>>(),
             1,
             Vec::<u64>::new,
@@ -471,7 +368,7 @@ mod tests {
                     "scratch leaked across a panicked item: {buf:?}"
                 );
             },
-            (),
+            || (),
             |_, _, _| {},
         );
         assert_eq!(failures.len(), 1);
