@@ -332,6 +332,16 @@ impl<'a> Flags<'a> {
     }
 }
 
+/// Keep `arg` as `cmd`'s one positional argument; refuse a second one,
+/// which would otherwise be dropped without a word.
+fn positional<'a>(cmd: &str, slot: &mut Option<&'a str>, arg: &'a str) {
+    if let Some(first) = slot.replace(arg) {
+        refuse(format!(
+            "{cmd}: unexpected argument {arg:?} after {first:?}; it takes one"
+        ));
+    }
+}
+
 /// The positional home count of `fleet`, `wanscan` and `upload`.
 fn home_count(n: &str) -> u64 {
     n.parse()
@@ -343,12 +353,12 @@ fn home_count(n: &str) -> u64 {
 /// byte-deterministic JSON report on stdout (CI reruns and diffs it).
 fn run_scenario(args: &[String]) {
     let mut seed: u64 = 1;
-    let mut preset: Option<String> = None;
+    let mut preset = None;
     let mut flags = Flags(args.iter());
     while let Some(arg) = flags.next() {
         match arg {
             "--seed" => seed = flags.number(arg),
-            other if !other.starts_with('-') => preset = Some(other.to_string()),
+            other if !other.starts_with('-') => positional("--scenario", &mut preset, other),
             other => refuse(format!("unknown scenario flag {other:?}")),
         }
     }
@@ -360,7 +370,7 @@ fn run_scenario(args: &[String]) {
     };
     eprintln!("Running fault-injection preset {preset:?} (seed {seed:#x})...");
     let t0 = std::time::Instant::now();
-    let Some(report) = broken::run_preset(&preset, seed) else {
+    let Some(report) = broken::run_preset(preset, seed) else {
         refuse(format!(
             "unknown preset {preset:?}; try: {}",
             broken::PRESETS.join(", ")
@@ -453,7 +463,7 @@ fn run_fleet(args: &[String]) {
             "--resume" => resume = true,
             "--stop-after" => stop_after = Some(flags.number(arg)),
             "--json" => json = true,
-            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other if !other.starts_with('-') => positional("fleet", &mut homes, other),
             other => refuse(format!("unknown fleet flag {other:?}")),
         }
     }
@@ -584,7 +594,7 @@ fn run_wanscan(args: &[String]) {
             }
             "--json" => json = true,
             "--verify" => verify = true,
-            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other if !other.starts_with('-') => positional("wanscan", &mut homes, other),
             other => refuse(format!("unknown wanscan flag {other:?}")),
         }
     }
@@ -716,7 +726,7 @@ fn run_upload(args: &[String]) {
             "--verify" => verify = true,
             "--shutdown" => shutdown = true,
             "--json" => json = true,
-            other if !other.starts_with('-') => _ = homes.get_or_insert(other),
+            other if !other.starts_with('-') => positional("upload", &mut homes, other),
             other => refuse(format!("unknown upload flag {other:?}")),
         }
     }

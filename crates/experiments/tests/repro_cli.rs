@@ -77,6 +77,54 @@ fn wanscan_rejects_out_of_range_mesh_fraction() {
     assert!(stderr.contains("--mesh-per-mille"), "{stderr}");
 }
 
+/// A second positional argument is refused by name, never dropped.
+fn rejects_second_positional(args: &[&str], extra: &str) {
+    let (code, stderr) = repro(args);
+    assert_eq!(code, 2, "{args:?} must exit 2 before simulating: {stderr}");
+    assert!(
+        stderr.contains(&format!("unexpected argument {extra:?}")),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn fleet_rejects_a_second_home_count() {
+    rejects_second_positional(&["fleet", "2", "99", "--duration", "1", "--json"], "99");
+}
+
+#[test]
+fn wanscan_rejects_a_second_home_count() {
+    rejects_second_positional(
+        &[
+            "wanscan", "1", "7", "--settle", "1", "--policy", "open", "--json",
+        ],
+        "7",
+    );
+}
+
+#[test]
+fn upload_rejects_a_second_home_count() {
+    // Port 1 refuses at once, so a run that got past its flags ends
+    // quickly, with another error.
+    rejects_second_positional(
+        &[
+            "upload",
+            "1",
+            "5",
+            "--duration",
+            "1",
+            "--addr",
+            "127.0.0.1:1",
+        ],
+        "5",
+    );
+}
+
+#[test]
+fn scenario_rejects_a_second_preset() {
+    rejects_second_positional(&["--scenario", "broken-v6", "ra-suppress"], "ra-suppress");
+}
+
 #[test]
 fn serve_rejects_unknown_flags_before_binding() {
     // A bound daemon would serve until drained; exiting at all shows the
