@@ -153,6 +153,19 @@ impl DeviceObservation {
             .collect()
     }
 
+    /// The device's destination names: its A and AAAA questions over
+    /// either family plus its TLS SNI names, without `.local` names.
+    /// May repeat a name.
+    pub fn destination_names(&self) -> impl Iterator<Item = &Name> {
+        self.a_q_v4
+            .iter()
+            .chain(&self.a_q_v6)
+            .chain(&self.aaaa_q_v4)
+            .chain(&self.aaaa_q_v6)
+            .chain(&self.sni_domains)
+            .filter(|n| !n.as_str().ends_with(".local"))
+    }
+
     /// Positive AAAA answers on either transport.
     pub fn aaaa_pos_any(&self) -> BTreeSet<Name> {
         self.aaaa_pos_v6.union(&self.aaaa_pos_v4).cloned().collect()

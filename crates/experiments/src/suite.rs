@@ -219,24 +219,12 @@ impl ExperimentSuite {
     /// Every destination domain observed (DNS + SNI) across all runs,
     /// excluding local names — the input to the active DNS experiment.
     pub fn observed_domains(&self) -> BTreeSet<v6brick_net::dns::Name> {
-        let mut out = BTreeSet::new();
-        for run in &self.runs {
-            for o in run.analysis.devices.values() {
-                for n in o
-                    .a_q_v4
-                    .iter()
-                    .chain(&o.a_q_v6)
-                    .chain(&o.aaaa_q_v4)
-                    .chain(&o.aaaa_q_v6)
-                    .chain(&o.sni_domains)
-                {
-                    if !n.as_str().ends_with(".local") {
-                        out.insert(n.clone());
-                    }
-                }
-            }
-        }
-        out
+        self.runs
+            .iter()
+            .flat_map(|run| run.analysis.devices.values())
+            .flat_map(DeviceObservation::destination_names)
+            .cloned()
+            .collect()
     }
 }
 

@@ -43,7 +43,7 @@ pub use variants::variants;
 
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
-use v6brick_devices::profile::Category;
+use v6brick_devices::profile::{Category, DeviceProfile, Os};
 
 /// Addressing + DNS + traffic (no NDP row).
 pub const FEATURE_PASSES: &[PassId] = &[PassId::Addressing, PassId::Dns, PassId::Traffic];
@@ -92,4 +92,72 @@ pub fn count_by_category(
                 .count()
         })
         .collect()
+}
+
+/// The OS columns of Tables 8 and 13, in column order.
+const OS_COLUMNS: [Os; 5] = [
+    Os::Tizen,
+    Os::FireOs,
+    Os::AndroidBased,
+    Os::Fuchsia,
+    Os::IosTvos,
+];
+
+/// The column groups Tables 8 and 13 share: a total, every manufacturer
+/// or platform with at least three devices, then OS columns.
+struct Columns<'a> {
+    suite: &'a ExperimentSuite,
+    mans: Vec<&'a str>,
+    oses: Vec<Os>,
+}
+
+impl<'a> Columns<'a> {
+    /// The manufacturers of at least three devices, sorted, and the
+    /// [`OS_COLUMNS`] that `keep_os` keeps.
+    fn new(suite: &'a ExperimentSuite, keep_os: impl Fn(Os) -> bool) -> Columns<'a> {
+        let mut mans: Vec<&str> = suite
+            .profiles
+            .iter()
+            .map(|p| p.manufacturer.as_str())
+            .collect();
+        mans.sort_unstable();
+        mans.dedup();
+        mans.retain(|m| {
+            suite
+                .profiles
+                .iter()
+                .filter(|p| p.manufacturer == *m)
+                .count()
+                >= 3
+        });
+        let oses = OS_COLUMNS.into_iter().filter(|&os| keep_os(os)).collect();
+        Columns { suite, mans, oses }
+    }
+
+    /// The header row, led by `first`.
+    fn headers(&self, first: &str) -> Vec<String> {
+        let mut headers = vec![first.to_string(), "Total".to_string()];
+        headers.extend(self.mans.iter().map(|m| m.to_string()));
+        headers.extend(self.oses.iter().map(|os| os.label().to_string()));
+        headers
+    }
+
+    /// One row led by `label`: `cell` summed over every device, then
+    /// over each manufacturer's devices and each OS's devices.
+    fn row(&self, label: &str, cell: impl Fn(&DeviceProfile) -> usize) -> Vec<String> {
+        let sum = |keep: &dyn Fn(&DeviceProfile) -> bool| {
+            let n: usize = self
+                .suite
+                .profiles
+                .iter()
+                .filter(|p| keep(p))
+                .map(&cell)
+                .sum();
+            n.to_string()
+        };
+        let mut r = vec![label.to_string(), sum(&|_| true)];
+        r.extend(self.mans.iter().map(|m| sum(&|p| p.manufacturer == *m)));
+        r.extend(self.oses.iter().map(|os| sum(&|p| p.os == *os)));
+        r
+    }
 }

@@ -4,7 +4,6 @@ use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
 use v6brick_core::observe::DeviceObservation;
-use v6brick_devices::profile::Os;
 use v6brick_net::ipv6::{AddressKind, Ipv6AddrExt};
 
 /// Analyzer passes this generator reads (address sets and query names —
@@ -14,62 +13,13 @@ pub const PASSES: &[PassId] = &[PassId::Addressing, PassId::Dns];
 /// Table 13: address and distinct-query counts by manufacturer and OS.
 pub fn table13(suite: &ExperimentSuite) -> TextTable {
     let o = |id: &str| suite.v6_and_dual_observation(id);
-    let mut mans: Vec<String> = suite
-        .profiles
-        .iter()
-        .map(|p| p.manufacturer.clone())
-        .collect();
-    mans.sort();
-    mans.dedup();
-    let mans: Vec<String> = mans
-        .into_iter()
-        .filter(|m| {
-            suite
-                .profiles
-                .iter()
-                .filter(|p| &p.manufacturer == m)
-                .count()
-                >= 3
-        })
-        .collect();
-    let oses = [
-        Os::Tizen,
-        Os::FireOs,
-        Os::AndroidBased,
-        Os::Fuchsia,
-        Os::IosTvos,
-    ];
-
-    let mut headers = vec!["Metric".to_string(), "Total".to_string()];
-    headers.extend(mans.iter().cloned());
-    headers.extend(oses.iter().map(|os| os.label().to_string()));
+    let columns = super::Columns::new(suite, |_| true);
     let mut t =
         TextTable::new("Table 13: IPv6 addresses and distinct DNS queries per manufacturer and OS");
-    t.headers = headers;
+    t.headers = columns.headers("Metric");
 
     let row = |t: &mut TextTable, label: &str, f: &dyn Fn(&DeviceObservation) -> usize| {
-        let mut r = vec![label.to_string()];
-        let total: usize = suite.profiles.iter().map(|p| f(o(&p.id))).sum();
-        r.push(total.to_string());
-        for m in &mans {
-            let n: usize = suite
-                .profiles
-                .iter()
-                .filter(|p| &p.manufacturer == m)
-                .map(|p| f(o(&p.id)))
-                .sum();
-            r.push(n.to_string());
-        }
-        for os in oses {
-            let n: usize = suite
-                .profiles
-                .iter()
-                .filter(|p| p.os == os)
-                .map(|p| f(o(&p.id)))
-                .sum();
-            r.push(n.to_string());
-        }
-        t.rows.push(r);
+        t.rows.push(columns.row(label, |p| f(o(&p.id))));
     };
     row(&mut t, "IPv6 Address", &|ob| ob.all_addrs().len());
     row(&mut t, "GUA", &|ob| {

@@ -7,6 +7,7 @@ use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use std::collections::BTreeSet;
 use v6brick_core::analysis::PassId;
+use v6brick_core::observe::DeviceObservation;
 use v6brick_devices::profile::Category;
 use v6brick_net::dns::Name;
 
@@ -28,34 +29,15 @@ pub fn table7(suite: &ExperimentSuite, active: &ActiveDnsReport) -> TextTable {
             "AAAA Res. %",
         ]);
 
-    // Per-device observed domains (DNS + SNI, all runs).
-    let device_domains = |id: &str| -> BTreeSet<Name> {
-        let mut out = BTreeSet::new();
-        for run in suite.runs() {
-            if let Some(o) = run.analysis.device(id) {
-                for n in o
-                    .a_q_v4
-                    .iter()
-                    .chain(&o.a_q_v6)
-                    .chain(&o.aaaa_q_v4)
-                    .chain(&o.aaaa_q_v6)
-                    .chain(&o.sni_domains)
-                {
-                    if !n.as_str().ends_with(".local") {
-                        out.insert(n.clone());
-                    }
-                }
-            }
-        }
-        out
-    };
-
     let group_row = |t: &mut TextTable, label: String, ids: Vec<&str>| {
-        let mut domains = BTreeSet::new();
-        for id in &ids {
-            domains.extend(device_domains(id));
-        }
-        let ready_count = domains.iter().filter(|d| ready.contains(*d)).count();
+        // The group's destination names over every run.
+        let domains: BTreeSet<&Name> = suite
+            .runs()
+            .iter()
+            .flat_map(|run| ids.iter().filter_map(|id| run.analysis.device(id)))
+            .flat_map(DeviceObservation::destination_names)
+            .collect();
+        let ready_count = domains.iter().filter(|d| ready.contains(**d)).count();
         let pct = if domains.is_empty() {
             0.0
         } else {

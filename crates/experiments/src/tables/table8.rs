@@ -4,7 +4,6 @@
 use crate::render::TextTable;
 use crate::suite::ExperimentSuite;
 use v6brick_core::analysis::PassId;
-use v6brick_devices::profile::Os;
 use v6brick_net::ipv6::Ipv6AddrExt;
 
 /// Analyzer passes this generator reads.
@@ -14,65 +13,17 @@ pub const PASSES: &[PassId] = super::FEATURE_PASSES;
 /// (≥2 devices).
 pub fn table8(suite: &ExperimentSuite) -> TextTable {
     let o = |id: &str| suite.v6_and_dual_observation(id);
-    // Column groups.
-    let mut mans: Vec<String> = suite
-        .profiles
-        .iter()
-        .map(|p| p.manufacturer.clone())
-        .collect();
-    mans.sort();
-    mans.dedup();
-    let mans: Vec<String> = mans
-        .into_iter()
-        .filter(|m| {
-            suite
-                .profiles
-                .iter()
-                .filter(|p| &p.manufacturer == m)
-                .count()
-                >= 3
-        })
-        .collect();
-    let oses: Vec<Os> = [
-        Os::Tizen,
-        Os::FireOs,
-        Os::AndroidBased,
-        Os::Fuchsia,
-        Os::IosTvos,
-    ]
-    .into_iter()
-    .filter(|os| suite.profiles.iter().filter(|p| p.os == *os).count() >= 2)
-    .collect();
-
-    let mut headers = vec!["Feature".to_string(), "Total".to_string()];
-    headers.extend(mans.iter().cloned());
-    headers.extend(oses.iter().map(|os| os.label().to_string()));
+    let columns = super::Columns::new(suite, |os| {
+        suite.profiles.iter().filter(|p| p.os == os).count() >= 2
+    });
     let mut t = TextTable::new(
         "Table 8: IPv6 feature support per manufacturer/platform (>=3 devices) and OS (>=2 devices)",
     );
-    t.headers = headers;
+    t.headers = columns.headers("Feature");
 
+    // A feature's cell counts the devices that show it.
     let feature_row = |t: &mut TextTable, label: &str, f: &dyn Fn(&str) -> bool| {
-        let mut r = vec![label.to_string()];
-        let total = suite.profiles.iter().filter(|p| f(&p.id)).count();
-        r.push(total.to_string());
-        for m in &mans {
-            let n = suite
-                .profiles
-                .iter()
-                .filter(|p| &p.manufacturer == m && f(&p.id))
-                .count();
-            r.push(n.to_string());
-        }
-        for os in &oses {
-            let n = suite
-                .profiles
-                .iter()
-                .filter(|p| p.os == *os && f(&p.id))
-                .count();
-            r.push(n.to_string());
-        }
-        t.rows.push(r);
+        t.rows.push(columns.row(label, |p| usize::from(f(&p.id))));
     };
 
     feature_row(&mut t, "Device #", &|_| true);

@@ -7,6 +7,7 @@ use crate::suite::ExperimentSuite;
 use crate::NetworkConfig;
 use std::collections::BTreeSet;
 use v6brick_core::analysis::PassId;
+use v6brick_core::observe::DeviceObservation;
 use v6brick_core::party;
 use v6brick_net::dns::Name;
 
@@ -29,22 +30,12 @@ pub struct TrackingReport {
 /// Domains a device used in one configuration (DNS + SNI).
 fn domains_in(suite: &ExperimentSuite, id: &str, config: NetworkConfig) -> BTreeSet<Name> {
     let run = suite.run(config);
-    let mut out = BTreeSet::new();
-    if let Some(o) = run.analysis.device(id) {
-        for n in o
-            .a_q_v4
-            .iter()
-            .chain(&o.a_q_v6)
-            .chain(&o.aaaa_q_v4)
-            .chain(&o.aaaa_q_v6)
-            .chain(&o.sni_domains)
-        {
-            if !n.as_str().ends_with(".local") {
-                out.insert(n.clone());
-            }
-        }
-    }
-    out
+    run.analysis
+        .device(id)
+        .into_iter()
+        .flat_map(DeviceObservation::destination_names)
+        .cloned()
+        .collect()
 }
 
 /// Compute the report over the functional devices.
