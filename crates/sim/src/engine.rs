@@ -53,7 +53,6 @@ pub struct SimulationBuilder {
     seed: u64,
     capture_enabled: bool,
     sinks: Vec<Box<dyn FrameSink>>,
-    loss_per_mille: u32,
     faults: FaultPlan,
 }
 
@@ -67,7 +66,6 @@ impl SimulationBuilder {
             seed: 0x1db8_2024,
             capture_enabled: true,
             sinks: Vec::new(),
-            loss_per_mille: 0,
             faults: FaultPlan::new(),
         }
     }
@@ -102,15 +100,6 @@ impl SimulationBuilder {
         self.sinks.push(sink);
     }
 
-    /// Inject random LAN frame loss (per-mille, 0–1000). Lost frames
-    /// vanish before the capture tap, like RF loss ahead of the monitor
-    /// port — the failure-injection knob for robustness tests.
-    pub fn loss_per_mille(mut self, per_mille: u32) -> SimulationBuilder {
-        assert!(per_mille <= 1000, "loss is per-mille");
-        self.loss_per_mille = per_mille;
-        self
-    }
-
     /// Install a [`FaultPlan`]. The plan is cloned into the router
     /// (RA suppression, DHCPv6 silence) and the internet model (DNS
     /// faults); the engine itself enforces tunnel outages and the LAN
@@ -140,7 +129,6 @@ impl SimulationBuilder {
             capture: Capture::new(),
             capture_enabled: self.capture_enabled,
             sinks: self.sinks,
-            loss_per_mille: self.loss_per_mille,
             faults: self.faults,
             started: false,
             frames_delivered: 0,
@@ -170,7 +158,6 @@ pub struct Simulation {
     capture: Capture,
     capture_enabled: bool,
     sinks: Vec<Box<dyn FrameSink>>,
-    loss_per_mille: u32,
     faults: FaultPlan,
     started: bool,
     /// Total LAN frame deliveries (observability).
@@ -272,7 +259,6 @@ impl Simulation {
             capture: self.capture.clone(),
             capture_enabled: self.capture_enabled,
             sinks: Vec::new(),
-            loss_per_mille: self.loss_per_mille,
             faults: self.faults.clone(),
             started: self.started,
             frames_delivered: self.frames_delivered,
@@ -377,8 +363,7 @@ impl Simulation {
         // never sees them.
         let loss = self
             .faults
-            .lan_loss_per_mille(self.clock, from == ROUTER_SLOT)
-            .max(self.loss_per_mille);
+            .lan_loss_per_mille(self.clock, from == ROUTER_SLOT);
         if loss > 0 && self.fault_rng.gen_range(0u32..1000) < loss {
             self.frames_lost += 1;
             return;
@@ -502,7 +487,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultPlan;
+    use crate::faults::Direction;
     use crate::internet::ZoneDb;
     use crate::router::RouterConfig;
     use std::any::Any;
@@ -681,7 +666,10 @@ mod tests {
             mac: Mac::new(2, 0, 0, 0, 0, 2),
             draws: Vec::new(),
         }));
-        let mut sim = b.loss_per_mille(loss).build();
+        // Loss over the whole run, both ways.
+        let plan =
+            FaultPlan::new().lan_loss(SimTime::ZERO, SimTime(u64::MAX), loss, Direction::Both);
+        let mut sim = b.faults(plan).build();
         sim.run_until(SimTime::from_secs(5));
         let d = sim.host(0).as_any().downcast_ref::<RngProbe>().unwrap();
         (d.draws.clone(), sim.frames_lost)
@@ -701,7 +689,6 @@ mod tests {
 
     #[test]
     fn fault_window_loss_is_time_bounded() {
-        use crate::faults::{Direction, FaultPlan};
         let mk = |plan: FaultPlan| {
             let mut b = SimulationBuilder::new(
                 Router::new(RouterConfig::ipv4_only()),
@@ -739,7 +726,6 @@ mod tests {
 
     #[test]
     fn corruption_taints_frames_but_still_delivers_them() {
-        use crate::faults::FaultPlan;
         let mut b = SimulationBuilder::new(
             Router::new(RouterConfig::ipv4_only()),
             Internet::new(ZoneDb::new()),

@@ -7,7 +7,7 @@ use v6brick::devices::registry;
 use v6brick::devices::stack::IotDevice;
 use v6brick::experiments::{scenario, NetworkConfig};
 use v6brick::net::Mac;
-use v6brick::sim::{Internet, Router, SimTime, SimulationBuilder};
+use v6brick::sim::{Direction, FaultPlan, Internet, Router, SimTime, SimulationBuilder};
 
 fn run_lossy(
     config: NetworkConfig,
@@ -24,7 +24,14 @@ fn run_lossy(
         handles.push((h, p.id.clone(), p.mac));
     }
     b.add_host(Box::new(Phone::pixel7()));
-    let mut sim = b.loss_per_mille(loss_per_mille).seed(0xbad).build();
+    // Loss over the whole run, both ways.
+    let loss = FaultPlan::new().lan_loss(
+        SimTime::ZERO,
+        SimTime(u64::MAX),
+        loss_per_mille,
+        Direction::Both,
+    );
+    let mut sim = b.faults(loss).seed(0xbad).build();
 
     if junk {
         // Inject garbage: truncated frames, wrong ethertypes, corrupted
