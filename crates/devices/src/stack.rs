@@ -315,11 +315,16 @@ impl IotDevice {
 
     /// All currently assigned IPv6 addresses (diagnostics).
     pub fn v6_addresses(&self) -> Vec<Ipv6Addr> {
+        self.owned_v6().collect()
+    }
+
+    /// Every address that makes an IP "one of mine": the single-address
+    /// slots, then the announced extras.
+    fn owned_v6(&self) -> impl Iterator<Item = Ipv6Addr> + '_ {
         self.v6_slots()
             .into_iter()
             .flatten()
             .chain(self.announced_extra.iter().copied())
-            .collect()
     }
 
     /// The single-address slots, in [`IotDevice::v6_addresses`] order.
@@ -425,9 +430,25 @@ impl IotDevice {
         self.ula.or(self.lla)
     }
 
-    /// Any address that makes this IP "one of mine", checked in place.
+    /// Is `a` one of this device's addresses?
     fn owns_v6(&self, a: Ipv6Addr) -> bool {
-        self.v6_slots().contains(&Some(a)) || self.announced_extra.contains(&a)
+        self.owned_v6().any(|o| o == a)
+    }
+
+    /// Does the device's NIC pass a frame sent to `dst`? Every unicast
+    /// does (the LAN hands a device only its own); of the groups, only
+    /// those the device has joined: broadcast, all-nodes, and the
+    /// solicited-node group (`33:33:ff` and the low 24 bits) of each of
+    /// its addresses.
+    fn listens_to(&self, dst: Mac) -> bool {
+        const ALL_NODES: Mac = Mac::for_ipv6_multicast(mcast::ALL_NODES);
+        if dst.is_unicast() || dst == Mac::BROADCAST || dst == ALL_NODES {
+            return true;
+        }
+        let [0x33, 0x33, 0xff, low @ ..] = dst.0 else {
+            return false;
+        };
+        self.owned_v6().any(|a| a.octets()[13..] == low)
     }
 
     // --- frame emission helpers --------------------------------------------
@@ -1470,7 +1491,7 @@ impl IotDevice {
                 let src = if self.owns_v6(ip.dst) {
                     Some(ip.dst)
                 } else if ip.dst.is_multicast() {
-                    self.lla.or_else(|| self.v6_addresses().first().copied())
+                    self.lla.or_else(|| self.owned_v6().next())
                 } else {
                     None
                 };
@@ -1553,6 +1574,13 @@ impl Host for IotDevice {
 
     fn on_frame(&mut self, now: SimTime, frame: &[u8], fx: &mut Effects) {
         self.now_us = now.as_micros();
+        // The NIC drops a group the device never joined unparsed.
+        let Some(&dst) = frame.first_chunk() else {
+            return;
+        };
+        if !self.listens_to(Mac(dst)) {
+            return;
+        }
         // Parse strictly first, then dispatch.
         if let Ok(p) = ParsedPacket::parse(frame) {
             if let L4::Tcp { .. } = p.l4 {
@@ -2205,5 +2233,140 @@ mod tests {
         let d = IotDevice::new(registry::by_id("homepod_mini"));
         let p = d.ula_prefix();
         assert!(p.is_unique_local(), "{p} must be a ULA prefix");
+    }
+
+    /// A peer on the LAN, and its link-local address.
+    const PEER: Mac = Mac::new(2, 0, 0, 0, 0, 0x99);
+    const PEER_LLA: Ipv6Addr = Ipv6Addr::new(0xfe80, 0, 0, 0, 0, 0, 0, 0x99);
+
+    /// A device holding an LLA, a GUA and an announced extra address,
+    /// whose low 24 bits all differ.
+    fn addressed_device() -> IotDevice {
+        let mut d = IotDevice::new(registry::by_id("google_home_mini"));
+        d.lla = Some("fe80::1:1111".parse().unwrap());
+        d.privacy_gua = Some("2001:db8:10:1::2:2222".parse().unwrap());
+        d.announced_extra
+            .push("2001:db8:10:1::3:3333".parse().unwrap());
+        d
+    }
+
+    /// The frames `d` sends in answer to `frame`.
+    fn answers(d: &mut IotDevice, frame: &[u8]) -> Vec<Vec<u8>> {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut fx = Effects::new(&mut rng);
+        d.on_frame(SimTime::ZERO, frame, &mut fx);
+        assert!(fx.timers.is_empty() && fx.wan.is_empty());
+        fx.frames
+    }
+
+    /// `msg` from the peer's LLA to the IPv6 group `group`.
+    fn to_group(group: Ipv6Addr, msg: &icmpv6::Repr) -> Vec<u8> {
+        wire::icmpv6_frame(PEER, Mac::for_ipv6_multicast(group), PEER_LLA, group, msg)
+    }
+
+    #[test]
+    fn a_device_answers_an_ns_to_the_solicited_node_group_of_each_address() {
+        let mut d = addressed_device();
+        for target in d.v6_addresses() {
+            let ns = icmpv6::Repr::Ndp(Ndp::NeighborSolicit {
+                target,
+                options: vec![NdpOption::SourceLinkLayerAddr(PEER)],
+            });
+            let na = answers(&mut d, &to_group(target.solicited_node(), &ns));
+            assert_eq!(na.len(), 1, "NS for {target}");
+            let p = ParsedPacket::parse(&na[0]).unwrap();
+            assert_eq!(p.eth.dst, PEER);
+            assert!(matches!(
+                p.l4,
+                L4::Icmpv6(icmpv6::Repr::Ndp(Ndp::NeighborAdvert { target: t, .. })) if t == target
+            ));
+        }
+    }
+
+    #[test]
+    fn a_device_still_hears_broadcast_arp_and_all_nodes_ras() {
+        let mut d = addressed_device();
+        let me = Ipv4Addr::new(192, 168, 1, 50);
+        d.v4_addr = Some(me);
+        let who_has = v6brick_net::arp::Repr::request(PEER, Ipv4Addr::new(192, 168, 1, 9), me);
+        let arp = wire::eth_frame(
+            PEER,
+            Mac::BROADCAST,
+            v6brick_net::ethernet::EtherType::Arp,
+            &who_has.build(),
+        );
+        let reply = answers(&mut d, &arp);
+        assert_eq!(reply.len(), 1);
+        assert!(
+            matches!(ParsedPacket::parse(&reply[0]).unwrap().net, Net::Arp(a)
+            if a.operation == v6brick_net::arp::Operation::Reply && a.sender_ip == me)
+        );
+
+        let ra = icmpv6::Repr::Ndp(Ndp::RouterAdvert {
+            hop_limit: 64,
+            managed: false,
+            other_config: false,
+            router_lifetime: 1800,
+            reachable_time: 0,
+            retrans_time: 0,
+            options: vec![NdpOption::PrefixInfo {
+                prefix_len: 64,
+                on_link: true,
+                autonomous: true,
+                valid_lifetime: 86_400,
+                preferred_lifetime: 14_400,
+                prefix: well_known::LAN_PREFIX,
+            }],
+        });
+        let ra = wire::icmpv6_frame(
+            well_known::ROUTER_MAC,
+            Mac::for_ipv6_multicast(mcast::ALL_NODES),
+            well_known::ROUTER_LLA,
+            mcast::ALL_NODES,
+            &ra,
+        );
+        answers(&mut d, &ra);
+        assert_eq!(d.ra_prefix, Some(well_known::LAN_PREFIX));
+        assert_eq!(d.router_mac6, Some(well_known::ROUTER_MAC));
+    }
+
+    #[test]
+    fn a_device_drops_groups_it_never_joined_unparsed() {
+        let mut d = addressed_device();
+        // A ping to any group the device hears draws a reply, so one sent
+        // to a group it did not join shows the frame never got that far.
+        let ping = icmpv6::Repr::EchoRequest {
+            ident: 7,
+            seq: 1,
+            payload: vec![],
+        };
+        assert_eq!(answers(&mut d, &to_group(mcast::ALL_NODES, &ping)).len(), 1);
+        let other_device: Ipv6Addr = "2001:db8:10:1::4:4444".parse().unwrap();
+        let mld = Ipv6Addr::new(0xff02, 0, 0, 0, 0, 0, 0, 0x16);
+        for group in [
+            mcast::MDNS,
+            mld,
+            mcast::ALL_ROUTERS,
+            mcast::DHCPV6_SERVERS,
+            other_device.solicited_node(),
+        ] {
+            assert!(
+                answers(&mut d, &to_group(group, &ping)).is_empty(),
+                "{group}"
+            );
+        }
+        // mDNS over IPv4: 224.0.0.251 on 01:00:5e:00:00:fb.
+        d.v4_addr = Some(Ipv4Addr::new(192, 168, 1, 50));
+        let mdns4 = wire::udp4_frame(
+            PEER,
+            Mac::new(0x01, 0, 0x5e, 0, 0, 0xfb),
+            Ipv4Addr::new(192, 168, 1, 9),
+            Ipv4Addr::new(224, 0, 0, 251),
+            5353,
+            5353,
+            Message::query(0, Name::new("_matter._tcp.local").unwrap(), RecordType::Ptr).build(),
+        );
+        assert!(answers(&mut d, &mdns4).is_empty());
     }
 }

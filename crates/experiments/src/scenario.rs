@@ -285,8 +285,9 @@ pub(crate) struct MeshTransit {
 
 /// The one home executor: build a home over `zones` with its devices on
 /// `link`, run it for `duration` under `faults`, test each device's
-/// function and analyze the LAN traffic with `passes`. With
-/// `keep_capture` the LAN capture comes back too.
+/// function and analyze the LAN traffic with `passes` (with none, the
+/// analysis is empty). With `keep_capture` the LAN capture comes back
+/// too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute<P: Borrow<DeviceProfile>>(
     config: NetworkConfig,
@@ -314,9 +315,11 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
         .collect();
 
     // An Ethernet home streams its analysis off the capture tap; a mesh
-    // home replays its buffered capture once its bindings are decoded.
+    // home replays its buffered capture once its bindings are decoded. A
+    // home asked for no pass attaches no analyzer.
     let mesh = link == Link::Mesh;
-    if !mesh {
+    let streamed = !mesh && !passes.is_empty();
+    if streamed {
         b.add_sink(Box::new(StreamingAnalyzer::with_passes(
             &macs,
             lan_prefix(),
@@ -358,7 +361,7 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
     });
 
     let (analyzer, transit) = match devices {
-        Devices::Hosts(_) => {
+        Devices::Hosts(_) if streamed => {
             let sink = sim
                 .take_sinks()
                 .pop()
@@ -369,6 +372,10 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
                 .expect("the only sink is the streaming analyzer");
             (*analyzer, None)
         }
+        Devices::Hosts(_) => (
+            StreamingAnalyzer::with_passes(&macs, lan_prefix(), passes),
+            None,
+        ),
         Devices::Mesh(br) => {
             let br = border_router(sim.host(br));
             let bindings =
@@ -401,7 +408,6 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
             (analyzer, Some(transit))
         }
     };
-    let frames = analyzer.frames_fed();
     HomeRun {
         run: ExperimentRun {
             config,
@@ -409,7 +415,7 @@ pub(crate) fn execute<P: Borrow<DeviceProfile>>(
             functional,
             phones_ok,
             neighbors_v6: sim.router().neighbor_table_v6(),
-            frames,
+            frames: sim.frames_tapped,
         },
         switches,
         tunnel_drops: sim.tunnel_drops,

@@ -49,7 +49,8 @@ pub fn campaign_bundles(spec: &CampaignSpec) -> Vec<UploadBundle> {
         plans,
         spec.workers,
         move |home| {
-            // No analyzer pass runs: the server does the analysis.
+            // No pass is asked for, so no analyzer is attached: the server
+            // does the analysis.
             let home_run = scenario::execute(
                 home.config,
                 &home.profiles,

@@ -7,12 +7,14 @@
 
 use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
 
-/// A 48-bit IEEE 802 MAC address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// A 48-bit IEEE 802 MAC address. Addresses order as their bytes do,
+/// compared as one 48-bit big-endian integer.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Mac(pub [u8; 6]);
 
 impl Mac {
@@ -28,12 +30,15 @@ impl Mac {
 
     /// Parse from a 6-byte slice.
     pub fn from_slice(s: &[u8]) -> Result<Mac> {
-        if s.len() != 6 {
-            return Err(Error::Malformed);
-        }
-        let mut b = [0u8; 6];
-        b.copy_from_slice(s);
-        Ok(Mac(b))
+        <[u8; 6]>::try_from(s)
+            .map(Mac)
+            .map_err(|_| Error::Malformed)
+    }
+
+    /// The address as a 48-bit big-endian integer.
+    const fn to_u64(self) -> u64 {
+        let [b0, b1, b2, b3, b4, b5] = self.0;
+        u64::from_be_bytes([0, 0, b0, b1, b2, b3, b4, b5])
     }
 
     /// Raw bytes.
@@ -99,9 +104,21 @@ impl Mac {
 
     /// The layer-2 multicast address an IPv6 multicast destination maps to
     /// (RFC 2464 §7): `33:33` followed by the low 32 bits.
-    pub fn for_ipv6_multicast(dst: Ipv6Addr) -> Mac {
+    pub const fn for_ipv6_multicast(dst: Ipv6Addr) -> Mac {
         let o = dst.octets();
         Mac([0x33, 0x33, o[12], o[13], o[14], o[15]])
+    }
+}
+
+impl Ord for Mac {
+    fn cmp(&self, other: &Mac) -> Ordering {
+        self.to_u64().cmp(&other.to_u64())
+    }
+}
+
+impl PartialOrd for Mac {
+    fn partial_cmp(&self, other: &Mac) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -504,6 +504,16 @@ proptest! {
     }
 
     #[test]
+    fn mac_order_is_byte_order(a in arb_mac(), other in arb_mac(), shared in 0usize..=6) {
+        // `b` shares `a`'s first `shared` bytes, so every position can
+        // decide the order (all six shared: the two are equal).
+        let mut b = other;
+        b.0[..shared].copy_from_slice(&a.0[..shared]);
+        prop_assert_eq!(a.cmp(&b), a.0.cmp(&b.0));
+        prop_assert_eq!(a.partial_cmp(&b), Some(a.0.cmp(&b.0)));
+    }
+
+    #[test]
     fn udp_roundtrip_v6(src in arb_v6(), dst in arb_v6(), sp in any::<u16>(), dp in any::<u16>(),
                         payload in proptest::collection::vec(any::<u8>(), 0..256)) {
         let r = udp::Repr { src_port: sp, dst_port: dp, payload };

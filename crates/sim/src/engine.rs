@@ -20,14 +20,18 @@
 //! its sender queued it, run unspelled, unless the corruption injector
 //! flipped a byte in it. WAN packets travel unspelled: the router and
 //! the internet model read their headers and length fields alone.
+//!
+//! Once its last reader has returned, a small frame's or packet's buffer
+//! becomes one of the simulation's spares, and the next frame built
+//! during the run takes it (see [`wire`]).
 
 use crate::addrs;
 use crate::event::{EventKind, EventQueue, SimTime};
 use crate::faults::FaultPlan;
-use crate::host::{frame_addressed_to, Effects, Host, HostId};
+use crate::host::{frame_addressed_to, Effects, Host, HostId, Lists};
 use crate::internet::Internet;
 use crate::router::Router;
-use crate::wire::Queued;
+use crate::wire::{self, Queued};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use v6brick_net::ethernet::Frame;
@@ -131,11 +135,14 @@ impl SimulationBuilder {
             sinks: self.sinks,
             faults: self.faults,
             started: false,
+            frames_tapped: 0,
             frames_delivered: 0,
             frames_lost: 0,
             frames_corrupted: 0,
             tunnel_drops: 0,
             speller: Speller::new(),
+            spares: Vec::new(),
+            lists: Lists::default(),
         }
     }
 }
@@ -160,6 +167,9 @@ pub struct Simulation {
     sinks: Vec<Box<dyn FrameSink>>,
     faults: FaultPlan,
     started: bool,
+    /// LAN frames the capture tap saw: every frame the loss injector let
+    /// through.
+    pub frames_tapped: u64,
     /// Total LAN frame deliveries (observability).
     pub frames_delivered: u64,
     /// Frames dropped by the loss injector.
@@ -171,6 +181,11 @@ pub struct Simulation {
     /// Where a frame ending in a run is spelled out: each run pattern
     /// once, then reused for every later frame it covers.
     speller: Speller,
+    /// Buffers of delivered frames and packets, kept for the frames built
+    /// during the next [`Simulation::run_until`] (see [`wire`]).
+    spares: Vec<Vec<u8>>,
+    /// The lists every callback's [`Effects`] fill, emptied after each.
+    lists: Lists,
 }
 
 impl Simulation {
@@ -261,27 +276,34 @@ impl Simulation {
             sinks: Vec::new(),
             faults: self.faults.clone(),
             started: self.started,
+            frames_tapped: self.frames_tapped,
             frames_delivered: self.frames_delivered,
             frames_lost: self.frames_lost,
             frames_corrupted: self.frames_corrupted,
             tunnel_drops: self.tunnel_drops,
             speller: Speller::new(),
+            spares: Vec::new(),
+            lists: Lists::default(),
         })
     }
 
     /// Run until `deadline` (inclusive) or until the event queue drains.
     pub fn run_until(&mut self, deadline: SimTime) {
+        // Frames built during the run take their buffers from this
+        // simulation's spares; each frame and packet gives its buffer
+        // back once its last reader has returned.
+        let lease = wire::lend(std::mem::take(&mut self.spares));
         if !self.started {
             self.started = true;
             // Power everything on at t=0.
-            let mut fx = Effects::new(&mut self.rng);
+            let mut fx = self.lists.effects(&mut self.rng);
             self.router.on_start(self.clock, &mut fx);
-            Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
-            for i in 0..self.hosts.len() {
-                let mut fx = Effects::new(&mut self.rng);
-                self.hosts[i].on_start(self.clock, &mut fx);
-                Self::apply(&mut self.queue, self.clock, i, fx);
+            Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, &mut fx);
+            for (i, host) in self.hosts.iter_mut().enumerate() {
+                host.on_start(self.clock, &mut fx);
+                Self::apply(&mut self.queue, self.clock, i, &mut fx);
             }
+            self.lists = fx.into_lists();
         }
         // An event past the deadline stays queued with its sequence
         // number, so it keeps its place among same-time peers.
@@ -293,27 +315,29 @@ impl Simulation {
                     let queued = Queued { head: &frame, run };
                     self.deliver_lan(from, queued, speller.spell(&frame, run));
                     self.speller = speller;
+                    wire::recycle(frame);
                 }
                 EventKind::Timer { host, token } => {
-                    let mut fx = Effects::new(&mut self.rng);
+                    let mut fx = self.lists.effects(&mut self.rng);
                     if host == ROUTER_SLOT {
                         self.router.on_timer(self.clock, token, &mut fx);
                     } else if let Some(h) = self.hosts.get_mut(host) {
                         h.on_timer(self.clock, token, &mut fx);
                     }
-                    Self::apply(&mut self.queue, self.clock, host, fx);
+                    Self::apply(&mut self.queue, self.clock, host, &mut fx);
+                    self.lists = fx.into_lists();
                 }
                 EventKind::WanPacket {
                     to_internet,
                     packet,
                     run,
                 } => {
+                    let queued = Queued { head: &packet, run };
                     if self.tunnel_blocked(&packet, run) {
                         self.tunnel_drops += 1;
                     } else if to_internet {
-                        let packet = Queued { head: &packet, run };
                         if let Some((reply, run)) =
-                            self.internet.handle_packet_at(self.clock, packet)
+                            self.internet.handle_packet_at(self.clock, queued)
                         {
                             self.queue.push(
                                 self.clock + SimTime(addrs::WAN_DELAY_US),
@@ -325,15 +349,17 @@ impl Simulation {
                             );
                         }
                     } else {
-                        let mut fx = Effects::new(&mut self.rng);
-                        let packet = Queued { head: &packet, run };
-                        self.router.on_wan_packet(self.clock, packet, &mut fx);
-                        Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
+                        let mut fx = self.lists.effects(&mut self.rng);
+                        self.router.on_wan_packet(self.clock, queued, &mut fx);
+                        Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, &mut fx);
+                        self.lists = fx.into_lists();
                     }
+                    wire::recycle(packet);
                 }
             }
         }
         self.clock = deadline;
+        self.spares = lease.end();
     }
 
     /// Is this WAN packet, `packet` followed by `run`, a 6in4 tunnel
@@ -385,6 +411,7 @@ impl Simulation {
             Some(c) => (c, Queued::from(c)),
             None => (frame, queued),
         };
+        self.frames_tapped += 1;
         let timestamp_us = self.clock.as_micros();
         if self.capture_enabled {
             self.capture.push(timestamp_us, frame);
@@ -398,63 +425,60 @@ impl Simulation {
         let dst = eth.dst();
         self.frames_delivered += 1;
 
+        let now = self.clock;
+        let mut fx = self.lists.effects(&mut self.rng);
         if from != ROUTER_SLOT && frame_addressed_to(dst, addrs::ROUTER_MAC) {
-            let mut fx = Effects::new(&mut self.rng);
-            self.router.on_frame(self.clock, queued, &mut fx);
-            Self::apply(&mut self.queue, self.clock, ROUTER_SLOT, fx);
+            self.router.on_frame(now, queued, &mut fx);
+            Self::apply(&mut self.queue, now, ROUTER_SLOT, &mut fx);
         }
-        if dst.is_multicast() {
-            for i in (0..self.hosts.len()).filter(|&i| i != from) {
-                self.deliver_to(i, frame);
+        // Hand the frame to host `i` and schedule what it does about it.
+        let hosts = self.hosts.len();
+        let mut deliver_to = |i: HostId| {
+            if i != from {
+                self.hosts[i].on_frame(now, frame, &mut fx);
+                Self::apply(&mut self.queue, now, i, &mut fx);
             }
+        };
+        if dst.is_multicast() {
+            (0..hosts).for_each(deliver_to);
         } else {
             // Only the holders of `dst`: a lookup, not a walk of the LAN.
-            let mut at = self.macs.partition_point(|&(mac, _)| mac < dst);
-            while let Some(&(mac, i)) = self.macs.get(at) {
-                if mac != dst {
-                    break;
-                }
-                at += 1;
-                if i != from {
-                    self.deliver_to(i, frame);
-                }
-            }
+            let first = self.macs.partition_point(|&(mac, _)| mac < dst);
+            self.macs[first..]
+                .iter()
+                .take_while(|&&(mac, _)| mac == dst)
+                .for_each(|&(_, i)| deliver_to(i));
         }
+        self.lists = fx.into_lists();
     }
 
-    /// Hand `frame` to host `i` and schedule what it does about it.
-    fn deliver_to(&mut self, i: HostId, frame: &[u8]) {
-        let mut fx = Effects::new(&mut self.rng);
-        self.hosts[i].on_frame(self.clock, frame, &mut fx);
-        Self::apply(&mut self.queue, self.clock, i, fx);
-    }
-
-    /// Schedule the side effects a callback produced.
-    fn apply(queue: &mut EventQueue, now: SimTime, slot: usize, mut fx: Effects) {
-        for (i, frame) in std::mem::take(&mut fx.frames).into_iter().enumerate() {
-            let run = fx.run(i);
+    /// Schedule the side effects a callback left in `fx`, emptying it for
+    /// the next callback.
+    fn apply(queue: &mut EventQueue, now: SimTime, slot: usize, fx: &mut Effects) {
+        for (i, frame) in fx.frames.drain(..).enumerate() {
             queue.push(
                 now + SimTime(addrs::LAN_DELAY_US),
                 EventKind::LanFrame {
                     from: slot,
                     frame,
-                    run,
+                    run: fx.runs.get(i),
                 },
             );
         }
-        for (delay, token) in std::mem::take(&mut fx.timers) {
+        for (delay, token) in fx.timers.drain(..) {
             queue.push(now + delay, EventKind::Timer { host: slot, token });
         }
-        for (i, packet) in std::mem::take(&mut fx.wan).into_iter().enumerate() {
+        for (i, packet) in fx.wan.drain(..).enumerate() {
             queue.push(
                 now + SimTime(addrs::WAN_DELAY_US),
                 EventKind::WanPacket {
                     to_internet: true,
                     packet,
-                    run: fx.wan_run(i),
+                    run: fx.wan_runs.get(i),
                 },
             );
         }
+        fx.clear_runs();
     }
 
     /// Inject a raw frame onto the LAN "from nowhere" (test helper).
@@ -1120,6 +1144,44 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(2));
         assert_eq!(*log.lock().unwrap(), [0, 2, 1]);
+    }
+
+    #[test]
+    fn a_frame_built_into_a_used_buffer_equals_a_fresh_one() {
+        let build = || {
+            crate::wire::udp6_frame(
+                lan_mac(1),
+                lan_mac(2),
+                "fe80::1".parse().unwrap(),
+                "fe80::2".parse().unwrap(),
+                5353,
+                5353,
+                b"fresh".to_vec(),
+            )
+        };
+        let fresh = build();
+        // A spare still holding a longer packet's bytes.
+        let used = vec![0xa5; 300];
+        let at = used.as_ptr();
+        let lease = wire::lend(vec![used]);
+        let reused = build();
+        assert!(lease.end().is_empty());
+        assert_eq!(reused.as_ptr(), at, "the frame took the spare");
+        assert_eq!(reused, fresh);
+        // Every builder writes each header byte, so it is `alloc` itself
+        // that must hand over zeros where the headers go.
+        let lease = wire::lend(vec![vec![0xa5; 300]]);
+        assert_eq!(wire::alloc(4, b"xy"), [0, 0, 0, 0, b'x', b'y']);
+        lease.end();
+    }
+
+    #[test]
+    fn delivered_buffers_are_kept_but_a_fork_starts_with_none() {
+        let (mut sim, _log) = listeners(&[lan_mac(1), lan_mac(2)], Some((0, lan_mac(2))));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.spares.len(), 1, "the delivered frame's buffer");
+        let fork = sim.fork().expect("listeners fork");
+        assert!(fork.spares.is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct Effects<'a> {
     /// the router does when it carries one across.
     pub(crate) runs: Runs,
     /// The run ending each packet in `wan`.
-    wan_runs: Runs,
+    pub(crate) wan_runs: Runs,
 }
 
 /// The runs ending the packets of one list, by index. Packets past its
@@ -50,16 +50,60 @@ impl Runs {
     }
 }
 
+/// The lists an [`Effects`] fills, apart from its RNG. The engine keeps
+/// one set between events and empties it after each callback, so
+/// callbacks reuse the lists' memory instead of allocating their own.
+#[derive(Debug, Default)]
+pub(crate) struct Lists {
+    frames: Vec<Vec<u8>>,
+    timers: Vec<(SimTime, u64)>,
+    wan: Vec<Vec<u8>>,
+    runs: Runs,
+    wan_runs: Runs,
+}
+
+impl Lists {
+    /// An effects sink that fills these lists, which must be empty. It
+    /// holds them until [`Effects::into_lists`] gives them back.
+    pub(crate) fn effects<'a>(&mut self, rng: &'a mut StdRng) -> Effects<'a> {
+        let Lists {
+            frames,
+            timers,
+            wan,
+            runs,
+            wan_runs,
+        } = std::mem::take(self);
+        Effects {
+            frames,
+            timers,
+            wan,
+            rng,
+            runs,
+            wan_runs,
+        }
+    }
+}
+
 impl<'a> Effects<'a> {
     /// Create an effects sink backed by the simulation RNG.
     pub fn new(rng: &'a mut StdRng) -> Effects<'a> {
-        Effects {
-            frames: Vec::new(),
-            timers: Vec::new(),
-            wan: Vec::new(),
-            rng,
-            runs: Runs::default(),
-            wan_runs: Runs::default(),
+        Lists::default().effects(rng)
+    }
+
+    /// Forget every run, keeping the memory.
+    pub(crate) fn clear_runs(&mut self) {
+        self.runs.0.clear();
+        self.wan_runs.0.clear();
+    }
+
+    /// The lists, without the RNG.
+    pub(crate) fn into_lists(self) -> Lists {
+        Lists {
+            frames: self.frames,
+            timers: self.timers,
+            wan: self.wan,
+            runs: self.runs,
+            wan_runs: self.wan_runs,
         }
     }
 
@@ -120,7 +164,10 @@ pub trait Host: Any + Send {
     fn on_start(&mut self, now: SimTime, fx: &mut Effects);
 
     /// Called for every LAN frame this host would see: unicast to its MAC,
-    /// broadcast, or any multicast. Hosts do their own multicast filtering.
+    /// broadcast, or any multicast. Hosts do their own multicast filtering:
+    /// a device model (`IotDevice`) listens to broadcast, all-nodes
+    /// (`33:33:00:00:00:01`) and the solicited-node groups of its own IPv6
+    /// addresses, and drops any other group before parsing the frame.
     fn on_frame(&mut self, now: SimTime, frame: &[u8], fx: &mut Effects);
 
     /// Called when a timer armed via [`Effects::set_timer`] fires.

@@ -1,14 +1,21 @@
 //! Frame emission shared by every host implementation (devices, phones,
 //! the port scanner, the router, the internet model, tests).
 //!
-//! Every frame is one allocation sized once: `alloc` copies the payload
+//! Every frame is one buffer sized once: `alloc` copies the payload
 //! into place, then each header is emitted into the front of the
 //! buffer, innermost first, so the transport checksum is summed once, in
 //! place, over bytes that are never moved again. Bulk payloads (one
 //! repeated byte, or TLS padding) are not written at all: they travel as
 //! a [`Run`] behind the headers, and the engine spells them out where
 //! they are read.
+//!
+//! The buffer is recycled rather than allocated when it can be: while a
+//! simulation runs, it lends its spare buffers to this thread (`lend`),
+//! `alloc` takes one, and the engine hands each small frame's buffer back
+//! (`recycle`) once every reader has returned. So, once a simulation has
+//! warmed up, its frames' buffers cost no allocation.
 
+use std::cell::RefCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::ethernet::{self, EtherType, Frame};
 use v6brick_net::ipv4::Protocol;
@@ -43,11 +50,58 @@ impl<'a, T: AsRef<[u8]> + ?Sized> From<&'a T> for Queued<'a> {
     }
 }
 
-/// One buffer of `headers` zero bytes followed by `body`: a packet's
-/// single allocation and its payload's single copy. The caller emits the
-/// headers into the front.
+/// The largest buffer kept as a spare, in bytes of capacity: one large
+/// frame head must not pin a large buffer.
+const SPARE_MAX: usize = 512;
+
+thread_local! {
+    /// The spare buffers of the simulation running on this thread, if
+    /// any, each of at most [`SPARE_MAX`] bytes.
+    static SPARES: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A simulation's spare buffers, lent to this thread's [`alloc`] and
+/// [`recycle`] until [`Lease::end`] takes them back. A lease dropped
+/// unended (a run that unwinds) drops the spares, so they never outlive
+/// their simulation.
+pub(crate) struct Lease;
+
+/// Lend `spares` to this thread until the returned lease ends.
+pub(crate) fn lend(spares: Vec<Vec<u8>>) -> Lease {
+    SPARES.set(spares);
+    Lease
+}
+
+impl Lease {
+    /// Take the spares back, with every buffer recycled since.
+    pub(crate) fn end(self) -> Vec<Vec<u8>> {
+        SPARES.take()
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        SPARES.take();
+    }
+}
+
+/// Keep `buf`, a packet no one reads any more, as a spare for a later
+/// [`alloc`] on this thread, unless it is large. Only a running
+/// simulation calls this, while its spares are lent here.
+pub(crate) fn recycle(buf: Vec<u8>) {
+    if buf.capacity() <= SPARE_MAX {
+        SPARES.with_borrow_mut(|spares| spares.push(buf));
+    }
+}
+
+/// One buffer of `headers` zero bytes followed by `body`: a spare when
+/// one was lent, else a packet's single allocation, and the payload's
+/// single copy. The caller emits the headers into the front.
 pub(crate) fn alloc(headers: usize, body: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(headers + body.len());
+    let mut buf = SPARES.with_borrow_mut(Vec::pop).unwrap_or_default();
+    // A spare still holds its last packet's bytes.
+    buf.clear();
+    buf.reserve_exact(headers + body.len());
     buf.resize(headers, 0);
     buf.extend_from_slice(body);
     buf
@@ -266,6 +320,18 @@ pub fn icmpv6_frame(
 mod tests {
     use super::*;
     use v6brick_net::parse::{ParsedPacket, L4};
+
+    #[test]
+    fn only_small_buffers_are_kept_as_spares() {
+        let lease = lend(Vec::new());
+        recycle(Vec::with_capacity(SPARE_MAX));
+        recycle(Vec::with_capacity(SPARE_MAX + 1));
+        let spares = lease.end();
+        assert_eq!(spares.len(), 1);
+        assert_eq!(spares[0].capacity(), SPARE_MAX);
+        // With no lease, a frame gets a fresh buffer sized to it.
+        assert_eq!(alloc(14, b"body").capacity(), 18);
+    }
 
     #[test]
     fn builders_produce_parseable_frames() {
