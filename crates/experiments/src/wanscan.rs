@@ -44,11 +44,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 use v6brick_core::exposure::{self, ExposureReport, HitlistStats, HomeScanOutcome, TargetOutcome};
 use v6brick_fleet::{plan_home, run_partials, HomeSpec};
-use v6brick_net::ipv4::{self, Protocol};
+use v6brick_net::ipv4::Protocol;
 use v6brick_net::udp::PseudoHeader;
-use v6brick_net::{icmpv6, ipv6, tcp, udp};
+use v6brick_net::{icmpv6, ipv6, tcp, udp, Run};
 use v6brick_sim::{
-    addrs, FirewallPolicy, Internet, Router, SimTime, Simulation, SimulationBuilder,
+    addrs, wire, FirewallPolicy, Internet, Router, SimTime, Simulation, SimulationBuilder,
 };
 
 /// The scanner's source address: a documentation-range GUA well outside
@@ -124,34 +124,38 @@ impl Default for WanScanSpec {
     }
 }
 
-/// Encapsulate an inner IPv6 packet the way the tunnel broker would:
-/// protocol-41 IPv4 from the remote endpoint to the router's WAN side.
-fn encap(inner: Vec<u8>) -> Vec<u8> {
-    ipv4::Repr {
-        src: addrs::TUNNEL_REMOTE_IPV4,
-        dst: addrs::ROUTER_WAN_IPV4,
-        protocol: Protocol::Ipv6,
-        ttl: 64,
-        payload_len: inner.len(),
-    }
-    .build(&inner)
+/// The payload of every echo and UDP probe.
+const PROBE_PAYLOAD: &[u8] = b"v6scan";
+
+/// A probe from the scanner to `dst` as the tunnel broker delivers it
+/// to the router: one 6in4 packet, whose `next_header` payload,
+/// `l4_len` bytes, `write_l4` appends behind the headers.
+fn probe(
+    dst: Ipv6Addr,
+    next_header: Protocol,
+    l4_len: usize,
+    write_l4: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    wire::sixin4_packet(
+        addrs::ROUTER_WAN_IPV4,
+        scanner_addr(),
+        dst,
+        next_header,
+        l4_len,
+        Run::default(),
+        write_l4,
+    )
 }
 
 fn echo_probe(dst: Ipv6Addr, seq: u16) -> Vec<u8> {
-    let icmp = icmpv6::Repr::EchoRequest {
+    let echo = icmpv6::Repr::EchoRequest {
         ident: ECHO_IDENT,
         seq,
-        payload: b"v6scan".to_vec(),
-    }
-    .build(scanner_addr(), dst);
-    ipv6::Repr {
-        src: scanner_addr(),
-        dst,
-        next_header: Protocol::Icmpv6,
-        hop_limit: 64,
-        payload_len: icmp.len(),
-    }
-    .build(&icmp)
+        payload: PROBE_PAYLOAD.to_vec(),
+    };
+    probe(dst, Protocol::Icmpv6, echo.buffer_len(), |pkt| {
+        echo.emit(pkt, scanner_addr(), dst)
+    })
 }
 
 /// Scanner source port for a probe of `port` — distinct from any
@@ -161,38 +165,32 @@ fn scan_sport(port: u16) -> u16 {
 }
 
 fn syn_probe(dst: Ipv6Addr, port: u16) -> Vec<u8> {
-    let seg = tcp::Repr::syn(scan_sport(port), port, 0x5ca9).build(PseudoHeader::V6 {
-        src: scanner_addr(),
-        dst,
-    });
-    ipv6::Repr {
-        src: scanner_addr(),
-        dst,
-        next_header: Protocol::Tcp,
-        hop_limit: 64,
-        payload_len: seg.len(),
-    }
-    .build(&seg)
+    let syn = tcp::Repr::syn(scan_sport(port), port, 0x5ca9);
+    probe(dst, Protocol::Tcp, tcp::HEADER_LEN, |pkt| {
+        let segment = wire::push_segment(pkt, tcp::HEADER_LEN, &[]);
+        let ph = PseudoHeader::V6 {
+            src: scanner_addr(),
+            dst,
+        };
+        syn.emit(segment, Run::default(), ph)
+    })
 }
 
 fn udp_probe(dst: Ipv6Addr, port: u16) -> Vec<u8> {
     let dgram = udp::Repr {
         src_port: scan_sport(port),
         dst_port: port,
-        payload: b"v6scan".to_vec(),
-    }
-    .build(PseudoHeader::V6 {
-        src: scanner_addr(),
-        dst,
-    });
-    ipv6::Repr {
-        src: scanner_addr(),
-        dst,
-        next_header: Protocol::Udp,
-        hop_limit: 64,
-        payload_len: dgram.len(),
-    }
-    .build(&dgram)
+        payload: Vec::new(),
+    };
+    let l4_len = udp::HEADER_LEN + PROBE_PAYLOAD.len();
+    probe(dst, Protocol::Udp, l4_len, |pkt| {
+        let segment = wire::push_segment(pkt, udp::HEADER_LEN, PROBE_PAYLOAD);
+        let ph = PseudoHeader::V6 {
+            src: scanner_addr(),
+            dst,
+        };
+        dgram.emit(segment, Run::default(), ph)
+    })
 }
 
 /// What the scanner heard back, keyed by responding address.
@@ -242,10 +240,16 @@ impl Replies {
     }
 }
 
-/// Inject a wave of probes and simulate until the replies drained.
-fn probe_wave(sim: &mut Simulation, probes: Vec<Vec<u8>>, until: SimTime, replies: &mut Replies) {
+/// Inject a wave of probes, each built as it is injected, and simulate
+/// until the replies drained.
+fn probe_wave(
+    sim: &mut Simulation,
+    probes: impl IntoIterator<Item = Vec<u8>>,
+    until: SimTime,
+    replies: &mut Replies,
+) {
     for p in probes {
-        sim.inject_wan(encap(p));
+        sim.inject_wan(p);
     }
     sim.run_until(until);
     for bytes in sim.internet_mut().take_scanner_rx() {
@@ -348,8 +352,7 @@ fn probe_policy(
     let echoes = probe_set
         .iter()
         .enumerate()
-        .map(|(i, &dst)| echo_probe(dst, i as u16))
-        .collect();
+        .map(|(i, &dst)| echo_probe(dst, i as u16));
     let t1 = sim.now() + PROBE_WINDOW;
     probe_wave(sim, echoes, t1, &mut replies);
 
@@ -359,15 +362,10 @@ fn probe_policy(
         .filter(|a| replies.live.contains(a))
         .copied()
         .collect();
-    let mut probes = Vec::new();
-    for &dst in &sweep_targets {
-        for &port in &plan.tcp {
-            probes.push(syn_probe(dst, port));
-        }
-        for &port in &plan.udp {
-            probes.push(udp_probe(dst, port));
-        }
-    }
+    let probes = sweep_targets.iter().flat_map(|&dst| {
+        let syns = plan.tcp.iter().map(move |&port| syn_probe(dst, port));
+        syns.chain(plan.udp.iter().map(move |&port| udp_probe(dst, port)))
+    });
     probe_wave(sim, probes, t1 + PROBE_WINDOW, &mut replies);
 
     let label = policy.label().to_string();
@@ -556,6 +554,66 @@ mod tests {
                 .iter()
                 .map(|id| registry::lookup(id).expect("known device id"))
                 .collect(),
+        }
+    }
+
+    /// A probe as the scanner used to compose it: the L4 bytes, inside
+    /// an IPv6 packet, inside the tunnel broker's protocol-41 IPv4.
+    fn encap(next_header: Protocol, dst: Ipv6Addr, l4: Vec<u8>) -> Vec<u8> {
+        let inner = ipv6::Repr {
+            src: scanner_addr(),
+            dst,
+            next_header,
+            hop_limit: 64,
+            payload_len: l4.len(),
+        }
+        .build(&l4);
+        v6brick_net::ipv4::Repr {
+            src: addrs::TUNNEL_REMOTE_IPV4,
+            dst: addrs::ROUTER_WAN_IPV4,
+            protocol: Protocol::Ipv6,
+            ttl: 64,
+            payload_len: inner.len(),
+        }
+        .build(&inner)
+    }
+
+    #[test]
+    fn one_buffer_probes_equal_the_encapsulated_composition() {
+        let ph = |dst| PseudoHeader::V6 {
+            src: scanner_addr(),
+            dst,
+        };
+        let dsts: [Ipv6Addr; 3] = [
+            "2001:db8:10:1::1".parse().unwrap(),
+            "2001:db8:10:1:c2ff:4dff:fe2e:1a2b".parse().unwrap(),
+            "2001:db8:10:1:ffff:ffff:ffff:fffe".parse().unwrap(),
+        ];
+        for dst in dsts {
+            for (seq, port) in [
+                (0, 22),
+                (1, 80),
+                (255, 443),
+                (4_097, 5_353),
+                (u16::MAX, 65_535),
+            ] {
+                let icmp = icmpv6::Repr::EchoRequest {
+                    ident: ECHO_IDENT,
+                    seq,
+                    payload: b"v6scan".to_vec(),
+                }
+                .build(scanner_addr(), dst);
+                assert_eq!(echo_probe(dst, seq), encap(Protocol::Icmpv6, dst, icmp));
+                let syn = tcp::Repr::syn(scan_sport(port), port, 0x5ca9).build(ph(dst));
+                assert_eq!(syn_probe(dst, port), encap(Protocol::Tcp, dst, syn));
+                let dgram = udp::Repr {
+                    src_port: scan_sport(port),
+                    dst_port: port,
+                    payload: b"v6scan".to_vec(),
+                }
+                .build(ph(dst));
+                assert_eq!(udp_probe(dst, port), encap(Protocol::Udp, dst, dgram));
+            }
         }
     }
 

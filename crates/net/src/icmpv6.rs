@@ -103,53 +103,73 @@ impl Repr {
         }
     }
 
-    /// Serialize, computing the pseudo-header checksum.
-    pub fn build(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
+    /// Append the message to `out`, [`Repr::buffer_len`] bytes,
+    /// checksummed over the IPv6 pseudo-header of `src` and `dst`.
+    pub fn emit(&self, out: &mut Vec<u8>, src: Ipv6Addr, dst: Ipv6Addr) {
+        let start = out.len();
         match self {
             Repr::EchoRequest {
                 ident,
                 seq,
                 payload,
             } => {
-                b.extend_from_slice(&[128, 0, 0, 0]);
-                b.extend_from_slice(&ident.to_be_bytes());
-                b.extend_from_slice(&seq.to_be_bytes());
-                b.extend_from_slice(payload);
+                out.extend_from_slice(&[128, 0, 0, 0]);
+                out.extend_from_slice(&ident.to_be_bytes());
+                out.extend_from_slice(&seq.to_be_bytes());
+                out.extend_from_slice(payload);
             }
             Repr::EchoReply {
                 ident,
                 seq,
                 payload,
             } => {
-                b.extend_from_slice(&[129, 0, 0, 0]);
-                b.extend_from_slice(&ident.to_be_bytes());
-                b.extend_from_slice(&seq.to_be_bytes());
-                b.extend_from_slice(payload);
+                out.extend_from_slice(&[129, 0, 0, 0]);
+                out.extend_from_slice(&ident.to_be_bytes());
+                out.extend_from_slice(&seq.to_be_bytes());
+                out.extend_from_slice(payload);
             }
             Repr::DstUnreachable { code } => {
-                b.extend_from_slice(&[1, *code, 0, 0, 0, 0, 0, 0]);
+                out.extend_from_slice(&[1, *code, 0, 0, 0, 0, 0, 0]);
             }
             Repr::Ndp(n) => {
-                b.extend_from_slice(&[n.icmp_type(), 0, 0, 0]);
-                n.emit_body(&mut b);
+                out.extend_from_slice(&[n.icmp_type(), 0, 0, 0]);
+                n.emit_body(out);
             }
             Repr::Mldv2Report { records } => {
-                b.extend_from_slice(&[143, 0, 0, 0, 0, 0]);
-                b.extend_from_slice(&(records.len() as u16).to_be_bytes());
+                out.extend_from_slice(&[143, 0, 0, 0, 0, 0]);
+                out.extend_from_slice(&(records.len() as u16).to_be_bytes());
                 for (rec_type, group) in records {
-                    b.push(*rec_type);
-                    b.push(0); // aux data len
-                    b.extend_from_slice(&0u16.to_be_bytes()); // no sources
-                    b.extend_from_slice(&group.octets());
+                    out.push(*rec_type);
+                    out.push(0); // aux data len
+                    out.extend_from_slice(&0u16.to_be_bytes()); // no sources
+                    out.extend_from_slice(&group.octets());
                 }
             }
         }
+        let msg = &mut out[start..];
         let mut c = Checksum::new();
-        c.add_ipv6_pseudo(src, dst, 58, b.len() as u32);
-        c.add(&b);
+        c.add_ipv6_pseudo(src, dst, 58, msg.len() as u32);
+        c.add(msg);
         let sum = c.finish();
-        b[2..4].copy_from_slice(&sum.to_be_bytes());
+        msg[2..4].copy_from_slice(&sum.to_be_bytes());
+    }
+
+    /// The length of the message [`Repr::emit`] appends.
+    pub fn buffer_len(&self) -> usize {
+        match self {
+            Repr::EchoRequest { payload, .. } | Repr::EchoReply { payload, .. } => {
+                8 + payload.len()
+            }
+            Repr::DstUnreachable { .. } => 8,
+            Repr::Ndp(n) => 4 + n.body_len(),
+            Repr::Mldv2Report { records } => 8 + 20 * records.len(),
+        }
+    }
+
+    /// Serialize, computing the pseudo-header checksum.
+    pub fn build(&self, src: Ipv6Addr, dst: Ipv6Addr) -> Vec<u8> {
+        let mut b = Vec::with_capacity(self.buffer_len());
+        self.emit(&mut b, src, dst);
         b
     }
 
@@ -264,6 +284,82 @@ mod tests {
             Repr::parse_bytes(src, dst, &bad).unwrap_err(),
             Error::Truncated
         );
+    }
+
+    #[test]
+    fn emit_appends_the_buffer_len_bytes_build_gives() {
+        let mac = Mac::new(2, 0, 0, 0, 0, 1);
+        let target: Ipv6Addr = "2001:db8::1".parse().unwrap();
+        let msgs = [
+            Repr::EchoRequest {
+                ident: 1,
+                seq: 2,
+                payload: b"odd".to_vec(),
+            },
+            Repr::EchoReply {
+                ident: 3,
+                seq: 4,
+                payload: vec![],
+            },
+            Repr::DstUnreachable { code: 4 },
+            Repr::Ndp(ndp::Repr::RouterSolicit {
+                options: vec![NdpOption::SourceLinkLayerAddr(mac)],
+            }),
+            Repr::Ndp(ndp::Repr::RouterAdvert {
+                hop_limit: 64,
+                managed: true,
+                other_config: false,
+                router_lifetime: 1800,
+                reachable_time: 0,
+                retrans_time: 0,
+                options: vec![
+                    NdpOption::PrefixInfo {
+                        prefix_len: 64,
+                        on_link: true,
+                        autonomous: true,
+                        valid_lifetime: 86_400,
+                        preferred_lifetime: 14_400,
+                        prefix: "2001:db8::".parse().unwrap(),
+                    },
+                    NdpOption::Mtu(1480),
+                    NdpOption::Rdnss {
+                        lifetime: 600,
+                        servers: vec![target, lla()],
+                    },
+                    NdpOption::Unknown {
+                        option_type: 31,
+                        data: vec![7; 6],
+                    },
+                ],
+            }),
+            Repr::Ndp(ndp::Repr::NeighborSolicit {
+                target,
+                options: vec![],
+            }),
+            Repr::Ndp(ndp::Repr::NeighborAdvert {
+                router: false,
+                solicited: true,
+                override_flag: true,
+                target,
+                options: vec![NdpOption::TargetLinkLayerAddr(mac)],
+            }),
+            Repr::Mldv2Report {
+                records: vec![(4, mcast::MDNS), (4, mcast::ALL_NODES)],
+            },
+        ];
+        for msg in msgs {
+            let built = msg.build(lla(), mcast::ALL_NODES);
+            assert_eq!(built.len(), msg.buffer_len(), "{msg:?}");
+            assert_eq!(
+                Repr::parse_bytes(lla(), mcast::ALL_NODES, &built),
+                Ok(msg.clone())
+            );
+            // Behind an odd number of bytes already in the buffer.
+            let mut out = vec![0xa5; 3];
+            msg.emit(&mut out, lla(), mcast::ALL_NODES);
+            assert_eq!(out[..3], [0xa5; 3]);
+            assert_eq!(out[3..], built[..], "{msg:?}");
+        }
     }
 
     #[test]

@@ -52,6 +52,18 @@ pub enum NdpOption {
 }
 
 impl NdpOption {
+    /// The length of the option [`NdpOption::emit`] appends.
+    fn buffer_len(&self) -> usize {
+        match self {
+            NdpOption::SourceLinkLayerAddr(_)
+            | NdpOption::TargetLinkLayerAddr(_)
+            | NdpOption::Mtu(_) => 8,
+            NdpOption::PrefixInfo { .. } => 32,
+            NdpOption::Rdnss { servers, .. } => 8 + 16 * servers.len(),
+            NdpOption::Unknown { data, .. } => 2 + data.len(),
+        }
+    }
+
     fn emit(&self, out: &mut Vec<u8>) {
         match self {
             NdpOption::SourceLinkLayerAddr(mac) => {
@@ -226,6 +238,18 @@ impl Repr {
             Repr::NeighborSolicit { .. } => 135,
             Repr::NeighborAdvert { .. } => 136,
         }
+    }
+
+    /// The length of the body [`Repr::emit_body`] appends.
+    pub fn body_len(&self) -> usize {
+        let (fixed, options) = match self {
+            Repr::RouterSolicit { options } => (4, options),
+            Repr::RouterAdvert { options, .. } => (12, options),
+            Repr::NeighborSolicit { options, .. } | Repr::NeighborAdvert { options, .. } => {
+                (20, options)
+            }
+        };
+        fixed + options.iter().map(NdpOption::buffer_len).sum::<usize>()
     }
 
     /// Serialize the message body (everything after the 4-byte ICMPv6

@@ -48,17 +48,23 @@ impl Runs {
     pub(crate) fn get(&self, index: usize) -> Run {
         self.0.get(index).copied().unwrap_or_default()
     }
+
+    /// Forget every run, keeping the memory.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
 }
 
 /// The lists an [`Effects`] fills, apart from its RNG. The engine keeps
-/// one set between events and empties it after each callback, so
-/// callbacks reuse the lists' memory instead of allocating their own.
+/// one set between events, and a border router one for its leaves; each
+/// empties it after each callback, so callbacks reuse the lists' memory
+/// instead of allocating their own.
 #[derive(Debug, Default)]
 pub(crate) struct Lists {
-    frames: Vec<Vec<u8>>,
-    timers: Vec<(SimTime, u64)>,
+    pub(crate) frames: Vec<Vec<u8>>,
+    pub(crate) timers: Vec<(SimTime, u64)>,
     wan: Vec<Vec<u8>>,
-    runs: Runs,
+    pub(crate) runs: Runs,
     wan_runs: Runs,
 }
 
@@ -92,8 +98,8 @@ impl<'a> Effects<'a> {
 
     /// Forget every run, keeping the memory.
     pub(crate) fn clear_runs(&mut self) {
-        self.runs.0.clear();
-        self.wan_runs.0.clear();
+        self.runs.clear();
+        self.wan_runs.clear();
     }
 
     /// The lists, without the RNG.
@@ -117,7 +123,8 @@ impl<'a> Effects<'a> {
     /// frame unspelled. Every length field in `frame` counts the run.
     /// Only a transport payload the router forwards may end in a run: it
     /// reads the messages it answers itself (ARP, DHCP, NDP) from `frame`
-    /// alone.
+    /// alone. A border router forwards a leaf's frame onto the LAN with
+    /// the run the leaf ended it in.
     pub fn send_frame_with_run(&mut self, frame: Vec<u8>, run: Run) {
         self.runs.set(self.frames.len(), run);
         self.frames.push(frame);

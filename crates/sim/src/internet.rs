@@ -12,7 +12,7 @@
 use crate::addrs;
 use crate::event::SimTime;
 use crate::faults::{DnsFaultMode, FaultPlan};
-use crate::wire::{alloc, Queued};
+use crate::wire::{self, alloc, Queued};
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::hash::Hash;
@@ -567,26 +567,11 @@ impl ReplyPath {
                 pkt
             }
             ReplyPath::SixIn4 { router, src, dst } => {
-                let at = ipv4::HEADER_LEN + ipv6::HEADER_LEN;
-                let mut pkt = alloc(at + l4_header, body);
-                emit_l4(&mut pkt[at..], PseudoHeader::V6 { src, dst });
-                ipv6::Repr {
-                    src,
-                    dst,
-                    next_header: protocol,
-                    hop_limit: 64,
-                    payload_len: pkt.len() - at + run.len(),
-                }
-                .emit(&mut pkt[ipv4::HEADER_LEN..]);
-                ipv4::Repr {
-                    src: addrs::TUNNEL_REMOTE_IPV4,
-                    dst: router,
-                    protocol: Protocol::Ipv6,
-                    ttl: 64,
-                    payload_len: pkt.len() - ipv4::HEADER_LEN + run.len(),
-                }
-                .emit(&mut pkt);
-                pkt
+                let l4_len = l4_header + body.len();
+                wire::sixin4_packet(router, src, dst, protocol, l4_len, run, |pkt| {
+                    let segment = wire::push_segment(pkt, l4_header, body);
+                    emit_l4(segment, PseudoHeader::V6 { src, dst })
+                })
             }
         };
         (pkt, run)
@@ -596,7 +581,6 @@ impl ReplyPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire;
     use v6brick_net::dns::Message;
     use v6brick_net::Mac;
 

@@ -33,13 +33,15 @@
 //! * **Oversized datagrams.** A packet too long for one 6LoWPAN
 //!   datagram (over 2,047 bytes compressed: a leaf's 12 KB upload, the
 //!   replies it draws) takes a datagram tag but puts nothing on the air,
-//!   and one whose payload exceeds `MAX_DATAGRAM + 2` bytes is not even
-//!   compressed. It still crosses the border on the Ethernet side. A
-//!   real leaf would segment its TCP to the 1,280-byte IPv6 minimum MTU.
+//!   and one whose payload exceeds `MAX_DATAGRAM + 2` bytes is neither
+//!   spelled out nor compressed. It still crosses the border on the
+//!   Ethernet side, as a run when the leaf ended it in one: the leaf's
+//!   own buffer, with only its Ethernet source rewritten. A real leaf
+//!   would segment its TCP to the 1,280-byte IPv6 minimum MTU.
 
 use crate::addrs;
 use crate::event::SimTime;
-use crate::host::{Effects, Host};
+use crate::host::{Effects, Host, Lists};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
@@ -47,7 +49,7 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use v6brick_net::ethernet::{self, EtherType};
 use v6brick_net::ipv6::Cidr;
-use v6brick_net::{icmpv6, ieee802154, ipv4, ipv6, ndp, sixlowpan, Mac};
+use v6brick_net::{icmpv6, ieee802154, ipv4, ipv6, ndp, sixlowpan, Mac, Run};
 use v6brick_pcap::Capture;
 
 /// Salt separating the mesh MAC-backoff RNG from the behavioural stream,
@@ -85,6 +87,15 @@ pub struct BorderRouter {
     pub forwarded_down: u64,
     /// Unicast arrivals with no learned leaf route.
     pub no_route_drops: u64,
+    /// Where a short datagram that ends in a run is spelled out before
+    /// compression.
+    spelled: Vec<u8>,
+    /// Where a LAN frame for one leaf is copied, its Ethernet destination
+    /// rewritten to the leaf's MAC.
+    delivered: Vec<u8>,
+    /// The lists every leaf callback's [`Effects`] fill, emptied after
+    /// each.
+    lists: Lists,
 }
 
 impl BorderRouter {
@@ -109,6 +120,9 @@ impl BorderRouter {
             forwarded_up: 0,
             forwarded_down: 0,
             no_route_drops: 0,
+            spelled: Vec::new(),
+            delivered: Vec::new(),
+            lists: Lists::default(),
         }
     }
 
@@ -149,27 +163,30 @@ impl BorderRouter {
         &self.mesh_capture
     }
 
-    /// Put one IPv6 packet, `ip` carrying `payload`, on the mesh air
-    /// between `src` and `dst`: compress it and transmit the datagram.
+    /// Put one IPv6 packet, `ip` carrying `payload` followed by `run`,
+    /// on the mesh air between `src` and `dst`: spell it out, compress it
+    /// and transmit the datagram.
     ///
     /// Compression shortens a payload by at most 4 bytes (NHC-UDP turns
     /// the 8-byte UDP header into at least 4) and IPHC adds at least 2,
     /// so a datagram is at least 2 bytes shorter than its payload, and a
     /// payload over `MAX_DATAGRAM + 2` bytes can never fit one. It is
-    /// not compressed; it takes a datagram tag, as the refused datagram
-    /// would have.
+    /// neither spelled out nor compressed; it takes a datagram tag, as
+    /// the refused datagram would have.
     fn put_on_air(
         &mut self,
         now: SimTime,
         ip: &ipv6::Repr,
         payload: &[u8],
+        run: Run,
         src: [u8; 8],
         dst: [u8; 8],
     ) {
-        if payload.len() > sixlowpan::MAX_DATAGRAM + 2 {
+        if payload.len() + run.len() > sixlowpan::MAX_DATAGRAM + 2 {
             self.tag = self.tag.wrapping_add(1);
             return;
         }
+        let payload = run.spell(payload, &mut self.spelled);
         let compressed = sixlowpan::compress(ip, payload, &src, &dst, Some(&self.context));
         self.transmit_mesh(now, src, dst, &compressed);
     }
@@ -223,8 +240,9 @@ impl BorderRouter {
     }
 
     /// Drive one leaf callback and translate its effects: timers are
-    /// re-tagged with the leaf index, frames cross the border, spelled
-    /// out first when they end in a run (compression reads every byte).
+    /// re-tagged with the leaf index, and frames cross the border, each
+    /// with the run the leaf ended it in. The callback fills the border
+    /// router's own lists, which are emptied for the next one.
     fn with_leaf(
         &mut self,
         idx: usize,
@@ -232,27 +250,32 @@ impl BorderRouter {
         fx: &mut Effects,
         f: impl FnOnce(&mut dyn Host, &mut Effects),
     ) {
-        let (frames, runs, timers) = {
-            let mut inner = Effects::new(&mut *fx.rng);
-            f(self.leaves[idx].as_mut(), &mut inner);
-            (inner.frames, inner.runs, inner.timers)
-        };
-        for (delay, token) in timers {
+        let mut inner = self.lists.effects(&mut *fx.rng);
+        f(self.leaves[idx].as_mut(), &mut inner);
+        let mut lists = inner.into_lists();
+        for (delay, token) in lists.timers.drain(..) {
             debug_assert!(token < 1 << TOKEN_SHIFT, "leaf token collides with mux");
             fx.set_timer(delay, ((idx as u64) << TOKEN_SHIFT) | token);
         }
-        let mut spelled = Vec::new();
-        for (i, frame) in frames.iter().enumerate() {
-            let frame = runs.get(i).spell(frame, &mut spelled);
-            self.leaf_outbound(idx, now, frame, fx);
+        for (i, frame) in lists.frames.drain(..).enumerate() {
+            self.leaf_outbound(idx, now, frame, lists.runs.get(i), fx);
         }
+        lists.runs.clear();
+        self.lists = lists;
     }
 
-    /// One frame a leaf wants on the wire: refuse v4, put the v6 packet
-    /// on the mesh air, then route-over forward it onto the Ethernet
-    /// segment with ND proxying.
-    fn leaf_outbound(&mut self, idx: usize, now: SimTime, frame: &[u8], fx: &mut Effects) {
-        let Ok(eth) = ethernet::Frame::new_checked(frame) else {
+    /// One frame a leaf wants on the wire, `frame` followed by `run`:
+    /// refuse v4, put the v6 packet on the mesh air, then route-over
+    /// forward it onto the Ethernet segment with ND proxying.
+    fn leaf_outbound(
+        &mut self,
+        idx: usize,
+        now: SimTime,
+        mut frame: Vec<u8>,
+        run: Run,
+        fx: &mut Effects,
+    ) {
+        let Ok(eth) = ethernet::Frame::new_checked(&frame[..]) else {
             return;
         };
         let eth_repr = ethernet::Repr::parse(&eth);
@@ -266,11 +289,12 @@ impl BorderRouter {
             }
             EtherType::Other(_) => return,
         }
-        let Ok(ip_pkt) = ipv6::Packet::new_checked(eth.payload()) else {
+        let Ok(ip_pkt) = ipv6::Packet::new_checked_with_tail(eth.payload(), run.len()) else {
             return;
         };
         let ip = ipv6::Repr::parse(&ip_pkt);
         let payload = ip_pkt.payload();
+        let l4_run = run.cut(eth.payload().len(), ipv6::HEADER_LEN + ip.payload_len);
 
         // Source learning: the return-path route for this leaf.
         if !ip.src.is_unspecified() && !ip.src.is_multicast() {
@@ -283,24 +307,24 @@ impl BorderRouter {
         } else {
             self.br_ext()
         };
-        self.put_on_air(now, &ip, payload, self.leaf_ext(idx), ll_dst);
+        self.put_on_air(now, &ip, payload, l4_run, self.leaf_ext(idx), ll_dst);
 
         // Ethernet side: the border router is the link-layer source. NDP
         // link-layer address options must follow (ND proxy) — rebuild
         // those messages so checksums stay valid; everything else only
-        // needs the Ethernet source swapped.
-        let rewritten = if ip.next_header == ipv4::Protocol::Icmpv6 {
-            self.proxy_ndp(&eth_repr, &ip, payload)
-        } else {
-            None
-        };
-        let out = rewritten.unwrap_or_else(|| {
-            let mut f = frame.to_vec();
-            f[6..12].copy_from_slice(self.mac.as_bytes());
-            f
-        });
+        // needs the Ethernet source swapped, in the leaf's own buffer,
+        // run and all.
         self.forwarded_up += 1;
-        fx.send_frame(out);
+        if ip.next_header == ipv4::Protocol::Icmpv6 {
+            // Only a transport payload ends in a run.
+            debug_assert!(run.is_empty(), "an ICMPv6 frame ends in a run");
+            if let Some(proxied) = self.proxy_ndp(&eth_repr, &ip, payload) {
+                fx.send_frame(proxied);
+                return;
+            }
+        }
+        frame[6..12].copy_from_slice(self.mac.as_bytes());
+        fx.send_frame_with_run(frame, run);
     }
 
     /// Rebuild a leaf NDP message with link-layer address options pointing
@@ -380,7 +404,14 @@ impl BorderRouter {
         let payload = ip_pkt.payload();
 
         if eth_repr.dst.is_multicast() {
-            self.put_on_air(now, &ip, payload, self.br_ext(), ieee802154::BROADCAST);
+            self.put_on_air(
+                now,
+                &ip,
+                payload,
+                Run::default(),
+                self.br_ext(),
+                ieee802154::BROADCAST,
+            );
             self.forwarded_down += 1;
             for idx in 0..self.leaves.len() {
                 self.with_leaf(idx, now, fx, |leaf, inner| leaf.on_frame(now, frame, inner));
@@ -393,13 +424,23 @@ impl BorderRouter {
             self.no_route_drops += 1;
             return;
         };
-        self.put_on_air(now, &ip, payload, self.br_ext(), self.leaf_ext(idx));
+        self.put_on_air(
+            now,
+            &ip,
+            payload,
+            Run::default(),
+            self.br_ext(),
+            self.leaf_ext(idx),
+        );
         self.forwarded_down += 1;
-        let mut delivered = frame.to_vec();
+        let mut delivered = std::mem::take(&mut self.delivered);
+        delivered.clear();
+        delivered.extend_from_slice(frame);
         delivered[0..6].copy_from_slice(self.leaf_macs[idx].as_bytes());
         self.with_leaf(idx, now, fx, |leaf, inner| {
             leaf.on_frame(now, &delivered, inner)
         });
+        self.delivered = delivered;
     }
 }
 
@@ -451,6 +492,9 @@ impl Host for BorderRouter {
             forwarded_up: self.forwarded_up,
             forwarded_down: self.forwarded_down,
             no_route_drops: self.no_route_drops,
+            spelled: Vec::new(),
+            delivered: Vec::new(),
+            lists: Lists::default(),
         }))
     }
 
@@ -468,7 +512,7 @@ mod tests {
     use super::*;
     use crate::event::SimTime;
     use crate::wire;
-    use v6brick_net::udp;
+    use v6brick_net::{tcp, udp};
 
     /// A scripted leaf: emits one canned frame on start, records frames.
     struct Leaf {
@@ -781,6 +825,122 @@ mod tests {
             assert!(p.data.len() <= ieee802154::MTU);
             ieee802154::Frame::new_checked(&p.data[..]).expect("well-formed mesh frame");
         }
+    }
+
+    /// A leaf that sends one frame, which may end in a run, at start.
+    #[derive(Clone)]
+    struct RunLeaf {
+        frame: Option<(Vec<u8>, Run)>,
+    }
+
+    impl Host for RunLeaf {
+        fn mac(&self) -> Mac {
+            leaf_mac(1)
+        }
+        fn on_start(&mut self, _now: SimTime, fx: &mut Effects) {
+            if let Some((frame, run)) = self.frame.take() {
+                fx.send_frame_with_run(frame, run);
+            }
+        }
+        fn on_frame(&mut self, _now: SimTime, _frame: &[u8], _fx: &mut Effects) {}
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _fx: &mut Effects) {}
+        fn fork(&self) -> Option<Box<dyn Host>> {
+            Some(Box::new(self.clone()))
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    const LEAF_GUA: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0x10, 1, 0, 0, 0xee, 1);
+    const CLOUD: Ipv6Addr = Ipv6Addr::new(0x2001, 0xdb8, 0xffff, 0, 0, 0, 0, 1);
+
+    /// A leaf's TCP segment to the cloud through the router: 5 bytes of
+    /// payload, then `run`.
+    fn leaf_upload(run: Run) -> (Vec<u8>, Run) {
+        let seg = tcp::Repr {
+            src_port: 40_000,
+            dst_port: 443,
+            seq: 1,
+            ack: 1,
+            flags: tcp::Flags::PSH | tcp::Flags::ACK,
+            window: 0xffff,
+            payload: b"hello".to_vec(),
+        };
+        let frame =
+            wire::tcp6_frame_with_run(leaf_mac(1), addrs::ROUTER_MAC, LEAF_GUA, CLOUD, &seg, run);
+        (frame, run)
+    }
+
+    /// A border router over one [`RunLeaf`] sending `frame`, with the
+    /// mesh capture on; started, with the frames it forwarded and the
+    /// runs they end in.
+    fn cross(frame: (Vec<u8>, Run)) -> (BorderRouter, Vec<(Vec<u8>, Run)>) {
+        let mut br = BorderRouter::new(7, vec![Box::new(RunLeaf { frame: Some(frame) })]);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut fx = Effects::new(&mut rng);
+        br.on_start(SimTime::ZERO, &mut fx);
+        let out = (0..fx.frames.len())
+            .map(|i| (fx.frames[i].clone(), fx.run(i)))
+            .collect();
+        (br, out)
+    }
+
+    #[test]
+    fn a_leaf_upload_crosses_as_a_run_with_a_tag_and_no_airtime() {
+        let (frame, run) = leaf_upload(Run::tls_padding(12_000));
+        let (br, out) = cross((frame.clone(), run));
+        assert_eq!(out.len(), 1);
+        let (head, crossed) = &out[0];
+        assert_eq!(*crossed, run, "the run crosses intact");
+        assert!(head.len() < 256, "only the head is in the buffer");
+        assert_eq!(&head[6..12], addrs::BORDER_ROUTER_MAC.as_bytes());
+        assert_eq!((&head[..6], &head[12..]), (&frame[..6], &frame[12..]));
+        assert_eq!(br.tag, 1, "the oversized datagram takes a tag");
+        assert_eq!(br.mesh_frames, 0);
+        assert!(br.mesh_capture().is_empty());
+        assert_eq!(br.forwarded_up, 1);
+    }
+
+    #[test]
+    fn a_short_datagram_ending_in_a_run_goes_on_the_air_like_its_spelled_twin() {
+        // 40 + 20 + 5 + 1,435: a 1,500-byte datagram.
+        let (head, run) = leaf_upload(Run::new(0x17, 1_435));
+        let spelled = run.spell(&head, &mut Vec::new()).to_vec();
+        assert_eq!(spelled.len(), wire::ETH + 1_500);
+        let (mut with_run, crossed) = cross((head, run));
+        let (mut twin, twin_crossed) = cross((spelled, Run::default()));
+        assert!(with_run.mesh_frames > 0, "the datagram goes on the air");
+        assert_eq!(with_run.take_mesh_capture(), twin.take_mesh_capture());
+        let spell = |(f, r): &(Vec<u8>, Run)| r.spell(f, &mut Vec::new()).to_vec();
+        assert_eq!(spell(&crossed[0]), spell(&twin_crossed[0]));
+    }
+
+    #[test]
+    fn a_fork_starts_with_empty_scratch_buffers() {
+        let (mut br, _) = cross(leaf_upload(Run::new(0x17, 300)));
+        let reply = wire::udp6_frame(
+            addrs::ROUTER_MAC,
+            addrs::BORDER_ROUTER_MAC,
+            CLOUD,
+            LEAF_GUA,
+            443,
+            40_000,
+            vec![0x17; 600],
+        );
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut fx = Effects::new(&mut rng);
+        br.on_frame(SimTime::from_millis(1), &reply, &mut fx);
+        assert_eq!(br.forwarded_down, 1);
+        assert!(br.spelled.capacity() > 0 && br.delivered.capacity() > 0);
+        let fork = br.fork().expect("the leaf forks");
+        let fork = fork.as_any().downcast_ref::<BorderRouter>().unwrap();
+        assert_eq!(fork.spelled.capacity(), 0);
+        assert_eq!(fork.delivered.capacity(), 0);
+        assert_eq!(fork.lists.frames.capacity(), 0);
     }
 
     #[test]

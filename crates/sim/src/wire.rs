@@ -4,10 +4,13 @@
 //! Every frame is one buffer sized once: `alloc` copies the payload
 //! into place, then each header is emitted into the front of the
 //! buffer, innermost first, so the transport checksum is summed once, in
-//! place, over bytes that are never moved again. Bulk payloads (one
-//! repeated byte, or TLS padding) are not written at all: they travel as
-//! a [`Run`] behind the headers, and the engine spells them out where
-//! they are read.
+//! place, over bytes that are never moved again. An ICMPv6 message is
+//! appended behind its headers' room by [`icmpv6::Repr::emit`], and a
+//! 6in4 packet ([`sixin4_packet`], the internet model's replies and the
+//! WAN scanner's probes) has its payload appended behind the IPv4 and
+//! IPv6 headers' room the same way. Bulk payloads (one repeated byte, or
+//! TLS padding) are not written at all: they travel as a [`Run`] behind
+//! the headers, and the engine spells them out where they are read.
 //!
 //! The buffer is recycled rather than allocated when it can be: while a
 //! simulation runs, it lends its spare buffers to this thread (`lend`),
@@ -15,6 +18,7 @@
 //! (`recycle`) once every reader has returned. So, once a simulation has
 //! warmed up, its frames' buffers cost no allocation.
 
+use crate::addrs;
 use std::cell::RefCell;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use v6brick_net::ethernet::{self, EtherType, Frame};
@@ -28,6 +32,8 @@ pub(crate) const ETH: usize = ethernet::HEADER_LEN;
 const ETH_V4: usize = ETH + ipv4::HEADER_LEN;
 /// Ethernet + IPv6 header length: where an IPv6 frame's L4 starts.
 const ETH_V6: usize = ETH + ipv6::HEADER_LEN;
+/// IPv4 + IPv6 header length: where a 6in4 packet's L4 starts.
+const SIXIN4: usize = ipv4::HEADER_LEN + ipv6::HEADER_LEN;
 
 /// A packet or frame as the event queue holds it: its bytes up to the
 /// run, and the run (empty for most packets).
@@ -94,17 +100,36 @@ pub(crate) fn recycle(buf: Vec<u8>) {
     }
 }
 
+/// A buffer of `headers` zero bytes with room for `body` more bytes
+/// behind them: a spare when one was lent, else a packet's single
+/// allocation. The caller writes the body, then emits the headers into
+/// the front.
+fn room(headers: usize, body: usize) -> Vec<u8> {
+    let mut buf = SPARES.with_borrow_mut(Vec::pop).unwrap_or_default();
+    // A spare still holds its last packet's bytes.
+    buf.clear();
+    buf.reserve_exact(headers + body);
+    buf.resize(headers, 0);
+    buf
+}
+
 /// One buffer of `headers` zero bytes followed by `body`: a spare when
 /// one was lent, else a packet's single allocation, and the payload's
 /// single copy. The caller emits the headers into the front.
 pub(crate) fn alloc(headers: usize, body: &[u8]) -> Vec<u8> {
-    let mut buf = SPARES.with_borrow_mut(Vec::pop).unwrap_or_default();
-    // A spare still holds its last packet's bytes.
-    buf.clear();
-    buf.reserve_exact(headers + body.len());
-    buf.resize(headers, 0);
+    let mut buf = room(headers, body.len());
     buf.extend_from_slice(body);
     buf
+}
+
+/// Append a transport segment to `buf`: `header` zero bytes, then
+/// `body`. Returns the segment, for its header to be emitted into its
+/// front in place (`tcp::Repr::emit`, `udp::Repr::emit`).
+pub fn push_segment<'a>(buf: &'a mut Vec<u8>, header: usize, body: &[u8]) -> &'a mut [u8] {
+    let at = buf.len();
+    buf.resize(at + header, 0);
+    buf.extend_from_slice(body);
+    &mut buf[at..]
 }
 
 /// Emit an Ethernet header into the front of `frame`.
@@ -302,7 +327,8 @@ pub fn icmpv6_frame(
     msg: &icmpv6::Repr,
 ) -> Vec<u8> {
     let hop_limit = if msg.as_ndp().is_some() { 255 } else { 64 };
-    let mut f = alloc(ETH_V6, &msg.build(src, dst));
+    let mut f = room(ETH_V6, msg.buffer_len());
+    msg.emit(&mut f, src, dst);
     emit_eth_ipv6(
         &mut f,
         Run::default(),
@@ -314,6 +340,44 @@ pub fn icmpv6_frame(
         hop_limit,
     );
     f
+}
+
+/// A 6in4 packet as the tunnel broker sends it to the router's WAN
+/// address `router`: IPv4 from [`addrs::TUNNEL_REMOTE_IPV4`], then IPv6
+/// from `src` to `dst` (hop limit 64), then the `next_header` payload,
+/// `l4_len` bytes that `write_l4` appends behind the headers' room (a
+/// transport segment through [`push_segment`], an ICMPv6 message through
+/// [`icmpv6::Repr::emit`]), the whole ending in `run`. The buffer is
+/// sized once, and both IP headers are emitted into its front last.
+pub fn sixin4_packet(
+    router: Ipv4Addr,
+    src: Ipv6Addr,
+    dst: Ipv6Addr,
+    next_header: Protocol,
+    l4_len: usize,
+    run: Run,
+    write_l4: impl FnOnce(&mut Vec<u8>),
+) -> Vec<u8> {
+    let mut pkt = room(SIXIN4, l4_len);
+    write_l4(&mut pkt);
+    debug_assert_eq!(pkt.len(), SIXIN4 + l4_len, "write_l4 appends l4_len bytes");
+    ipv6::Repr {
+        src,
+        dst,
+        next_header,
+        hop_limit: 64,
+        payload_len: pkt.len() - SIXIN4 + run.len(),
+    }
+    .emit(&mut pkt[ipv4::HEADER_LEN..]);
+    ipv4::Repr {
+        src: addrs::TUNNEL_REMOTE_IPV4,
+        dst: router,
+        protocol: Protocol::Ipv6,
+        ttl: 64,
+        payload_len: pkt.len() - ipv4::HEADER_LEN + run.len(),
+    }
+    .emit(&mut pkt);
+    pkt
 }
 
 #[cfg(test)]
